@@ -31,10 +31,7 @@ from .render import (
     write_image,
 )
 from .errors import (
-    Aliasing, BadBasepoint, BboxTooSmall, DuplicateRoots, EmptySet,
-    GeometryRejected, Indeterminate, JuliafitError, MapDiverged,
-    MonochromeField, NoDegreeFound, NoEpsilon, NotSimple, OffsetCollapse,
-    ParseError, SamplingFailure, TooFewPoints,
+    GeometryRejected, JuliafitError, NoDegreeFound, ParseError, TooFewPoints,
 )
 
 EXIT_OK = 0
@@ -45,10 +42,6 @@ EXIT_VERIFICATION = 5
 EXIT_IO = 6
 
 _PARSE_ERRORS = (ParseError, TooFewPoints)
-_GEOMETRY_ERRORS = (NotSimple, OffsetCollapse, BadBasepoint, NoEpsilon,
-                    DuplicateRoots, GeometryRejected, MapDiverged, Aliasing,
-                    SamplingFailure, EmptySet, Indeterminate, BboxTooSmall,
-                    MonochromeField)
 
 
 def _say(msg: str) -> None:
@@ -93,7 +86,7 @@ def _schedule(args) -> list[int]:
     return out
 
 
-def _pipeline_bbox(curve_list, delta: float, width: int, height: int):
+def _pipeline_bbox(curve_list, delta: float):
     los = [c.bbox[0] for c in curve_list]
     his = [c.bbox[1] for c in curve_list]
     x0 = min(p.real for p in los)
@@ -123,15 +116,48 @@ def _build_one_shape(curve_t: curves.JordanCurve, band_t: curves.AnnulusSpec,
     return m, eps, build
 
 
-def _render_field(kernel, t_dyn, cert, curve_list, args, cfg):
-    bbox = _pipeline_bbox(curve_list, args.delta or 0.0, args.grid, args.grid)
-    field = render_grid(
-        kernel, bbox, args.grid, args.grid,
-        escape_radius=cert.escape_radius, capture_radius=cert.capture_radius,
-        max_iter=args.max_iter, workers=args.workers, frame_shift=t_dyn)
+def _render(args, kernel, t_dyn: complex, bbox, radii):
+    escape_radius, capture_radius = radii
+    return render_grid(
+        kernel, bbox, args.grid, args.grid, escape_radius=escape_radius,
+        capture_radius=capture_radius, max_iter=args.max_iter,
+        workers=args.workers, frame_shift=t_dyn)
+
+
+def _say_certified(cert) -> None:
+    margins = ", ".join(f"{k} {v:.3g}" for k, v in cert.margins().items())
+    _say(f"certified at n = {cert.n_certified} (margins: {margins})")
+
+
+def _report(args, cfg, field, curve_list, delta: float, annulus: bool) -> int:
+    """Verify the field against the curves (outer and inner boundary of a
+    band when annulus is set), write report.json and return the exit code."""
+    if annulus:
+        rep = verify_hausdorff_annulus(field, curve_list[0], curve_list[1], delta)
+    else:
+        rep = verify_hausdorff(field, curve_list, delta)
+    robj = rep.to_obj()
+    robj["config"] = cfg
+    _write_json(robj, _outpath(args, "report.json"))
+    _say(f"d_K={rep.d_K:.4g} d_J={rep.d_J:.4g} d_L={rep.d_L:.4g} "
+         f"tolerance={rep.delta + rep.pixel_diag:.4g} pass={rep.passed}")
+    return EXIT_OK if rep.passed else EXIT_VERIFICATION
+
+
+def _finish(args, cfg, kernel, save_system, cert, t_dyn: complex, curve_list,
+            delta: float) -> int:
+    """Tail of rational and annulus: save the certified system and its
+    certificate, render the field over the curves padded by delta, verify it
+    and report."""
+    system = kernel.system
+    save_system(system, _outpath(args, "system.json"))
+    dynamics.save_certificate(cert, _outpath(args, "certificate.json"), config=cfg)
+    field = _render(args, kernel, t_dyn, _pipeline_bbox(curve_list, delta),
+                    (cert.escape_radius, cert.capture_radius))
     save_field(field, _outpath(args, "field.json"), config=cfg)
     write_image(field, _outpath(args, "image.pgm"))
-    return field
+    return _report(args, cfg, field, curve_list, delta,
+                   isinstance(system, rational.AnnulusSystem))
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +178,10 @@ def cmd_build(args) -> int:
     cfg["epsilon_used"] = eps
     _say(f"map ready: capacity {abs(m.capacity):.6g}, "
          f"boundary rmse {m.quality.boundary_rmse:.3g}, inflation {eps}")
-    shape, cert = dynamics.find_min_degree(build, ann_t, _schedule(args),
-                                           args.samples, args.seed)
-    _say(f"certified at n = {shape.n} "
-         f"(inside {cert.inside_max:.3g} < {cert.r_inner:.3g}, "
-         f"expansion {cert.outside_min_ratio:.3g} > {cert.kappa:.3g})")
+    shape, cert = dynamics.find_min_degree(
+        build, lambda s: dynamics.certify(s, ann_t, args.samples, args.seed),
+        _schedule(args))
+    _say_certified(cert)
     shapepoly.save_shape(shape, _outpath(args, "shape.json"))
     dynamics.save_certificate(cert, _outpath(args, "certificate.json"), config=cfg)
     conformal.save_map(m, _outpath(args, "map.json"))
@@ -192,7 +217,6 @@ def _radii(args, pts) -> tuple[float, float]:
 
 def cmd_render(args) -> int:
     kernel, t_dyn, pts = _load_dump(args.input)
-    escape_radius, capture_radius = _radii(args, pts)
     cfg = _config(args, "render")
     if args.bbox:
         x0, y0, x1, y1 = args.bbox
@@ -203,10 +227,7 @@ def cmd_render(args) -> int:
         pad = args.margin * span
         bbox = (complex(orig.real.min() - pad, orig.imag.min() - pad),
                 complex(orig.real.max() + pad, orig.imag.max() + pad))
-    field = render_grid(
-        kernel, bbox, args.grid, args.grid, escape_radius=escape_radius,
-        capture_radius=capture_radius, max_iter=args.max_iter,
-        workers=args.workers, frame_shift=t_dyn)
+    field = _render(args, kernel, t_dyn, bbox, _radii(args, pts))
     save_field(field, _outpath(args, "field.json"), config=cfg)
     write_image(field, _outpath(args, "image.pgm"))
     _say(f"rendered {args.grid}x{args.grid} field")
@@ -216,32 +237,17 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    curve_list = [curves.load_curve(p) for p in args.curve]
+    if args.annulus and len(curve_list) != 2:
+        raise ParseError("--annulus needs exactly two curves: outer inner")
     if obj.get("kind") == "escape_field":
         field = load_field(args.input)
     else:
         kernel, t_dyn, pts = _load_dump(args.input)
-        escape_radius, capture_radius = _radii(args, pts)
-        curve_list = [curves.load_curve(p) for p in args.curve]
-        bbox = _pipeline_bbox(curve_list, args.delta, args.grid, args.grid)
-        field = render_grid(
-            kernel, bbox, args.grid, args.grid, escape_radius=escape_radius,
-            capture_radius=capture_radius, max_iter=args.max_iter,
-            workers=args.workers, frame_shift=t_dyn)
-    curve_list = [curves.load_curve(p) for p in args.curve]
-    cfg = _config(args, "verify")
-    if args.annulus:
-        if len(curve_list) != 2:
-            raise ParseError("--annulus needs exactly two curves: outer inner")
-        rep = verify_hausdorff_annulus(field, curve_list[0],
-                                                  curve_list[1], args.delta)
-    else:
-        rep = verify_hausdorff(field, curve_list, args.delta)
-    robj = rep.to_obj()
-    robj["config"] = cfg
-    _write_json(robj, _outpath(args, "report.json"))
-    _say(f"d_K={rep.d_K:.4g} d_J={rep.d_J:.4g} d_L={rep.d_L:.4g} "
-         f"tolerance={rep.delta + rep.pixel_diag:.4g} pass={rep.passed}")
-    return EXIT_OK if rep.passed else EXIT_VERIFICATION
+        field = _render(args, kernel, t_dyn,
+                        _pipeline_bbox(curve_list, args.delta), _radii(args, pts))
+    return _report(args, _config(args, "verify"), field, curve_list,
+                   args.delta, args.annulus)
 
 
 def cmd_rational(args) -> int:
@@ -285,28 +291,13 @@ def cmd_rational(args) -> int:
         b, big = rational.auto_bounds(anns_t)
     cfg.update(b_used=b, B_used=big)
 
-    cert = None
-    system = None
-    for n in _schedule(args):
-        system = rational.MultiShapeSystem(shapes=tuple(bd(n) for bd in builders))
-        cert = rational.certify_multi(system, anns_t, b, big, args.samples, args.seed)
-        if cert.passed:
-            break
-    if cert is None or not cert.passed:
-        raise NoDegreeFound(f"no degree in {_schedule(args)} certified the system")
-    _say(f"certified at n = {cert.n_certified} "
-         f"(|combined| < {cert.inside_max:.3g} inside, > {cert.outside_min:.3g} outside)")
-
-    rational.save_system(system, _outpath(args, "system.json"))
-    rational.save_rational_certificate(cert, _outpath(args, "certificate.json"), cfg)
-    field = _render_field(rational.MultiShapeKernel(system), t, cert,
-                          curve_list, args, cfg)
-    rep = verify_hausdorff(field, curve_list, delta)
-    robj = rep.to_obj()
-    robj["config"] = cfg
-    _write_json(robj, _outpath(args, "report.json"))
-    _say(f"d_K={rep.d_K:.4g} d_J={rep.d_J:.4g} d_L={rep.d_L:.4g} pass={rep.passed}")
-    return EXIT_OK if rep.passed else EXIT_VERIFICATION
+    system, cert = dynamics.find_min_degree(
+        lambda n: rational.MultiShapeSystem(shapes=tuple(bd(n) for bd in builders)),
+        lambda sy: rational.certify_multi(sy, anns_t, b, big, args.samples, args.seed),
+        _schedule(args))
+    _say_certified(cert)
+    return _finish(args, cfg, rational.MultiShapeKernel(system), rational.save_system,
+                   cert, t, curve_list, delta)
 
 
 def _default_basepoint(outer: curves.JordanCurve, inner: curves.JordanCurve) -> complex:
@@ -348,30 +339,15 @@ def cmd_annulus(args) -> int:
     m_in, eps_in, build_in = _build_one_shape(inner.translated(-t), f_t, args, t)
     _say(f"maps ready: outer inflation {eps_out}, inner inflation {eps_in}")
 
-    cert = None
-    system = None
-    for n in _schedule(args):
-        system = rational.AnnulusSystem(
+    system, cert = dynamics.find_min_degree(
+        lambda n: rational.AnnulusSystem(
             outer_shape=build_out(n), inner_shape=build_in(n),
-            outer_band=e_t, inner_band=f_t, xi=xi)
-        cert = rational.certify_S(system, args.samples, args.seed)
-        if cert.passed:
-            break
-    if cert is None or not cert.passed:
-        raise NoDegreeFound(f"no degree in {_schedule(args)} certified the annulus map")
-    _say(f"certified at n = {cert.n_certified} (band max {cert.mid_max:.3g} < "
-         f"{cert.r_mid:.3g}, far min {cert.far_min:.3g} > {cert.R_big:.3g})")
-
-    rational.save_annulus_system(system, _outpath(args, "system.json"))
-    rational.save_rational_certificate(cert, _outpath(args, "certificate.json"), cfg)
-    field = _render_field(rational.AnnulusMapKernel(system), t, cert,
-                          [outer, inner], args, cfg)
-    rep = verify_hausdorff_annulus(field, outer, inner, delta)
-    robj = rep.to_obj()
-    robj["config"] = cfg
-    _write_json(robj, _outpath(args, "report.json"))
-    _say(f"d_K={rep.d_K:.4g} d_J={rep.d_J:.4g} d_L={rep.d_L:.4g} pass={rep.passed}")
-    return EXIT_OK if rep.passed else EXIT_VERIFICATION
+            outer_band=e_t, inner_band=f_t, xi=xi),
+        lambda sy: rational.certify_S(sy, args.samples, args.seed),
+        _schedule(args))
+    _say_certified(cert)
+    return _finish(args, cfg, rational.AnnulusMapKernel(system),
+                   rational.save_annulus_system, cert, t, [outer, inner], delta)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_rational)
 
     p = sub.add_parser("annulus", help="outer+inner curves -> annulus map")
-    p.add_argument("inputs", nargs=2, metavar=("OUTER", "INNER"), help="curve files")
+    p.add_argument("inputs", nargs=2, metavar="curve",
+                   help="curve files: outer, then inner")
     _add_common(p)
     _add_build(p)
     _add_render(p)
@@ -483,9 +460,6 @@ def main(argv=None) -> int:
     except NoDegreeFound as exc:
         _say(f"error [{exc.code}]: {exc}")
         return EXIT_CERTIFICATION
-    except _GEOMETRY_ERRORS as exc:
-        _say(f"error [{exc.code}]: {exc}")
-        return EXIT_GEOMETRY
     except JuliafitError as exc:
         _say(f"error [{exc.code}]: {exc}")
         return EXIT_GEOMETRY

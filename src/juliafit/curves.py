@@ -128,10 +128,6 @@ def _segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None
     return None
 
 
-def is_simple(points: np.ndarray) -> bool:
-    return _segment_pairs_intersect(points) is None
-
-
 def arclengths(points: np.ndarray) -> np.ndarray:
     """Cumulative arclength over the closed polyline, length N+1."""
     seg = np.abs(np.roll(points, -1) - points)
@@ -215,9 +211,6 @@ class JordanCurve:
 
     def scaled(self, s: float) -> "JordanCurve":
         return JordanCurve(points=self.points * s)
-
-    def resampled(self, n: int) -> "JordanCurve":
-        return JordanCurve(points=resample_closed(self.points, n))
 
     def boundary_samples(self, n: int) -> np.ndarray:
         return resample_closed(self.points, n)

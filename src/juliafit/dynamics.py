@@ -16,12 +16,13 @@ import enum
 import json
 import math
 from dataclasses import dataclass, asdict
+from typing import ClassVar
 
 import numpy as np
 
 from .curves import AnnulusSpec, distance_to_polyline, sample_interior
 from .errors import NoDegreeFound, SamplingFailure
-from .shapepoly import PolynomialKernel, ShapePolynomial, p_step_array
+from .shapepoly import ShapePolynomial, p_step_array
 
 
 class OrbitStatus(enum.IntEnum):
@@ -81,6 +82,7 @@ def _expo(log2m: float) -> int:
 
 @dataclass(frozen=True)
 class EscapeCertificate:
+    kind: ClassVar[str] = "escape_certificate"
     r_inner: float
     kappa: float
     K_bound: float
@@ -161,17 +163,21 @@ def certify(shape: ShapePolynomial, annulus: AnnulusSpec,
         passed=passed)
 
 
-def find_min_degree(builder, annulus: AnnulusSpec, n_schedule,
-                    samples_per_region: int = 4096, seed: int = 0):
-    """Smallest n in the schedule whose certificate passes. builder maps a
-    root count n to a ShapePolynomial in the annulus frame."""
+def find_min_degree(build, certify, n_schedule):
+    """Smallest n in the schedule whose candidate certifies, for any of the
+    three constructions. ``build(n)`` returns the candidate for root count n
+    (a ShapePolynomial, MultiShapeSystem or AnnulusSystem) and
+    ``certify(candidate)`` its certificate, which has ``passed`` and
+    ``margins()``. Returns (candidate, certificate); when no degree passes,
+    raises NoDegreeFound carrying the certificate whose worst margin was
+    largest."""
     best = None
     best_margin = -math.inf
     for n in n_schedule:
-        shape = builder(int(n))
-        cert = certify(shape, annulus, samples_per_region, seed)
+        candidate = build(int(n))
+        cert = certify(candidate)
         if cert.passed:
-            return shape, cert
+            return candidate, cert
         worst = min(cert.margins().values())
         if worst > best_margin:
             best_margin = worst
@@ -181,29 +187,18 @@ def find_min_degree(builder, annulus: AnnulusSpec, n_schedule,
         best=None if best is None else asdict(best))
 
 
-def default_builder(m, annulus_translated: AnnulusSpec, *, t: complex,
-                    max_halvings: int = 20, epsilon: float | None = None):
-    """Standard builder closure: picks the inflation once, then samples roots
-    for each requested n."""
-    from .shapepoly import sample_roots, select_epsilon
-
-    eps = epsilon if epsilon is not None else select_epsilon(
-        m, annulus_translated, max_halvings=max_halvings)
-
-    def build(n: int) -> ShapePolynomial:
-        return sample_roots(m, eps, n, t=t)
-
-    return build, eps
-
-
 # ---------------------------------------------------------------------------
 # persistence
 
 
-def save_certificate(cert: EscapeCertificate, path, config: dict | None = None) -> None:
-    obj = {"kind": "escape_certificate", "sampled": True}
+def save_certificate(cert, path, config: dict | None = None) -> None:
+    """Dump a certificate of any construction (EscapeCertificate,
+    MultiCertificate or SCertificate) under its ``kind``, with its fields and
+    radii. Only the escape certificate also records its margins."""
+    obj = {"kind": cert.kind, "sampled": True}
     obj.update(asdict(cert))
-    obj["margins"] = cert.margins()
+    if isinstance(cert, EscapeCertificate):
+        obj["margins"] = cert.margins()
     obj["capture_radius"] = cert.capture_radius
     obj["escape_radius"] = cert.escape_radius
     if config is not None:
@@ -222,6 +217,3 @@ def load_certificate(path) -> EscapeCertificate:
         "passed")}
     return EscapeCertificate(**fields)
 
-
-def make_kernel(shape: ShapePolynomial) -> PolynomialKernel:
-    return PolynomialKernel(shape)

@@ -1,6 +1,8 @@
 """Rational maps assembled from several shape polynomials.
 
-Two constructions share the scaled-arithmetic kernels:
+Two constructions share the scaled-arithmetic kernels, and with the
+polynomial they share the degree search and the certificate writer of
+``dynamics`` (their certificates have ``margins()`` too):
 
 * a multi-shape system combines the node products of mutually exterior shapes
   through a harmonic sum, Omega = (sum_j 1/(omega_j + 1))^-1, and iterates
@@ -16,14 +18,14 @@ Two constructions share the scaled-arithmetic kernels:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .curves import AnnulusSpec, JordanCurve, distance_to_polyline, sample_interior, winding_numbers
 from .curves import _segment_pairs_intersect
-from .errors import BadBasepoint, GeometryRejected, Indeterminate, SamplingFailure
+from .errors import BadBasepoint, GeometryRejected, Indeterminate
 from .shapepoly import (
     EscapedLarge,
     ScaledComplex,
@@ -262,6 +264,7 @@ class AnnulusMapKernel:
 
 @dataclass(frozen=True)
 class MultiCertificate:
+    kind: ClassVar[str] = "multi_certificate"
     b: float
     B: float
     rho_ball: float
@@ -282,6 +285,10 @@ class MultiCertificate:
     @property
     def capture_radius(self) -> float:
         return self.rho_ball
+
+    def margins(self) -> dict:
+        return {"inside": self.b - self.inside_max,
+                "outside": self.outside_min - self.B}
 
 
 def system_geometry(annuli: list[AnnulusSpec]):
@@ -351,6 +358,7 @@ def certify_multi(system: MultiShapeSystem, annuli: list[AnnulusSpec],
 
 @dataclass(frozen=True)
 class SCertificate:
+    kind: ClassVar[str] = "s_certificate"
     r_mid: float
     R_big: float
     eta: float
@@ -370,6 +378,11 @@ class SCertificate:
     @property
     def capture_radius(self) -> float:
         return self.r_mid
+
+    def margins(self) -> dict:
+        return {"mid": self.r_mid - self.mid_max,
+                "far": self.far_min - self.R_big,
+                "growth": self.growth_min_ratio - 2.0}
 
 
 def certify_S(system: AnnulusSystem, samples_per_region: int = 4096,
@@ -425,23 +438,6 @@ def certify_S(system: AnnulusSystem, samples_per_region: int = 4096,
 
 # ---------------------------------------------------------------------------
 # persistence
-
-
-def save_rational_certificate(cert, path, config: dict | None = None) -> None:
-    """Dump a multi-shape or annulus-map certificate with its radii."""
-    from dataclasses import asdict
-
-    kind = ("multi_certificate" if isinstance(cert, MultiCertificate)
-            else "s_certificate")
-    obj = {"kind": kind, "sampled": True}
-    obj.update(asdict(cert))
-    obj["capture_radius"] = cert.capture_radius
-    obj["escape_radius"] = cert.escape_radius
-    if config is not None:
-        obj["config"] = config
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def save_system(system: MultiShapeSystem, path) -> None:

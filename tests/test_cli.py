@@ -32,6 +32,17 @@ def test_build_square_artifacts(built_square):
     assert shape["n"] == cert["n_certified"]
 
 
+@pytest.mark.parametrize("command",
+                         ["build", "render", "verify", "rational", "annulus"])
+def test_help_and_missing_positional(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+
+
 def test_build_circle_fixture(fixture_dir, tmp_path):
     rc = main(["build", str(fixture_dir / "circle.txt"), "--n", "64",
                "--out", str(tmp_path)])
@@ -209,6 +220,15 @@ def test_annulus_round(fixture_dir, tmp_path):
     assert rc == 0
     rep = json.loads((tmp_path / "report.json").read_text())
     assert rep["pass"] is True
+
+
+def test_annulus_default_delta(fixture_dir, tmp_path):
+    # without --delta the render must cover the same neighbourhood that
+    # verification checks
+    rc = main(["annulus", str(fixture_dir / "ring_outer.txt"),
+               str(fixture_dir / "ring_inner.txt"), "--n", "256",
+               "--epsilon", "0.015625", "--grid", "64", "--out", str(tmp_path)])
+    assert rc == 0
 
 
 def test_annulus_basepoint_in_inner_disk(fixture_dir, tmp_path):

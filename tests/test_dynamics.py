@@ -96,11 +96,15 @@ def test_certificate_soundness_fresh_samples(circle64, cert64, circle_annulus):
 # minimal degree search
 
 
+def _certify_against(annulus):
+    return lambda shape: certify(shape, annulus, 1024, seed=0)
+
+
 def test_find_min_degree_circle(circle_annulus):
     # closed form threshold: (1.1/1.0625)^n > 2  <=>  n >= 20, so 32 from
     # the doubling schedule
     shape, cert = find_min_degree(lambda n: make_circle_shape(1.0, 0.0625, n),
-                                  circle_annulus, [8, 16, 32, 64], 1024, seed=0)
+                                  _certify_against(circle_annulus), [8, 16, 32, 64])
     assert shape.n == 32
     assert cert.passed
 
@@ -108,21 +112,21 @@ def test_find_min_degree_circle(circle_annulus):
 def test_find_min_degree_empty_schedule(circle_annulus):
     with pytest.raises(NoDegreeFound):
         find_min_degree(lambda n: make_circle_shape(1.0, 0.0625, n),
-                        circle_annulus, [], 1024, seed=0)
+                        _certify_against(circle_annulus), [])
 
 
 def test_find_min_degree_reports_best_margins(circle_annulus):
     with pytest.raises(NoDegreeFound) as exc:
         find_min_degree(lambda n: make_circle_shape(1.0, 0.0625, n),
-                        circle_annulus, [8, 16], 1024, seed=0)
+                        _certify_against(circle_annulus), [8, 16])
     assert exc.value.best["n_certified"] in (8, 16)
 
 
 def test_find_min_degree_blob(built_shapes):
     # a 300-root budget is enough for the nonconvex fixture
     data = built_shapes["blob"]
-    shape, cert = find_min_degree(data["build"], data["annulus_t"],
-                                  [32, 64, 128, 300], 1024, seed=0)
+    shape, cert = find_min_degree(data["build"], _certify_against(data["annulus_t"]),
+                                  [32, 64, 128, 300])
     assert shape.n <= 300
     assert cert.passed
 

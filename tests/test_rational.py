@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from juliafit.curves import AnnulusSpec
-from juliafit.errors import BadBasepoint, GeometryRejected, Indeterminate
+from juliafit.dynamics import find_min_degree
+from juliafit.errors import BadBasepoint, GeometryRejected, Indeterminate, NoDegreeFound
 from juliafit.rational import (
     AnnulusMapKernel,
     AnnulusSystem,
@@ -128,6 +129,20 @@ def test_two_circle_low_degree_fails(two_circle_annuli):
     assert not cert.passed
 
 
+def test_two_circle_search_reports_best_attempt(two_circle_annuli):
+    # both degrees fail; n = 16 has the larger worst margin (about -9.3
+    # against -9.8 on the outer boundary)
+    b, big = auto_bounds(two_circle_annuli)
+    with pytest.raises(NoDegreeFound) as exc:
+        find_min_degree(
+            lambda n: MultiShapeSystem(shapes=(circle_shape_at(0j, n=n),
+                                               circle_shape_at(5.0, n=n))),
+            lambda s: certify_multi(s, two_circle_annuli, b, big, 1024, seed=0),
+            [8, 16])
+    assert exc.value.best["n_certified"] == 16
+    assert exc.value.best["passed"] is False
+
+
 def test_levels_must_be_ordered(two_circle_system, two_circle_annuli):
     with pytest.raises(GeometryRejected):
         certify_multi(two_circle_system, two_circle_annuli, 2.0, 1.0, 1024, 0)
@@ -184,16 +199,20 @@ def test_growth_composition(two_circle_system, two_circle_annuli):
 # annulus map
 
 
-@pytest.fixture(scope="module")
-def round_annulus_system():
+def round_annulus(n):
     t = 1.5
     ctr = -t
-    outer_shape = circle_shape_at(ctr, radius=2.0, eps=2.0 ** -6, n=256, t=t)
-    inner_shape = circle_shape_at(ctr, radius=1.0, eps=2.0 ** -5, n=256, t=t)
+    outer_shape = circle_shape_at(ctr, radius=2.0, eps=2.0 ** -6, n=n, t=t)
+    inner_shape = circle_shape_at(ctr, radius=1.0, eps=2.0 ** -5, n=n, t=t)
     e_band = AnnulusSpec(make_circle(2.05, ctr), make_circle(1.95, ctr), 0.1)
     f_band = AnnulusSpec(make_circle(1.05, ctr), make_circle(0.95, ctr), 0.1)
     return AnnulusSystem(outer_shape=outer_shape, inner_shape=inner_shape,
                          outer_band=e_band, inner_band=f_band, xi=1.0)
+
+
+@pytest.fixture(scope="module")
+def round_annulus_system():
+    return round_annulus(256)
 
 
 def test_certify_round_annulus(round_annulus_system):
@@ -202,6 +221,16 @@ def test_certify_round_annulus(round_annulus_system):
     assert cert.growth_min_ratio > 2.0
     assert cert.mid_max < cert.r_mid
     assert cert.far_min > cert.R_big
+
+
+def test_round_annulus_search_reports_best_attempt():
+    # 256 roots certify (test above); 16 and 64 fail, and n = 64 has the
+    # larger worst margin (about -2.6 against -2.9 on the far bound)
+    with pytest.raises(NoDegreeFound) as exc:
+        find_min_degree(round_annulus,
+                        lambda s: certify_S(s, 1024, seed=0), [16, 64])
+    assert exc.value.best["n_certified"] == 64
+    assert exc.value.best["passed"] is False
 
 
 def test_annulus_orbit_of_origin_stays_bounded(round_annulus_system):
