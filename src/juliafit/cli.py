@@ -23,7 +23,7 @@ import numpy as np
 
 from . import conformal, curves, dynamics, rational, shapepoly
 from .render import (
-    load_field,
+    load_field_obj,
     render as render_grid,
     save_field,
     verify_hausdorff,
@@ -188,35 +188,37 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _load_dump(path):
+def _read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        return json.load(fh)
+
+
+def _load_dump(obj: dict):
     kind = obj.get("kind")
     if kind == "shape_polynomial":
         shape = shapepoly.load_shape_obj(obj)
         return shapepoly.PolynomialKernel(shape), shape.t, shape.roots
     if kind == "multi_shape_system":
-        system = rational.load_system(path)
+        system = rational.load_system_obj(obj)
         pts = np.concatenate([s.roots for s in system.shapes])
         return rational.MultiShapeKernel(system), system.t, pts
     if kind == "annulus_map_system":
-        system = rational.load_annulus_system(path)
+        system = rational.load_annulus_system_obj(obj)
         pts = np.concatenate([system.outer_shape.roots, system.inner_shape.roots])
         return rational.AnnulusMapKernel(system), system.outer_shape.t, pts
-    raise ParseError(f"unrecognized dump kind {kind!r} in {path}")
+    raise ParseError(f"unrecognized dump kind {kind!r}")
 
 
 def _radii(args, pts) -> tuple[float, float]:
     if args.certificate:
-        with open(args.certificate, "r", encoding="utf-8") as fh:
-            cobj = json.load(fh)
+        cobj = _read_json(args.certificate)
         return float(cobj["escape_radius"]), float(cobj["capture_radius"])
     mags = np.abs(pts)
     return 1.2 * float(mags.max()), 0.5 * float(mags.min())
 
 
 def cmd_render(args) -> int:
-    kernel, t_dyn, pts = _load_dump(args.input)
+    kernel, t_dyn, pts = _load_dump(_read_json(args.input))
     cfg = _config(args, "render")
     if args.bbox:
         x0, y0, x1, y1 = args.bbox
@@ -235,15 +237,14 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(args.input)
     curve_list = [curves.load_curve(p) for p in args.curve]
     if args.annulus and len(curve_list) != 2:
         raise ParseError("--annulus needs exactly two curves: outer inner")
     if obj.get("kind") == "escape_field":
-        field = load_field(args.input)
+        field = load_field_obj(obj)
     else:
-        kernel, t_dyn, pts = _load_dump(args.input)
+        kernel, t_dyn, pts = _load_dump(obj)
         field = _render(args, kernel, t_dyn,
                         _pipeline_bbox(curve_list, args.delta), _radii(args, pts))
     return _report(args, _config(args, "verify"), field, curve_list,

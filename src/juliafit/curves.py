@@ -9,6 +9,7 @@ immutable after construction.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -20,6 +21,7 @@ from .errors import (
     NotSimple,
     OffsetCollapse,
     ParseError,
+    SamplingFailure,
     TooFewPoints,
 )
 
@@ -27,7 +29,8 @@ MIN_POINTS = 8
 #: relative tolerance (times curve diameter) for "on the curve" classification
 ON_TOL_REL = 1e-9
 
-_CHUNK = 4096
+#: bound on the (query, edge) pairs a kernel holds in memory at once
+_PAIR_CHUNK = 1 << 18
 
 
 class RegionLabel(enum.Enum):
@@ -52,49 +55,107 @@ def signed_area(points: np.ndarray) -> float:
     return float(0.5 * np.sum(x * y2 - x2 * y))
 
 
+def _range_pairs(first: np.ndarray, last: np.ndarray):
+    """Every (row, k) with first[row] <= k < last[row], rows ascending, in
+    chunks of at most _PAIR_CHUNK pairs."""
+    count = last - first
+    end = np.cumsum(count)
+    total = int(end[-1]) if end.size else 0
+    for lo in range(0, total, _PAIR_CHUNK):
+        k = np.arange(lo, min(lo + _PAIR_CHUNK, total))
+        row = np.searchsorted(end, k, side="right")
+        yield row, first[row] + (k - (end[row] - count[row]))
+
+
 def winding_numbers(z, points: np.ndarray) -> np.ndarray:
     """Integer winding number of the closed polyline around each query point.
 
-    Crossing-count form; points exactly on an edge get an arbitrary side.
+    Crossing-count form: each edge that the rightward horizontal ray from the
+    query crosses adds +1 if it runs upward and -1 if downward. The ray meets
+    an edge when min(ay, by) <= y < max(ay, by) and the edge passes strictly
+    right of the query, by the sign of the computed cross product. A point on
+    the curve is thus classified as if moved slightly right, and at a vertex's
+    height slightly up: left and bottom boundaries count as inside, right and
+    top ones as outside. Non-finite queries get 0.
+
+    Only the (query, edge) pairs that pass the y test are evaluated: with the
+    queries sorted by y, each edge's queries form one contiguous run.
     """
     z = _as_points(z)
+    order = np.argsort(z.imag)
+    px, py = z.real[order], z.imag[order]
     a = points
     b = np.roll(points, -1)
     ax, ay = a.real, a.imag
-    bx, by = b.real, b.imag
+    dx, dy = b.real - ax, b.imag - ay
+    up = dy > 0
+    first = np.searchsorted(py, np.minimum(ay, b.imag), side="left")
+    last = np.searchsorted(py, np.maximum(ay, b.imag), side="left")
+    count = np.zeros(z.size, dtype=np.int64)
+    for e, k in _range_pairs(first, last):
+        cross = dx[e] * (py[k] - ay[e]) - (px[k] - ax[e]) * dy[e]
+        count += np.bincount(k[up[e] & (cross > 0)], minlength=z.size)
+        count -= np.bincount(k[~up[e] & (cross < 0)], minlength=z.size)
     out = np.empty(z.shape, dtype=np.int64)
-    for lo in range(0, z.size, _CHUNK):
-        zz = z[lo:lo + _CHUNK]
-        px = zz.real[:, None]
-        py = zz.imag[:, None]
-        up = (ay[None, :] <= py) & (by[None, :] > py)
-        dn = (ay[None, :] > py) & (by[None, :] <= py)
-        cross = (bx - ax)[None, :] * (py - ay[None, :]) - (px - ax[None, :]) * (by - ay)[None, :]
-        out[lo:lo + _CHUNK] = (up & (cross > 0)).sum(axis=1) - (dn & (cross < 0)).sum(axis=1)
+    out[order] = count
     return out
 
 
 def distance_to_polyline(z, points: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each query point to the closed polyline."""
+    """Euclidean distance from each query point to the closed polyline.
+
+    The nearest vertex bounds each query's distance by u, so only edges whose
+    midpoint lies within u plus the longest half-edge can hold the minimum;
+    the exact projection runs on those. Non-finite queries take every edge.
+    """
     z = _as_points(z)
     a = points
     e = np.roll(points, -1) - points
     ee = np.maximum((e * e.conjugate()).real, 1e-300)
-    out = np.empty(z.shape, dtype=np.float64)
-    for lo in range(0, z.size, _CHUNK):
-        zz = z[lo:lo + _CHUNK][:, None]
-        t = ((zz - a[None, :]) * e.conjugate()[None, :]).real / ee[None, :]
+    out = np.full(z.shape, np.inf)
+    half = 0.5 * float(np.abs(e).max())
+    scale = float(np.abs(a).max())
+    vertices = cKDTree(np.column_stack((a.real, a.imag)))
+    mid = a + 0.5 * e
+    mids = cKDTree(np.column_stack((mid.real, mid.imag)))
+    step = max(1, _PAIR_CHUNK // len(a))
+    for lo in range(0, z.size, step):
+        zz = z[lo:lo + step]
+        xy = np.column_stack((zz.real, zz.imag))
+        u = np.full(len(zz), np.inf)
+        fin = np.isfinite(zz)
+        u[fin], _ = vertices.query(xy[fin])
+        # the trees cannot place non-finite queries, nor ones whose squared
+        # distances overflow (u = inf): those take every edge
+        tree = np.flatnonzero(np.isfinite(u))
+        wide = np.flatnonzero(np.isinf(u))
+        # the slack covers rounding in the tree distances and in the
+        # projection, which scales with the coordinates, not with u
+        r = (u[tree] + half) * (1.0 + 1e-9) + 1e-9 * (scale + np.abs(zz[tree]))
+        near = mids.query_ball_point(xy[tree], r, return_sorted=False)
+        sizes = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+        rows = np.concatenate((np.repeat(tree, sizes), np.repeat(wide, len(a))))
+        cols = np.concatenate((
+            np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
+                        count=int(sizes.sum())),
+            np.tile(np.arange(len(a)), len(wide))))
+        zq, aq, eq = zz[rows], a[cols], e[cols]
+        t = ((zq - aq) * eq.conjugate()).real / ee[cols]
         np.clip(t, 0.0, 1.0, out=t)
-        proj = a[None, :] + t * e[None, :]
-        out[lo:lo + _CHUNK] = np.abs(zz - proj).min(axis=1)
+        proj = aq + t * eq
+        np.minimum.at(out[lo:lo + step], rows, np.abs(zq - proj))
     return out
 
 
 def _segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None):
-    """First properly-intersecting segment pair, or None.
+    """First properly-intersecting segment pair (i, j), lowest i then lowest
+    j, or None.
 
     With one argument, tests the closed polyline against itself (adjacent
-    segments and shared endpoints excluded). With two, tests all cross pairs.
+    segments and shared endpoints excluded); the pair then has i < j. With
+    two, tests all cross pairs. Segments can only cross where their y-ranges
+    overlap, so only those pairs are tested: each segment is paired with the
+    segments whose lower end lies within its y-range.
     """
     a1 = points
     b1 = np.roll(points, -1)
@@ -102,30 +163,43 @@ def _segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None
         a2, b2 = a1, b1
     else:
         a2, b2 = other, np.roll(other, -1)
-    n1, n2 = len(a1), len(a2)
+    n1 = len(a1)
 
     def orient(p, q, r):
         return ((q.real - p.real) * (r.imag - p.imag)
                 - (q.imag - p.imag) * (r.real - p.real))
 
-    for lo in range(0, n1, 512):
-        hi = min(lo + 512, n1)
-        A1 = a1[lo:hi, None]
-        B1 = b1[lo:hi, None]
-        d1 = orient(A1, B1, a2[None, :])
-        d2 = orient(A1, B1, b2[None, :])
-        d3 = orient(a2[None, :], b2[None, :], A1)
-        d4 = orient(a2[None, :], b2[None, :], B1)
+    def starts_within(lo, hi, starts):
+        order = np.argsort(starts)
+        s = starts[order]
+        for row, k in _range_pairs(np.searchsorted(s, lo, side="left"),
+                                   np.searchsorted(s, hi, side="right")):
+            yield row, order[k]
+
+    lo1, hi1 = np.minimum(a1.imag, b1.imag), np.maximum(a1.imag, b1.imag)
+    lo2, hi2 = np.minimum(a2.imag, b2.imag), np.maximum(a2.imag, b2.imag)
+    pairs = starts_within(lo1, hi1, lo2)
+    if other is not None:
+        pairs = itertools.chain(
+            pairs, ((i, j) for j, i in starts_within(lo2, hi2, lo1)))
+    best = None
+    for i, j in pairs:
+        if other is None:
+            # the test is symmetric in its two segments
+            i, j = np.minimum(i, j), np.maximum(i, j)
+        d1 = orient(a1[i], b1[i], a2[j])
+        d2 = orient(a1[i], b1[i], b2[j])
+        d3 = orient(a2[j], b2[j], a1[i])
+        d4 = orient(a2[j], b2[j], b1[i])
         hit = (d1 * d2 < 0) & (d3 * d4 < 0)
         if other is None:
-            i_idx = np.arange(lo, hi)[:, None]
-            j_idx = np.arange(n2)[None, :]
-            adj = (i_idx == j_idx) | ((i_idx + 1) % n1 == j_idx) | ((j_idx + 1) % n1 == i_idx)
-            hit &= ~adj
+            hit &= (i != j) & ((i + 1) % n1 != j) & ((j + 1) % n1 != i)
         if hit.any():
-            i, j = np.argwhere(hit)[0]
-            return int(i + lo), int(j)
-    return None
+            i, j = i[hit], j[hit]
+            first = np.lexsort((j, i))[0]
+            pair = (int(i[first]), int(j[first]))
+            best = pair if best is None else min(best, pair)
+    return best
 
 
 def arclengths(points: np.ndarray) -> np.ndarray:
@@ -434,6 +508,5 @@ def sample_interior(curve: JordanCurve, count: int, rng: np.random.Generator,
             have += z.size
         if have >= count:
             return np.concatenate(got)[:count]
-    from .errors import SamplingFailure
     raise SamplingFailure(
         f"could not draw {count} interior samples (region too thin or empty)")

@@ -451,12 +451,15 @@ def save_system(system: MultiShapeSystem, path) -> None:
         fh.write("\n")
 
 
+def load_system_obj(obj: dict) -> MultiShapeSystem:
+    if obj.get("kind") != "multi_shape_system":
+        raise GeometryRejected("not a multi shape system dump")
+    return MultiShapeSystem(shapes=tuple(load_shape_obj(o) for o in obj["shapes"]))
+
+
 def load_system(path) -> MultiShapeSystem:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("kind") != "multi_shape_system":
-        raise GeometryRejected(f"not a multi shape system dump: {path}")
-    return MultiShapeSystem(shapes=tuple(load_shape_obj(o) for o in obj["shapes"]))
+        return load_system_obj(json.load(fh))
 
 
 def _curve_pts(curve: JordanCurve) -> list:
@@ -489,14 +492,17 @@ def save_annulus_system(system: AnnulusSystem, path) -> None:
         fh.write("\n")
 
 
-def load_annulus_system(path) -> AnnulusSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+def load_annulus_system_obj(obj: dict) -> AnnulusSystem:
     if obj.get("kind") != "annulus_map_system":
-        raise GeometryRejected(f"not an annulus map dump: {path}")
+        raise GeometryRejected("not an annulus map dump")
     return AnnulusSystem(
         outer_shape=load_shape_obj(obj["outer_shape"]),
         inner_shape=load_shape_obj(obj["inner_shape"]),
         outer_band=_annulus_from_obj(obj["outer_band"]),
         inner_band=_annulus_from_obj(obj["inner_band"]),
         xi=float(obj["xi"]))
+
+
+def load_annulus_system(path) -> AnnulusSystem:
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_annulus_system_obj(json.load(fh))

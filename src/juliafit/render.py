@@ -345,11 +345,9 @@ def save_field(field: EscapeField, path, config: dict | None = None) -> None:
         fh.write("\n")
 
 
-def load_field(path) -> EscapeField:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+def load_field_obj(obj: dict) -> EscapeField:
     if obj.get("kind") != "escape_field":
-        raise OSError(f"not an escape field dump: {path}")
+        raise OSError("not an escape field dump")
     w, h = int(obj["width"]), int(obj["height"])
     status = np.frombuffer(base64.b64decode(obj["status_b64"]),
                            dtype=np.uint8).reshape(h, w).copy()
@@ -361,3 +359,8 @@ def load_field(path) -> EscapeField:
                        escape_radius=float(obj["escape_radius"]),
                        capture_radius=float(obj["capture_radius"]),
                        max_iter=int(obj["max_iter"]))
+
+
+def load_field(path) -> EscapeField:
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_field_obj(json.load(fh))

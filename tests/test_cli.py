@@ -246,3 +246,33 @@ def test_console_entry_point(fixture_dir, tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (tmp_path / "shape.json").exists()
+
+
+@pytest.mark.parametrize("command", ["rational", "annulus"])
+def test_system_dump_read_once(command, fixture_dir, tmp_path, monkeypatch):
+    names = {"rational": ("circle_left", "circle_right"),
+             "annulus": ("ring_outer", "ring_inner")}[command]
+    files = [str(fixture_dir / f"{n}.txt") for n in names]
+    built = tmp_path / "built"
+    assert main([command, *files, "--delta", "0.3", "--n", "256",
+                 "--epsilon", "0.015625", "--grid", "64", "--out", str(built)]) == 0
+    dump = str(built / "system.json")
+    reads = []
+    real_load = json.load
+
+    def counting_load(fh, *args, **kwargs):
+        if getattr(fh, "name", None) == dump:
+            reads.append(dump)
+        return real_load(fh, *args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counting_load)
+    verify = ["verify", dump, "--delta", "0.3", "--grid", "64",
+              "--out", str(tmp_path / "verify")]
+    for f in files:
+        verify += ["--curve", f]
+    if command == "annulus":
+        verify.append("--annulus")
+    assert main(verify) == 0
+    assert len(reads) == 1
+    assert main(["render", dump, "--grid", "64", "--out", str(tmp_path / "render")]) == 0
+    assert len(reads) == 2

@@ -1,0 +1,201 @@
+"""The pruned geometry kernels against their brute-force oracles, bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from juliafit import curves
+from juliafit.curves import (
+    _offset_polyline,
+    _segment_pairs_intersect,
+    distance_to_polyline,
+    winding_numbers,
+)
+from juliafit.shapes import make_blob, make_circle, make_figure_eight, make_square
+
+
+def assert_kernels_exact(z, points):
+    w = winding_numbers(z, points)
+    w_ref = oracles.winding_numbers(z, points)
+    assert w.dtype == w_ref.dtype and np.array_equal(w, w_ref)
+    d = distance_to_polyline(z, points)
+    d_ref = oracles.distance_to_polyline(z, points)
+    assert d.dtype == d_ref.dtype and np.array_equal(d, d_ref, equal_nan=True)
+
+
+def wavy_curve(seed, n):
+    """Seeded star-shaped polyline with noise, at a random scale and offset."""
+    rng = np.random.default_rng(seed)
+    th = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    r = (1.0 + 0.3 * np.sin(rng.integers(1, 7) * th + rng.uniform(0.0, 6.0))
+         + 0.05 * rng.normal(size=n))
+    scale = 10.0 ** rng.uniform(-2.0, 2.0)
+    shift = complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(0.0, 3.0)
+    return shift + scale * r * np.exp(1j * th)
+
+
+def queries_around(points, rng, m):
+    lo = complex(points.real.min(), points.imag.min())
+    hi = complex(points.real.max(), points.imag.max())
+    pad = 0.25 * (hi - lo)
+    lo, hi = lo - pad, hi + pad
+    scattered = (rng.uniform(lo.real, hi.real, m)
+                 + 1j * rng.uniform(lo.imag, hi.imag, m))
+    midpoints = 0.5 * (points + np.roll(points, -1))
+    # share a vertex's y exactly, where the half-open rule decides
+    tied = rng.uniform(lo.real, hi.real, len(points)) + 1j * points.imag
+    return np.concatenate((scattered, points, midpoints, tied))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(8, 400), st.booleans())
+def test_kernels_match_oracles_on_random_curves(seed, n, clockwise):
+    points = wavy_curve(seed, n)
+    if clockwise:
+        points = points[::-1]
+    z = queries_around(points, np.random.default_rng(seed + 1), 500)
+    assert_kernels_exact(z, points)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.complex_numbers(max_magnitude=10, allow_nan=False,
+                                   allow_infinity=False), max_size=60))
+def test_kernels_match_oracles_on_drawn_points(zs):
+    assert_kernels_exact(np.array(zs, dtype=np.complex128), make_blob().points)
+
+
+def test_winding_matches_oracle_on_512_grid():
+    g = np.linspace(-1.5, 1.5, 512)
+    grid = (g[None, :] + 1j * g[:, None]).ravel()
+    points = make_blob().points
+    w = winding_numbers(grid, points)
+    assert np.array_equal(w, oracles.winding_numbers(grid, points))
+    assert 0 < np.count_nonzero(w) < grid.size
+
+
+def test_distance_matches_oracle_on_grid():
+    g = np.linspace(-1.5, 1.5, 128)
+    grid = (g[None, :] + 1j * g[:, None]).ravel()
+    points = make_blob().points
+    assert np.array_equal(distance_to_polyline(grid, points),
+                          oracles.distance_to_polyline(grid, points))
+
+
+@pytest.mark.parametrize("points", [
+    make_square().points,                   # horizontal and vertical edges
+    make_square(corner=-0.5 - 0.5j).points[::-1],
+    make_circle().points[::-1],             # clockwise
+    # staircase: horizontal edges at the heights of other vertices
+    np.array([0, 3, 3 + 1j, 2 + 1j, 2 + 2j, 1 + 2j, 1 + 3j, 3j]),
+], ids=["square", "square-cw", "circle-cw", "staircase"])
+def test_kernels_match_oracles_on_axis_aligned_and_clockwise(points):
+    rng = np.random.default_rng(7)
+    z = queries_around(points, rng, 2000)
+    g = np.linspace(-0.5, 3.5, 65)
+    z = np.concatenate((z, (g[None, :] + 1j * g[:, None]).ravel()))
+    assert_kernels_exact(z, points)
+
+
+@pytest.mark.parametrize("z", [
+    np.array([], dtype=np.complex128),
+    np.array([0.1 + 0.2j]),
+    np.array([np.nan, np.inf, -np.inf, complex(np.inf, 0.3), complex(-np.inf, 0.3),
+              complex(0.3, np.nan), complex(np.nan, 0.3), complex(np.inf, np.nan),
+              complex(1e200, 1e200), complex(-1e300, 0.3), 0.3 + 0.1j]),
+    np.array([np.nan, complex(0.3, np.inf)]),
+], ids=["empty", "single", "non-finite", "non-finite-only"])
+def test_kernels_match_oracles_on_edge_case_queries(z):
+    for points in (make_blob().points, make_square().points):
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_kernels_exact(z, points)
+    w = winding_numbers(z, make_blob().points)
+    assert np.all(w[~np.isfinite(z)] == 0)
+
+
+def comb(teeth, depth=4.0):
+    """Counterclockwise comb: a bar of height 1 with `teeth` fingers of
+    height `depth`, so a horizontal line through the fingers crosses
+    2 * teeth edges."""
+    right = 2 * teeth - 1
+    pts = [0j, complex(right, 0)]
+    for k in reversed(range(teeth)):
+        if k < teeth - 1:
+            pts.append(complex(2 * k + 1, 1))
+        pts += [complex(2 * k + 1, depth), complex(2 * k, depth)]
+        if k > 0:
+            pts.append(complex(2 * k, 1))
+    return np.array(pts)
+
+
+def test_kernels_match_oracles_past_the_pair_chunk():
+    points = comb(64)
+    assert curves.JordanCurve.from_points(points).area > 0
+    gx = np.linspace(-0.5, 127.5, 257)
+    gy = np.linspace(-0.5, 4.5, 97)
+    grid = (gx[None, :] + 1j * gy[:, None]).ravel()
+    lo = np.minimum(points.imag, np.roll(points, -1).imag)
+    hi = np.maximum(points.imag, np.roll(points, -1).imag)
+    pairs = sum(int(np.count_nonzero((a <= grid.imag) & (grid.imag < b)))
+                for a, b in zip(lo, hi))
+    assert pairs > 2 * curves._PAIR_CHUNK
+    assert_kernels_exact(grid, points)
+
+
+# ---------------------------------------------------------------------------
+# segment intersection
+
+
+def crossing_polylines():
+    rng = np.random.default_rng(3)
+    yield make_figure_eight()
+    for seed in range(6):
+        yield rng.normal(size=40) + 1j * rng.normal(size=40)   # many crossings
+    yield make_blob().points + 0.02 * np.exp(1j * np.arange(512))  # a few loops
+    # raw offsets before their loops are pruned: concave corners cross
+    for curve, d in ((make_blob(), 0.07), (make_square(), -0.05), (make_blob(), -0.2)):
+        yield _offset_polyline(curve.points, d)
+    for curve in (make_blob(), make_circle()):
+        yield curve.points                                    # simple: None
+
+
+def test_segment_pairs_match_oracle_self():
+    found = 0
+    for points in crossing_polylines():
+        got = _segment_pairs_intersect(points)
+        assert got == oracles.segment_pairs_intersect(points)
+        found += got is not None
+    assert found >= 8
+
+
+def test_segment_pairs_match_oracle_two_curves():
+    blob = make_blob().points
+    cases = [
+        (make_circle(1.0).points, make_circle(1.0, center=0.5).points),
+        (make_circle(1.0).points, make_circle(0.5).points),
+        (blob, make_circle(1.0).points),
+        (_offset_polyline(blob, 0.07), _offset_polyline(blob, -0.07)),
+        (_offset_polyline(blob, 0.3), _offset_polyline(blob, -0.3)),
+        (make_square().points, make_square(corner=0.3 + 0.4j).points),
+    ]
+    found = 0
+    for p, q in cases:
+        for a, b in ((p, q), (q, p)):
+            got = _segment_pairs_intersect(a, b)
+            assert got == oracles.segment_pairs_intersect(a, b)
+            found += got is not None
+    assert found >= 6
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 120))
+def test_segment_pairs_match_oracle_random(seed, n):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if seed % 3 == 0:
+        points = np.round(points, 1)        # shared coordinates and collinear runs
+    assert _segment_pairs_intersect(points) == oracles.segment_pairs_intersect(points)
+    other = rng.normal(size=n // 2 + 2) + 1j * rng.normal(size=n // 2 + 2)
+    assert (_segment_pairs_intersect(points, other)
+            == oracles.segment_pairs_intersect(points, other))
