@@ -2,11 +2,16 @@
 
 Commands: build (curve -> polynomial + certificate), render (dump -> image +
 field), verify (field or dump vs. curves -> report), rational (several curves
--> combined rational map), annulus (curve pair -> annulus map). Every
-artifact embeds the run configuration; identical configurations produce
-byte-identical outputs, wherever they are written. The configuration records
-input paths (``input``/``inputs``, ``--certificate``, ``--curve``) by
-basename and never records the ``--out`` directory.
+-> combined rational map), annulus (curve pair -> annulus map).
+
+render and verify take a dump of any of the three maps (``shape.json`` from
+build, ``system.json`` from rational and annulus); verify also takes a
+``field.json``. A malformed dump exits 2.
+
+Certificates, fields and reports embed the run configuration; identical
+configurations produce byte-identical outputs, wherever they are written. The
+configuration records input paths (``input``/``inputs``, ``--certificate``,
+``--curve``) by basename and never records the ``--out`` directory.
 
 Exit codes: 0 ok, 2 parse, 3 geometry, 4 certification fail,
 5 verification fail, 6 io.
@@ -22,8 +27,9 @@ import sys
 import numpy as np
 
 from . import conformal, curves, dynamics, rational, shapepoly
+from .dumps import load_dump, save_dump
 from .render import (
-    load_field_obj,
+    EscapeField,
     render as render_grid,
     save_field,
     verify_hausdorff,
@@ -42,6 +48,9 @@ EXIT_VERIFICATION = 5
 EXIT_IO = 6
 
 _PARSE_ERRORS = (ParseError, TooFewPoints)
+_MAPS = (shapepoly.ShapePolynomial, rational.MultiShapeSystem, rational.AnnulusSystem)
+_CERTIFICATES = (dynamics.EscapeCertificate, rational.MultiCertificate,
+                 rational.SCertificate)
 
 
 def _say(msg: str) -> None:
@@ -116,12 +125,12 @@ def _build_one_shape(curve_t: curves.JordanCurve, band_t: curves.AnnulusSpec,
     return m, eps, build
 
 
-def _render(args, kernel, t_dyn: complex, bbox, radii):
+def _render(args, system, bbox, radii):
     escape_radius, capture_radius = radii
     return render_grid(
-        kernel, bbox, args.grid, args.grid, escape_radius=escape_radius,
+        system, bbox, args.grid, args.grid, escape_radius=escape_radius,
         capture_radius=capture_radius, max_iter=args.max_iter,
-        workers=args.workers, frame_shift=t_dyn)
+        workers=args.workers, frame_shift=system.t)
 
 
 def _say_certified(cert) -> None:
@@ -144,15 +153,13 @@ def _report(args, cfg, field, curve_list, delta: float, annulus: bool) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFICATION
 
 
-def _finish(args, cfg, kernel, save_system, cert, t_dyn: complex, curve_list,
-            delta: float) -> int:
+def _finish(args, cfg, system, cert, curve_list, delta: float) -> int:
     """Tail of rational and annulus: save the certified system and its
     certificate, render the field over the curves padded by delta, verify it
     and report."""
-    system = kernel.system
-    save_system(system, _outpath(args, "system.json"))
+    save_dump(system, _outpath(args, "system.json"))
     dynamics.save_certificate(cert, _outpath(args, "certificate.json"), config=cfg)
-    field = _render(args, kernel, t_dyn, _pipeline_bbox(curve_list, delta),
+    field = _render(args, system, _pipeline_bbox(curve_list, delta),
                     (cert.escape_radius, cert.capture_radius))
     save_field(field, _outpath(args, "field.json"), config=cfg)
     write_image(field, _outpath(args, "image.pgm"))
@@ -182,54 +189,33 @@ def cmd_build(args) -> int:
         build, lambda s: dynamics.certify(s, ann_t, args.samples, args.seed),
         _schedule(args))
     _say_certified(cert)
-    shapepoly.save_shape(shape, _outpath(args, "shape.json"))
+    save_dump(shape, _outpath(args, "shape.json"))
     dynamics.save_certificate(cert, _outpath(args, "certificate.json"), config=cfg)
-    conformal.save_map(m, _outpath(args, "map.json"))
+    save_dump(m, _outpath(args, "map.json"))
     return EXIT_OK
 
 
-def _read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _load_dump(obj: dict):
-    kind = obj.get("kind")
-    if kind == "shape_polynomial":
-        shape = shapepoly.load_shape_obj(obj)
-        return shapepoly.PolynomialKernel(shape), shape.t, shape.roots
-    if kind == "multi_shape_system":
-        system = rational.load_system_obj(obj)
-        pts = np.concatenate([s.roots for s in system.shapes])
-        return rational.MultiShapeKernel(system), system.t, pts
-    if kind == "annulus_map_system":
-        system = rational.load_annulus_system_obj(obj)
-        pts = np.concatenate([system.outer_shape.roots, system.inner_shape.roots])
-        return rational.AnnulusMapKernel(system), system.outer_shape.t, pts
-    raise ParseError(f"unrecognized dump kind {kind!r}")
-
-
-def _radii(args, pts) -> tuple[float, float]:
+def _radii(args, roots) -> tuple[float, float]:
     if args.certificate:
-        cobj = _read_json(args.certificate)
-        return float(cobj["escape_radius"]), float(cobj["capture_radius"])
-    mags = np.abs(pts)
+        cert = load_dump(args.certificate, _CERTIFICATES)
+        return cert.escape_radius, cert.capture_radius
+    mags = np.abs(roots)
     return 1.2 * float(mags.max()), 0.5 * float(mags.min())
 
 
 def cmd_render(args) -> int:
-    kernel, t_dyn, pts = _load_dump(_read_json(args.input))
+    system = load_dump(args.input, _MAPS)
     cfg = _config(args, "render")
     if args.bbox:
         x0, y0, x1, y1 = args.bbox
         bbox = (complex(x0, y0), complex(x1, y1))
     else:
-        orig = pts + t_dyn
+        orig = system.roots + system.t
         span = max(np.ptp(orig.real), np.ptp(orig.imag))
         pad = args.margin * span
         bbox = (complex(orig.real.min() - pad, orig.imag.min() - pad),
                 complex(orig.real.max() + pad, orig.imag.max() + pad))
-    field = _render(args, kernel, t_dyn, bbox, _radii(args, pts))
+    field = _render(args, system, bbox, _radii(args, system.roots))
     save_field(field, _outpath(args, "field.json"), config=cfg)
     write_image(field, _outpath(args, "image.pgm"))
     _say(f"rendered {args.grid}x{args.grid} field")
@@ -237,16 +223,12 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    obj = _read_json(args.input)
+    dumped = load_dump(args.input, _MAPS + (EscapeField,))
     curve_list = [curves.load_curve(p) for p in args.curve]
     if args.annulus and len(curve_list) != 2:
         raise ParseError("--annulus needs exactly two curves: outer inner")
-    if obj.get("kind") == "escape_field":
-        field = load_field_obj(obj)
-    else:
-        kernel, t_dyn, pts = _load_dump(obj)
-        field = _render(args, kernel, t_dyn,
-                        _pipeline_bbox(curve_list, args.delta), _radii(args, pts))
+    field = dumped if isinstance(dumped, EscapeField) else _render(
+        args, dumped, _pipeline_bbox(curve_list, args.delta), _radii(args, dumped.roots))
     return _report(args, _config(args, "verify"), field, curve_list,
                    args.delta, args.annulus)
 
@@ -297,8 +279,7 @@ def cmd_rational(args) -> int:
         lambda sy: rational.certify_multi(sy, anns_t, b, big, args.samples, args.seed),
         _schedule(args))
     _say_certified(cert)
-    return _finish(args, cfg, rational.MultiShapeKernel(system), rational.save_system,
-                   cert, t, curve_list, delta)
+    return _finish(args, cfg, system, cert, curve_list, delta)
 
 
 def _default_basepoint(outer: curves.JordanCurve, inner: curves.JordanCurve) -> complex:
@@ -347,8 +328,7 @@ def cmd_annulus(args) -> int:
         lambda sy: rational.certify_S(sy, args.samples, args.seed),
         _schedule(args))
     _say_certified(cert)
-    return _finish(args, cfg, rational.AnnulusMapKernel(system),
-                   rational.save_annulus_system, cert, t, [outer, inner], delta)
+    return _finish(args, cfg, system, cert, [outer, inner], delta)
 
 
 # ---------------------------------------------------------------------------

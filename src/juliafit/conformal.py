@@ -14,9 +14,9 @@ All evaluation points live in the shifted frame (curve minus t).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,6 +58,7 @@ class ExteriorMap:
     c0 is the constant term, c_-k divides w**k.
     """
 
+    kind: ClassVar[str] = "exterior_map"
     t: complex
     capacity: complex
     laurent: np.ndarray
@@ -69,6 +70,32 @@ class ExteriorMap:
     def __post_init__(self):
         if not abs(self.capacity) > 0:
             raise MapDiverged("capacity must be nonzero")
+
+    def to_obj(self) -> dict:
+        return {
+            "kind": self.kind,
+            "t": _c2pair(self.t),
+            "capacity": _c2pair(self.capacity),
+            "laurent": [_c2pair(c) for c in self.laurent],
+            "boundary_samples": [[_c2pair(w), _c2pair(z)] for w, z in self.boundary_samples],
+        }
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "ExteriorMap":
+        """Rebuild a map from its dump. The loaded map evaluates through the
+        Fourier series of its boundary table, which reproduces smooth maps to
+        high accuracy but has no access to the original composition chain."""
+        bs = np.array([[complex(*w), complex(*z)] for w, z in obj["boundary_samples"]])
+        nb = len(bs)
+        f = np.fft.fft(bs[:, 1]) / nb
+        series = np.empty(nb, dtype=np.complex128)
+        series[0] = f[1]
+        series[1] = f[0]
+        ks = np.arange(1, nb - 1)
+        series[2:] = f[nb - ks]
+        return cls(t=complex(*obj["t"]), capacity=complex(*obj["capacity"]),
+                   laurent=np.array([complex(a, b) for a, b in obj["laurent"]]),
+                   boundary_samples=bs, series=series)
 
 
 # ---------------------------------------------------------------------------
@@ -310,45 +337,5 @@ def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
                        quality=quality, chain=chain)
 
 
-# ---------------------------------------------------------------------------
-# persistence
-
-
 def _c2pair(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def save_map(m: ExteriorMap, path) -> None:
-    obj = {
-        "kind": "exterior_map",
-        "t": _c2pair(m.t),
-        "capacity": _c2pair(m.capacity),
-        "laurent": [_c2pair(c) for c in m.laurent],
-        "boundary_samples": [[_c2pair(w), _c2pair(z)] for w, z in m.boundary_samples],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-
-
-def load_map(path) -> ExteriorMap:
-    """Load a map dump. The loaded map evaluates through the Fourier series of
-    its boundary table, which reproduces smooth maps to high accuracy but has
-    no access to the original composition chain."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("kind") != "exterior_map":
-        raise MapDiverged(f"not an exterior map dump: {path}")
-    t = complex(*obj["t"])
-    capacity = complex(*obj["capacity"])
-    laurent = np.array([complex(a, b) for a, b in obj["laurent"]])
-    bs = np.array([[complex(*w), complex(*z)] for w, z in obj["boundary_samples"]])
-    nb = len(bs)
-    f = np.fft.fft(bs[:, 1]) / nb
-    series = np.empty(nb, dtype=np.complex128)
-    series[0] = f[1]
-    series[1] = f[0]
-    ks = np.arange(1, nb - 1)
-    series[2:] = f[nb - ks]
-    return ExteriorMap(t=t, capacity=capacity, laurent=laurent,
-                       boundary_samples=bs, series=series)

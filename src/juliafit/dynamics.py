@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -80,8 +80,18 @@ def _expo(log2m: float) -> int:
 # certification
 
 
+class Certificate:
+    """What the certificates of the three constructions share: a ``kind``,
+    ``passed``, ``margins()``, escape and capture radii, and a rebuild from
+    the fields of their dump."""
+
+    @classmethod
+    def from_obj(cls, obj: dict):
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+
+
 @dataclass(frozen=True)
-class EscapeCertificate:
+class EscapeCertificate(Certificate):
     kind: ClassVar[str] = "escape_certificate"
     r_inner: float
     kappa: float
@@ -206,14 +216,3 @@ def save_certificate(cert, path, config: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def load_certificate(path) -> EscapeCertificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    fields = {k: obj[k] for k in (
-        "r_inner", "kappa", "K_bound", "alpha", "beta", "gamma_inf",
-        "n_certified", "inside_max", "outside_min_ratio", "sample_counts",
-        "passed")}
-    return EscapeCertificate(**fields)
-

@@ -1,8 +1,8 @@
 """Rational maps assembled from several shape polynomials.
 
-Two constructions share the scaled-arithmetic kernels, and with the
-polynomial they share the degree search and the certificate writer of
-``dynamics`` (their certificates have ``margins()`` too):
+Two constructions reuse the polynomial's array kernels and, with it, the
+degree search and the certificate writer of ``dynamics`` (their certificates
+have ``margins()`` too):
 
 * a multi-shape system combines the node products of mutually exterior shapes
   through a harmonic sum, Omega = (sum_j 1/(omega_j + 1))^-1, and iterates
@@ -13,11 +13,14 @@ polynomial they share the degree search and the certificate writer of
   between two nested curves bounded while both complementary components
   escape: the polynomial term expands outside the outer curve and the
   reciprocal term blows up inside the inner one.
+
+Like ``ShapePolynomial``, each system has a ``kind``, its frame shift ``t``,
+all its ``roots``, a per-pixel ``step`` and ``to_obj``/``from_obj``, so the
+commands render, save and load all three kinds alike.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -25,19 +28,18 @@ import numpy as np
 
 from .curves import AnnulusSpec, JordanCurve, distance_to_polyline, sample_interior, winding_numbers
 from .curves import _segment_pairs_intersect
-from .errors import BadBasepoint, GeometryRejected, Indeterminate
+from .dynamics import Certificate
+from .errors import BadBasepoint, GeometryRejected
 from .shapepoly import (
-    EscapedLarge,
     ScaledComplex,
     ShapePolynomial,
+    _point,
     _renorm,
-    eval_P_scaled,
-    load_shape_obj,
+    _scaled_point,
+    eval_P,
     materialize,
     omega_plus_one_scaled_array,
     omega_scaled_array,
-    eval_omega,
-    shape_to_obj,
 )
 
 
@@ -49,6 +51,7 @@ from .shapepoly import (
 class MultiShapeSystem:
     """Shape polynomials over mutually exterior annuli, one shared frame."""
 
+    kind: ClassVar[str] = "multi_shape_system"
     shapes: tuple[ShapePolynomial, ...]
 
     def __post_init__(self):
@@ -74,6 +77,24 @@ class MultiShapeSystem:
     def n(self) -> int:
         return self.shapes[0].n
 
+    @property
+    def roots(self) -> np.ndarray:
+        return np.concatenate([s.roots for s in self.shapes])
+
+    def step(self, z: np.ndarray):
+        w, e = omega_big_scaled_array(self, z)
+        w *= z
+        _renorm(w, e)
+        return materialize(w, e)
+
+    def to_obj(self) -> dict:
+        return {"kind": self.kind, "t": [self.t.real, self.t.imag],
+                "shapes": [s.to_obj() for s in self.shapes]}
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "MultiShapeSystem":
+        return cls(shapes=tuple(ShapePolynomial.from_obj(o) for o in obj["shapes"]))
+
 
 @dataclass(frozen=True)
 class AnnulusSystem:
@@ -84,6 +105,7 @@ class AnnulusSystem:
     live in a common shifted frame whose origin sits in the middle region M.
     """
 
+    kind: ClassVar[str] = "annulus_map_system"
     outer_shape: ShapePolynomial
     inner_shape: ShapePolynomial
     outer_band: AnnulusSpec
@@ -93,9 +115,62 @@ class AnnulusSystem:
     def __post_init__(self):
         if self.xi <= 0:
             raise GeometryRejected("curves of the annulus must be disjoint")
-        if _segment_pairs_intersect(self.outer_band.inner.points,
-                                    self.inner_band.outer.points) is not None:
+        if _curves_meet(self.outer_band.inner, self.inner_band.outer):
             raise GeometryRejected("offset bands of the two curves overlap")
+
+    @property
+    def t(self) -> complex:
+        return self.outer_shape.t
+
+    @property
+    def roots(self) -> np.ndarray:
+        return np.concatenate([self.outer_shape.roots, self.inner_shape.roots])
+
+    def step(self, z: np.ndarray):
+        w, e = omega_plus_one_scaled_array(*omega_scaled_array(self.outer_shape, z))
+        w = w * z
+        _renorm(w, e)
+        rw, re_ = _recip_scaled(*omega_plus_one_scaled_array(
+            *omega_scaled_array(self.inner_shape, z)))
+        return materialize(*_scaled_add(w, e, rw, re_))
+
+    def to_obj(self) -> dict:
+        return {
+            "kind": self.kind,
+            "outer_shape": self.outer_shape.to_obj(),
+            "inner_shape": self.inner_shape.to_obj(),
+            "outer_band": _band_obj(self.outer_band),
+            "inner_band": _band_obj(self.inner_band),
+            "xi": self.xi,
+        }
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "AnnulusSystem":
+        return cls(outer_shape=ShapePolynomial.from_obj(obj["outer_shape"]),
+                   inner_shape=ShapePolynomial.from_obj(obj["inner_shape"]),
+                   outer_band=_band_from_obj(obj["outer_band"]),
+                   inner_band=_band_from_obj(obj["inner_band"]),
+                   xi=float(obj["xi"]))
+
+
+def _band_obj(band: AnnulusSpec) -> dict:
+    pts = lambda c: [[float(z.real), float(z.imag)] for z in c.points]
+    return {"outer": pts(band.outer), "inner": pts(band.inner),
+            "width_hint": band.width_hint}
+
+
+def _band_from_obj(obj: dict) -> AnnulusSpec:
+    mk = lambda rows: JordanCurve.from_points(
+        np.array([complex(a, b) for a, b in rows]), check_simple=False)
+    return AnnulusSpec(outer=mk(obj["outer"]), inner=mk(obj["inner"]),
+                       width_hint=float(obj["width_hint"]))
+
+
+def _curves_meet(a: JordanCurve, b: JordanCurve) -> bool:
+    """Whether two polylines cross or touch: a proper crossing of two
+    segments, or a shared point (where they can cross through a vertex)."""
+    return (_segment_pairs_intersect(a.points, b.points) is not None
+            or curve_gap(a, b) == 0)
 
 
 def validate_mutually_exterior(annuli: list[AnnulusSpec]) -> None:
@@ -104,7 +179,7 @@ def validate_mutually_exterior(annuli: list[AnnulusSpec]) -> None:
     for i in range(len(annuli)):
         for j in range(i + 1, len(annuli)):
             a, b = annuli[i].outer, annuli[j].outer
-            if _segment_pairs_intersect(a.points, b.points) is not None:
+            if _curves_meet(a, b):
                 raise GeometryRejected(f"annuli {i} and {j} intersect")
             if winding_numbers([b.points[0]], a.points)[0] != 0 \
                     or winding_numbers([a.points[0]], b.points)[0] != 0:
@@ -148,114 +223,34 @@ def _recip_scaled(w, e):
     return rw, re_
 
 
-def omega_recip_sum_array(system: MultiShapeSystem, z: np.ndarray):
-    """Scaled sum of reciprocals of (omega_j + 1) over all shapes."""
-    acc_w = acc_e = None
-    for shape in system.shapes:
-        w, e = omega_scaled_array(shape, z)
-        w, e = omega_plus_one_scaled_array(w, e)
-        w, e = _recip_scaled(w, e)
-        if acc_w is None:
-            acc_w, acc_e = w, e
-        else:
-            acc_w, acc_e = _scaled_add(acc_w, acc_e, w, e)
-    return acc_w, acc_e
-
-
 def omega_big_scaled_array(system: MultiShapeSystem, z: np.ndarray):
     """The harmonic combination Omega as a scaled array; a single shape
     short-circuits to omega + 1 (exact degeneration to the polynomial)."""
-    if system.m == 1:
-        w, e = omega_scaled_array(system.shapes[0], z)
-        return omega_plus_one_scaled_array(w, e)
-    w, e = omega_recip_sum_array(system, z)
-    return _recip_scaled(w, e)
+    terms = [omega_plus_one_scaled_array(*omega_scaled_array(s, z))
+             for s in system.shapes]
+    if len(terms) == 1:
+        return terms[0]
+    acc_w, acc_e = _recip_scaled(*terms[0])
+    for w, e in terms[1:]:
+        acc_w, acc_e = _scaled_add(acc_w, acc_e, *_recip_scaled(w, e))
+    return _recip_scaled(acc_w, acc_e)
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation
+# single-point evaluation
 
 
 def eval_Omega(system: MultiShapeSystem, z, frame: str = "translated") -> ScaledComplex:
-    """Harmonic combination of the node products at a single point. A single
-    shape short-circuits to omega + 1 itself (exact degeneration)."""
-    if frame == "original":
-        z = complex(z) - system.t
-    terms = [eval_omega(s, z).add_complex(1.0) for s in system.shapes]
-    if len(terms) == 1:
-        return terms[0]
-    if any(t.is_zero for t in terms):
-        raise Indeterminate(
-            "a node product hit -1 exactly; point sits on a vanishing locus")
-    acc = terms[0].reciprocal()
-    for t in terms[1:]:
-        acc = acc.add(t.reciprocal())
-    if acc.is_zero:
-        raise Indeterminate("reciprocal sum vanished")
-    return acc.reciprocal()
+    """Harmonic combination of the node products at a single point, through
+    the array kernel. A single shape short-circuits to omega + 1 itself
+    (exact degeneration); an exact zero among the reciprocals raises
+    Indeterminate."""
+    return _scaled_point(*omega_big_scaled_array(system, _point(z, system.t, frame)))
 
 
-def eval_R(system: MultiShapeSystem, z, frame: str = "translated"):
-    """R(z) = z * Omega(z), conjugated by the frame shift for frame='original'.
-    Returns complex or EscapedLarge."""
-    zt = complex(z) - system.t if frame == "original" else complex(z)
-    res = eval_Omega(system, zt).mul_complex(zt)
-    if frame == "original":
-        res = res.add_complex(system.t)
-    try:
-        return res.to_complex()
-    except OverflowError:
-        return EscapedLarge(res.log2_abs)
-
-
-def eval_S(system: AnnulusSystem, z, frame: str = "translated"):
-    """S(z) = P_outer(z) + 1/(omega_inner(z) + 1). Returns complex or
-    EscapedLarge; indeterminate points raise."""
-    t = system.outer_shape.t
-    zt = complex(z) - t if frame == "original" else complex(z)
-    p = eval_P_scaled(system.outer_shape, zt)
-    den = eval_omega(system.inner_shape, zt).add_complex(1.0)
-    if den.is_zero:
-        raise Indeterminate("inner node product hit -1 exactly")
-    res = p.add(den.reciprocal())
-    if frame == "original":
-        res = res.add_complex(t)
-    try:
-        return res.to_complex()
-    except OverflowError:
-        return EscapedLarge(res.log2_abs)
-
-
-# ---------------------------------------------------------------------------
-# kernels
-
-
-class MultiShapeKernel:
-    def __init__(self, system: MultiShapeSystem):
-        self.system = system
-
-    def step(self, z: np.ndarray):
-        w, e = omega_big_scaled_array(self.system, z)
-        w = w * z
-        _renorm(w, e)
-        return materialize(w, e)
-
-
-class AnnulusMapKernel:
-    def __init__(self, system: AnnulusSystem):
-        self.system = system
-
-    def step(self, z: np.ndarray):
-        sys = self.system
-        w, e = omega_scaled_array(sys.outer_shape, z)
-        w, e = omega_plus_one_scaled_array(w, e)
-        w = w * z
-        _renorm(w, e)
-        rw, re_ = omega_scaled_array(sys.inner_shape, z)
-        rw, re_ = omega_plus_one_scaled_array(rw, re_)
-        rw, re_ = _recip_scaled(rw, re_)
-        w, e = _scaled_add(w, e, rw, re_)
-        return materialize(w, e)
+#: R(z) = z * Omega(z) and S(z) = P_outer(z) + 1/(omega_inner(z) + 1) at a
+#: single point: ``eval_P`` evaluates any map through its ``step``
+eval_R = eval_S = eval_P
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +258,7 @@ class AnnulusMapKernel:
 
 
 @dataclass(frozen=True)
-class MultiCertificate:
+class MultiCertificate(Certificate):
     kind: ClassVar[str] = "multi_certificate"
     b: float
     B: float
@@ -357,7 +352,7 @@ def certify_multi(system: MultiShapeSystem, annuli: list[AnnulusSpec],
 
 
 @dataclass(frozen=True)
-class SCertificate:
+class SCertificate(Certificate):
     kind: ClassVar[str] = "s_certificate"
     r_mid: float
     R_big: float
@@ -417,10 +412,9 @@ def certify_S(system: AnnulusSystem, samples_per_region: int = 4096,
     ])
     o_boundary = E.outer.boundary_samples(samples_per_region)
 
-    kern = AnnulusMapKernel(system)
-    _, log_mid = kern.step(mid)
-    _, log_inner = kern.step(inner_disk)
-    _, log_ob = kern.step(o_boundary)
+    _, log_mid = system.step(mid)
+    _, log_inner = system.step(inner_disk)
+    _, log_ob = system.step(o_boundary)
     with np.errstate(over="ignore"):
         mid_max = float(np.exp2(log_mid).max())
         far_min = float(min(np.exp2(log_inner).min(), np.exp2(log_ob).min()))
@@ -434,75 +428,3 @@ def certify_S(system: AnnulusSystem, samples_per_region: int = 4096,
         sample_counts={"mid": int(len(mid)), "inner": int(len(inner_disk)),
                        "outer_boundary": int(len(o_boundary))},
         passed=passed)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def save_system(system: MultiShapeSystem, path) -> None:
-    obj = {
-        "kind": "multi_shape_system",
-        "t": [system.t.real, system.t.imag],
-        "shapes": [shape_to_obj(s) for s in system.shapes],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-
-
-def load_system_obj(obj: dict) -> MultiShapeSystem:
-    if obj.get("kind") != "multi_shape_system":
-        raise GeometryRejected("not a multi shape system dump")
-    return MultiShapeSystem(shapes=tuple(load_shape_obj(o) for o in obj["shapes"]))
-
-
-def load_system(path) -> MultiShapeSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_system_obj(json.load(fh))
-
-
-def _curve_pts(curve: JordanCurve) -> list:
-    return [[float(z.real), float(z.imag)] for z in curve.points]
-
-
-def _annulus_obj(band: AnnulusSpec) -> dict:
-    return {"outer": _curve_pts(band.outer), "inner": _curve_pts(band.inner),
-            "width_hint": band.width_hint}
-
-
-def _annulus_from_obj(obj: dict) -> AnnulusSpec:
-    mk = lambda rows: JordanCurve.from_points(
-        np.array([complex(a, b) for a, b in rows]), check_simple=False)
-    return AnnulusSpec(outer=mk(obj["outer"]), inner=mk(obj["inner"]),
-                       width_hint=float(obj["width_hint"]))
-
-
-def save_annulus_system(system: AnnulusSystem, path) -> None:
-    obj = {
-        "kind": "annulus_map_system",
-        "outer_shape": shape_to_obj(system.outer_shape),
-        "inner_shape": shape_to_obj(system.inner_shape),
-        "outer_band": _annulus_obj(system.outer_band),
-        "inner_band": _annulus_obj(system.inner_band),
-        "xi": system.xi,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1)
-        fh.write("\n")
-
-
-def load_annulus_system_obj(obj: dict) -> AnnulusSystem:
-    if obj.get("kind") != "annulus_map_system":
-        raise GeometryRejected("not an annulus map dump")
-    return AnnulusSystem(
-        outer_shape=load_shape_obj(obj["outer_shape"]),
-        inner_shape=load_shape_obj(obj["inner_shape"]),
-        outer_band=_annulus_from_obj(obj["outer_band"]),
-        inner_band=_annulus_from_obj(obj["inner_band"]),
-        xi=float(obj["xi"]))
-
-
-def load_annulus_system(path) -> AnnulusSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_annulus_system_obj(json.load(fh))

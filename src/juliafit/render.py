@@ -18,6 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -34,6 +35,7 @@ TILE_ROWS = 16
 class EscapeField:
     """Per-pixel orbit classification over a rectangular grid."""
 
+    kind: ClassVar[str] = "escape_field"
     bbox: tuple[complex, complex]
     width: int
     height: int
@@ -83,6 +85,21 @@ class EscapeField:
         near_cap = _dilate4(self.captured_mask)
         near_esc = _dilate4(self.escaped_mask)
         return (near_cap & near_esc) | self.undecided_mask
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "EscapeField":
+        """Rebuild a field from the dump ``save_field`` writes."""
+        w, h = int(obj["width"]), int(obj["height"])
+        status = np.frombuffer(base64.b64decode(obj["status_b64"]),
+                               dtype=np.uint8).reshape(h, w).copy()
+        iters = np.frombuffer(base64.b64decode(obj["iterations_b64"]),
+                              dtype="<u4").astype(np.uint32).reshape(h, w)
+        (x0, y0), (x1, y1) = obj["bbox"]
+        return cls(bbox=(complex(x0, y0), complex(x1, y1)), width=w, height=h,
+                   status=status, iterations=iters,
+                   escape_radius=float(obj["escape_radius"]),
+                   capture_radius=float(obj["capture_radius"]),
+                   max_iter=int(obj["max_iter"]))
 
 
 def _dilate4(mask: np.ndarray) -> np.ndarray:
@@ -326,7 +343,7 @@ def read_pgm(path) -> np.ndarray:
 
 def save_field(field: EscapeField, path, config: dict | None = None) -> None:
     obj = {
-        "kind": "escape_field",
+        "kind": field.kind,
         "bbox": [[field.bbox[0].real, field.bbox[0].imag],
                  [field.bbox[1].real, field.bbox[1].imag]],
         "width": field.width,
@@ -343,24 +360,3 @@ def save_field(field: EscapeField, path, config: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
-
-
-def load_field_obj(obj: dict) -> EscapeField:
-    if obj.get("kind") != "escape_field":
-        raise OSError("not an escape field dump")
-    w, h = int(obj["width"]), int(obj["height"])
-    status = np.frombuffer(base64.b64decode(obj["status_b64"]),
-                           dtype=np.uint8).reshape(h, w).copy()
-    iters = np.frombuffer(base64.b64decode(obj["iterations_b64"]),
-                          dtype="<u4").astype(np.uint32).reshape(h, w)
-    (x0, y0), (x1, y1) = obj["bbox"]
-    return EscapeField(bbox=(complex(x0, y0), complex(x1, y1)), width=w, height=h,
-                       status=status, iterations=iters,
-                       escape_radius=float(obj["escape_radius"]),
-                       capture_radius=float(obj["capture_radius"]),
-                       max_iter=int(obj["max_iter"]))
-
-
-def load_field(path) -> EscapeField:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_field_obj(json.load(fh))

@@ -6,21 +6,23 @@ is omega(z) = c**(-n) * prod(z - r_k) and the dynamic map is
 P(z) = z * (omega(z) + 1). Every root is a fixed point of P and the origin is
 attracting once omega is uniformly close to -1 inside the shape. Degrees run
 to several hundred, so all products are carried as mantissa * 2**exponent
-pairs; renormalization by powers of two is exact in binary floating point,
-which keeps the scalar and vectorized paths in agreement.
+arrays; renormalization by powers of two is exact in binary floating point,
+so a product does not depend on how often it is renormalized. There is one
+arithmetic path: the per-pixel array kernels. Single-point evaluations
+(``eval_omega``, ``eval_P``) run them on length-1 arrays.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .conformal import ExteriorMap, evaluate_map
 from .curves import AnnulusSpec
-from .errors import DuplicateRoots, MapDiverged, NoEpsilon
+from .errors import DuplicateRoots, Indeterminate, MapDiverged, NoEpsilon, ParseError
 
 #: exponent saturation; reaching it means the value is astronomically large
 #: (or small) and its magnitude class can never change back
@@ -36,38 +38,12 @@ _MID = 128
 
 @dataclass(frozen=True)
 class ScaledComplex:
-    """Complex number as mantissa * 2**exponent with |mantissa| near 1.
-
-    Precision is relative to the magnitude: a component more than ~300 orders
-    of magnitude below |z| falls out of the mantissa's double range and is
-    flushed, which never matters for products and sums anchored at |z|.
-    """
+    """Complex number as mantissa * 2**exponent with |mantissa| in [1/2, 1)
+    (or exactly zero): the value a single-point evaluation returns. All
+    arithmetic on such pairs runs in the array kernels below."""
 
     mantissa: complex
     exponent: int
-
-    @staticmethod
-    def from_value(z) -> "ScaledComplex":
-        z = complex(z)
-        if z == 0:
-            return ScaledComplex(0j, 0)
-        _, e = math.frexp(abs(z))
-        return ScaledComplex(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e)
-
-    @staticmethod
-    def one() -> "ScaledComplex":
-        return ScaledComplex(0.5 + 0j, 1)
-
-    def _norm(self, m: complex, e: int) -> "ScaledComplex":
-        if m == 0:
-            return ScaledComplex(0j, 0)
-        _, sh = math.frexp(abs(m))
-        e = e + sh
-        if e >= EXP_CAP:
-            e = EXP_CAP
-        elif e <= -EXP_CAP:
-            e = -EXP_CAP
-        return ScaledComplex(complex(math.ldexp(m.real, -sh), math.ldexp(m.imag, -sh)), e)
 
     @property
     def is_zero(self) -> bool:
@@ -78,37 +54,6 @@ class ScaledComplex:
         if self.is_zero:
             return -math.inf
         return math.log2(abs(self.mantissa)) + self.exponent
-
-    def mul(self, other: "ScaledComplex") -> "ScaledComplex":
-        return self._norm(self.mantissa * other.mantissa,
-                          self.exponent + other.exponent)
-
-    def mul_complex(self, z: complex) -> "ScaledComplex":
-        return self._norm(self.mantissa * z, self.exponent)
-
-    def reciprocal(self) -> "ScaledComplex":
-        if self.is_zero:
-            raise ZeroDivisionError("reciprocal of scaled zero")
-        return self._norm(1.0 / self.mantissa, -self.exponent)
-
-    def add(self, other: "ScaledComplex") -> "ScaledComplex":
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        hi, lo = (self, other) if self.exponent >= other.exponent else (other, self)
-        d = hi.exponent - lo.exponent
-        if d > 64:
-            return hi
-        m = hi.mantissa + complex(math.ldexp(lo.mantissa.real, -d),
-                                  math.ldexp(lo.mantissa.imag, -d))
-        return self._norm(m, hi.exponent)
-
-    def add_complex(self, z: complex) -> "ScaledComplex":
-        return self.add(ScaledComplex.from_value(z))
-
-    def sub_complex(self, z: complex) -> "ScaledComplex":
-        return self.add(ScaledComplex.from_value(-z))
 
     def to_complex(self) -> complex:
         """Materialize; only valid when the exponent is in double range."""
@@ -130,18 +75,25 @@ class EscapedLarge:
         return math.inf
 
 
-def scaled_power(base: complex, k: int) -> ScaledComplex:
-    """base**k for integer k (binary exponentiation, exact renormalization)."""
-    neg = k < 0
-    k = abs(k)
-    acc = ScaledComplex.one()
-    b = ScaledComplex.from_value(base)
-    while k:
-        if k & 1:
-            acc = acc.mul(b)
-        b = b.mul(b)
-        k >>= 1
-    return acc.reciprocal() if neg else acc
+def _normalized(m: complex, e: int) -> ScaledComplex:
+    if m == 0:
+        return ScaledComplex(0j, 0)
+    _, sh = math.frexp(abs(m))
+    return ScaledComplex(complex(math.ldexp(m.real, -sh), math.ldexp(m.imag, -sh)),
+                         max(-EXP_CAP, min(EXP_CAP, e + sh)))
+
+
+def _inverse_power(base: complex, n: int) -> ScaledComplex:
+    """base**-n by binary exponentiation, renormalizing after every product
+    (exact in binary floating point), so huge n never overflows."""
+    acc = ScaledComplex(0.5 + 0j, 1)
+    b = _normalized(complex(base), 0)
+    while n:
+        if n & 1:
+            acc = _normalized(acc.mantissa * b.mantissa, acc.exponent + b.exponent)
+        b = _normalized(b.mantissa * b.mantissa, 2 * b.exponent)
+        n >>= 1
+    return _normalized(1.0 / acc.mantissa, -acc.exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +105,12 @@ class ShapePolynomial:
     """n roots, inflation epsilon, frame shift t, leading coefficient.
 
     Roots live in the shifted frame (source curve minus t); the map has degree
-    n + 1 there. Original-frame evaluation conjugates by the shift.
+    n + 1 there. Original-frame evaluation conjugates by the shift. Like the
+    two rational systems, a shape is its own per-pixel kernel (``step``) and
+    its own dump (``to_obj``/``from_obj`` under ``kind``).
     """
 
+    kind: ClassVar[str] = "shape_polynomial"
     n: int
     epsilon: float
     t: complex
@@ -171,7 +126,7 @@ class ShapePolynomial:
         if not abs(self.capacity) > 0:
             raise MapDiverged("capacity must be nonzero")
         _check_distinct(self.roots)
-        object.__setattr__(self, "_cap_pow", scaled_power(self.capacity, -self.n))
+        object.__setattr__(self, "_cap_pow", _inverse_power(self.capacity, self.n))
 
     @property
     def degree(self) -> int:
@@ -180,6 +135,30 @@ class ShapePolynomial:
     @property
     def cap_pow(self) -> ScaledComplex:
         return self._cap_pow
+
+    def step(self, z: np.ndarray):
+        return p_step_array(self, z)
+
+    def to_obj(self) -> dict:
+        return {
+            "kind": self.kind,
+            "n": self.n,
+            "epsilon": self.epsilon,
+            "t": [self.t.real, self.t.imag],
+            "capacity": [self.capacity.real, self.capacity.imag],
+            "roots": [[float(r.real), float(r.imag)] for r in self.roots],
+        }
+
+    @classmethod
+    def from_obj(cls, obj: dict) -> "ShapePolynomial":
+        """Rebuild a shape from its dump; the constructor re-verifies the root
+        and capacity invariants. Checks the kind itself, since the systems
+        nest shape dumps."""
+        if obj["kind"] != cls.kind:
+            raise ParseError(f"expected a {cls.kind} dump, got {obj['kind']!r}")
+        return cls(n=int(obj["n"]), epsilon=float(obj["epsilon"]),
+                   t=complex(*obj["t"]), capacity=complex(*obj["capacity"]),
+                   roots=np.array([complex(a, b) for a, b in obj["roots"]]))
 
 
 def _check_distinct(roots: np.ndarray) -> None:
@@ -241,57 +220,6 @@ def make_circle_shape(radius: float = 1.0, epsilon: float = 0.0625,
 
 
 # ---------------------------------------------------------------------------
-# scalar evaluation
-
-
-def _omega_scaled(shape: ShapePolynomial, z) -> ScaledComplex:
-    if isinstance(z, ScaledComplex):
-        acc = ScaledComplex.one()
-        for r in shape.roots:
-            acc = acc.mul(z.sub_complex(complex(r)))
-    else:
-        z = complex(z)
-        acc = ScaledComplex.one()
-        for r in shape.roots:
-            acc = acc.mul_complex(z - complex(r))
-    return acc.mul(shape.cap_pow)
-
-
-def eval_omega(shape: ShapePolynomial, z, frame: str = "translated") -> ScaledComplex:
-    """Node product at z, as a scaled complex (never overflows). In the
-    original frame the argument is shifted by -t first."""
-    if frame == "original":
-        z = z.sub_complex(shape.t) if isinstance(z, ScaledComplex) else complex(z) - shape.t
-    elif frame != "translated":
-        raise ValueError(f"unknown frame {frame!r}")
-    return _omega_scaled(shape, z)
-
-
-def _p_from_omega(omega: ScaledComplex, z) -> ScaledComplex:
-    zsc = z if isinstance(z, ScaledComplex) else ScaledComplex.from_value(z)
-    return omega.add_complex(1.0).mul(zsc)
-
-
-def eval_P_scaled(shape: ShapePolynomial, z, frame: str = "translated") -> ScaledComplex:
-    if frame == "original":
-        zt = z.sub_complex(shape.t) if isinstance(z, ScaledComplex) else complex(z) - shape.t
-        res = _p_from_omega(_omega_scaled(shape, zt), zt)
-        return res.add_complex(shape.t)
-    return _p_from_omega(_omega_scaled(shape, z), z)
-
-
-def eval_P(shape: ShapePolynomial, z, frame: str = "translated"):
-    """The dynamic map z * (omega(z) + 1), conjugated by the frame shift when
-    frame="original". Returns a complex number, or EscapedLarge when the
-    result exceeds double range."""
-    res = eval_P_scaled(shape, z, frame)
-    try:
-        return res.to_complex()
-    except OverflowError:
-        return EscapedLarge(res.log2_abs)
-
-
-# ---------------------------------------------------------------------------
 # vectorized evaluation (the per-pixel kernels)
 
 
@@ -318,12 +246,16 @@ def omega_scaled_array(shape: ShapePolynomial, z: np.ndarray):
     w *= cp.mantissa
     _renorm(w, e)
     e += cp.exponent
+    # an exact zero (z on a root) keeps exponent 0, so that omega + 1 is 1
+    e[w == 0] = 0
     return w, e
 
 
 def omega_plus_one_scaled_array(w: np.ndarray, e: np.ndarray):
-    """(omega + 1) from scaled omega, same materialization rule as the scalar
-    path: the smaller of the two terms is dropped beyond the cutoff."""
+    """(omega + 1) from scaled omega. Within 2**+-_MID, omega is materialized
+    and 1 added in double precision; beyond, the smaller term would round
+    away, so it is dropped: omega stands for the sum above the cutoff and 1
+    below it."""
     ow = w.copy()
     oe = e.copy()
     mid = np.abs(e) <= _MID
@@ -363,48 +295,40 @@ def materialize(w: np.ndarray, e: np.ndarray):
     return vals, log2m
 
 
-class PolynomialKernel:
-    """Per-pixel iteration kernel for the shifted-frame polynomial."""
-
-    def __init__(self, shape: ShapePolynomial):
-        self.shape = shape
-
-    def step(self, z: np.ndarray):
-        return p_step_array(self.shape, z)
-
-
 # ---------------------------------------------------------------------------
-# persistence
+# single-point evaluation: the kernels above on length-1 arrays
 
 
-def shape_to_obj(shape: ShapePolynomial) -> dict:
-    return {
-        "kind": "shape_polynomial",
-        "n": shape.n,
-        "epsilon": shape.epsilon,
-        "t": [shape.t.real, shape.t.imag],
-        "capacity": [shape.capacity.real, shape.capacity.imag],
-        "roots": [[float(r.real), float(r.imag)] for r in shape.roots],
-    }
+def _point(z, t: complex, frame: str) -> np.ndarray:
+    """z as a length-1 shifted-frame array; frame="original" shifts it by -t."""
+    if frame == "original":
+        z = complex(z) - t
+    elif frame != "translated":
+        raise ValueError(f"unknown frame {frame!r}")
+    return np.array([complex(z)])
 
 
-def load_shape_obj(obj: dict) -> ShapePolynomial:
-    """Rebuild a shape from its dump; the constructor re-verifies the root
-    and capacity invariants."""
-    if obj.get("kind") != "shape_polynomial":
-        raise DuplicateRoots("not a shape polynomial dump")
-    return ShapePolynomial(
-        n=int(obj["n"]), epsilon=float(obj["epsilon"]),
-        t=complex(*obj["t"]), capacity=complex(*obj["capacity"]),
-        roots=np.array([complex(a, b) for a, b in obj["roots"]]))
+def _scaled_point(w: np.ndarray, e: np.ndarray) -> ScaledComplex:
+    if np.isnan(w[0]):
+        raise Indeterminate("a node product hit -1 exactly; point sits on a vanishing locus")
+    return ScaledComplex(complex(w[0]), int(e[0]))
 
 
-def save_shape(shape: ShapePolynomial, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(shape_to_obj(shape), fh, indent=1)
-        fh.write("\n")
+def eval_omega(shape: ShapePolynomial, z, frame: str = "translated") -> ScaledComplex:
+    """Node product at z, as a scaled complex (never overflows). In the
+    original frame the argument is shifted by -t first."""
+    return _scaled_point(*omega_scaled_array(shape, _point(z, shape.t, frame)))
 
 
-def load_shape(path) -> ShapePolynomial:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_shape_obj(json.load(fh))
+def eval_P(system, z, frame: str = "translated"):
+    """One step of a map at a single point: z * (omega(z) + 1) for a shape,
+    R or S for the two rational systems (anything with ``step`` and ``t``),
+    conjugated by the frame shift when frame="original". Returns a complex
+    number, or EscapedLarge when the result exceeds double range; a point
+    where the map is indeterminate raises Indeterminate."""
+    vals, log2m = system.step(_point(z, system.t, frame))
+    if np.isnan(log2m[0]):
+        raise Indeterminate("the map is indeterminate at this point")
+    if np.isinf(vals[0]):
+        return EscapedLarge(float(log2m[0]))
+    return complex(vals[0]) + system.t if frame == "original" else complex(vals[0])

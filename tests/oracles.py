@@ -1,14 +1,26 @@
-"""Brute-force reference kernels for the geometry layer.
+"""Reference implementations that the fast kernels are tested against.
 
-These are the all-pairs bodies that `juliafit.curves` used before its
+Geometry: the all-pairs bodies that `juliafit.curves` used before its
 kernels learned to skip (query, edge) pairs that cannot affect the answer.
 They compare every query against every edge, so the fast kernels must equal
 them bit for bit.
+
+Dynamics: the scalar scaled-complex arithmetic that `juliafit.shapepoly` and
+`juliafit.rational` evaluated single points with before all evaluation went
+through the array kernels. It renormalizes after every product and works on
+scaled arguments, so orbits can be followed far past double range.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from juliafit.errors import Indeterminate
+from juliafit.rational import AnnulusSystem, MultiShapeSystem
+from juliafit.shapepoly import EXP_CAP, EscapedLarge, ShapePolynomial
 
 _CHUNK = 4096
 
@@ -82,3 +94,204 @@ def segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None)
             i, j = np.argwhere(hit)[0]
             return int(i + lo), int(j)
     return None
+
+
+# ---------------------------------------------------------------------------
+# scalar scaled-complex arithmetic
+
+
+@dataclass(frozen=True)
+class ScaledComplex:
+    """Complex number as mantissa * 2**exponent with |mantissa| near 1.
+
+    Precision is relative to the magnitude: a component more than ~300 orders
+    of magnitude below |z| falls out of the mantissa's double range and is
+    flushed, which never matters for products and sums anchored at |z|.
+    """
+
+    mantissa: complex
+    exponent: int
+
+    @staticmethod
+    def from_value(z) -> "ScaledComplex":
+        z = complex(z)
+        if z == 0:
+            return ScaledComplex(0j, 0)
+        _, e = math.frexp(abs(z))
+        return ScaledComplex(complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), e)
+
+    @staticmethod
+    def one() -> "ScaledComplex":
+        return ScaledComplex(0.5 + 0j, 1)
+
+    def _norm(self, m: complex, e: int) -> "ScaledComplex":
+        if m == 0:
+            return ScaledComplex(0j, 0)
+        _, sh = math.frexp(abs(m))
+        e = e + sh
+        if e >= EXP_CAP:
+            e = EXP_CAP
+        elif e <= -EXP_CAP:
+            e = -EXP_CAP
+        return ScaledComplex(complex(math.ldexp(m.real, -sh), math.ldexp(m.imag, -sh)), e)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.mantissa == 0
+
+    @property
+    def log2_abs(self) -> float:
+        if self.is_zero:
+            return -math.inf
+        return math.log2(abs(self.mantissa)) + self.exponent
+
+    def mul(self, other: "ScaledComplex") -> "ScaledComplex":
+        return self._norm(self.mantissa * other.mantissa,
+                          self.exponent + other.exponent)
+
+    def mul_complex(self, z: complex) -> "ScaledComplex":
+        return self._norm(self.mantissa * z, self.exponent)
+
+    def reciprocal(self) -> "ScaledComplex":
+        if self.is_zero:
+            raise ZeroDivisionError("reciprocal of scaled zero")
+        return self._norm(1.0 / self.mantissa, -self.exponent)
+
+    def add(self, other: "ScaledComplex") -> "ScaledComplex":
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        hi, lo = (self, other) if self.exponent >= other.exponent else (other, self)
+        d = hi.exponent - lo.exponent
+        if d > 64:
+            return hi
+        m = hi.mantissa + complex(math.ldexp(lo.mantissa.real, -d),
+                                  math.ldexp(lo.mantissa.imag, -d))
+        return self._norm(m, hi.exponent)
+
+    def add_complex(self, z: complex) -> "ScaledComplex":
+        return self.add(ScaledComplex.from_value(z))
+
+    def sub_complex(self, z: complex) -> "ScaledComplex":
+        return self.add(ScaledComplex.from_value(-z))
+
+    def to_complex(self) -> complex:
+        """Materialize; only valid when the exponent is in double range."""
+        if self.is_zero:
+            return 0j
+        if not -1020 <= self.exponent <= 1020:
+            raise OverflowError(f"exponent {self.exponent} outside double range")
+        return complex(math.ldexp(self.mantissa.real, self.exponent),
+                       math.ldexp(self.mantissa.imag, self.exponent))
+
+
+def scaled_power(base: complex, k: int) -> ScaledComplex:
+    """base**k for integer k (binary exponentiation, exact renormalization)."""
+    neg = k < 0
+    k = abs(k)
+    acc = ScaledComplex.one()
+    b = ScaledComplex.from_value(base)
+    while k:
+        if k & 1:
+            acc = acc.mul(b)
+        b = b.mul(b)
+        k >>= 1
+    return acc.reciprocal() if neg else acc
+
+
+def _omega_scaled(shape: ShapePolynomial, z) -> ScaledComplex:
+    if isinstance(z, ScaledComplex):
+        acc = ScaledComplex.one()
+        for r in shape.roots:
+            acc = acc.mul(z.sub_complex(complex(r)))
+    else:
+        z = complex(z)
+        acc = ScaledComplex.one()
+        for r in shape.roots:
+            acc = acc.mul_complex(z - complex(r))
+    return acc.mul(shape.cap_pow)
+
+
+def eval_omega(shape: ShapePolynomial, z, frame: str = "translated") -> ScaledComplex:
+    """Node product at z, as a scaled complex (never overflows). In the
+    original frame the argument is shifted by -t first."""
+    if frame == "original":
+        z = z.sub_complex(shape.t) if isinstance(z, ScaledComplex) else complex(z) - shape.t
+    elif frame != "translated":
+        raise ValueError(f"unknown frame {frame!r}")
+    return _omega_scaled(shape, z)
+
+
+def _p_from_omega(omega: ScaledComplex, z) -> ScaledComplex:
+    zsc = z if isinstance(z, ScaledComplex) else ScaledComplex.from_value(z)
+    return omega.add_complex(1.0).mul(zsc)
+
+
+def eval_P_scaled(shape: ShapePolynomial, z, frame: str = "translated") -> ScaledComplex:
+    if frame == "original":
+        zt = z.sub_complex(shape.t) if isinstance(z, ScaledComplex) else complex(z) - shape.t
+        res = _p_from_omega(_omega_scaled(shape, zt), zt)
+        return res.add_complex(shape.t)
+    return _p_from_omega(_omega_scaled(shape, z), z)
+
+
+def eval_P(shape: ShapePolynomial, z, frame: str = "translated"):
+    """The dynamic map z * (omega(z) + 1), conjugated by the frame shift when
+    frame="original". Returns a complex number, or EscapedLarge when the
+    result exceeds double range."""
+    res = eval_P_scaled(shape, z, frame)
+    try:
+        return res.to_complex()
+    except OverflowError:
+        return EscapedLarge(res.log2_abs)
+
+
+def eval_Omega(system: MultiShapeSystem, z, frame: str = "translated") -> ScaledComplex:
+    """Harmonic combination of the node products at a single point. A single
+    shape short-circuits to omega + 1 itself (exact degeneration)."""
+    if frame == "original":
+        z = complex(z) - system.t
+    terms = [eval_omega(s, z).add_complex(1.0) for s in system.shapes]
+    if len(terms) == 1:
+        return terms[0]
+    if any(t.is_zero for t in terms):
+        raise Indeterminate(
+            "a node product hit -1 exactly; point sits on a vanishing locus")
+    acc = terms[0].reciprocal()
+    for t in terms[1:]:
+        acc = acc.add(t.reciprocal())
+    if acc.is_zero:
+        raise Indeterminate("reciprocal sum vanished")
+    return acc.reciprocal()
+
+
+def eval_R(system: MultiShapeSystem, z, frame: str = "translated"):
+    """R(z) = z * Omega(z), conjugated by the frame shift for frame='original'.
+    Returns complex or EscapedLarge."""
+    zt = complex(z) - system.t if frame == "original" else complex(z)
+    res = eval_Omega(system, zt).mul_complex(zt)
+    if frame == "original":
+        res = res.add_complex(system.t)
+    try:
+        return res.to_complex()
+    except OverflowError:
+        return EscapedLarge(res.log2_abs)
+
+
+def eval_S(system: AnnulusSystem, z, frame: str = "translated"):
+    """S(z) = P_outer(z) + 1/(omega_inner(z) + 1). Returns complex or
+    EscapedLarge; indeterminate points raise."""
+    t = system.outer_shape.t
+    zt = complex(z) - t if frame == "original" else complex(z)
+    p = eval_P_scaled(system.outer_shape, zt)
+    den = eval_omega(system.inner_shape, zt).add_complex(1.0)
+    if den.is_zero:
+        raise Indeterminate("inner node product hit -1 exactly")
+    res = p.add(den.reciprocal())
+    if frame == "original":
+        res = res.add_complex(t)
+    try:
+        return res.to_complex()
+    except OverflowError:
+        return EscapedLarge(res.log2_abs)

@@ -276,3 +276,50 @@ def test_system_dump_read_once(command, fixture_dir, tmp_path, monkeypatch):
     assert len(reads) == 1
     assert main(["render", dump, "--grid", "64", "--out", str(tmp_path / "render")]) == 0
     assert len(reads) == 2
+
+
+def _malformed_dump(case, shape):
+    """Text of a dump that is broken in the way `case` names, made from a
+    valid shape dump."""
+    if case == "not-json":
+        return "{ not json"
+    if case == "shape-without-roots":
+        return json.dumps({k: v for k, v in shape.items() if k != "roots"})
+    if case == "nested-shape-of-wrong-kind":
+        return json.dumps({"kind": "multi_shape_system", "t": shape["t"],
+                           "shapes": [dict(shape, kind="annulus_map_system")]})
+    if case == "field-without-width":
+        return json.dumps({"kind": "escape_field", "bbox": [[0, 0], [1, 1]],
+                           "height": 16, "escape_radius": 2.0,
+                           "capture_radius": 0.5, "max_iter": 10,
+                           "status_b64": "", "iterations_b64": ""})
+    if case == "certificate-without-radii":
+        return json.dumps({"kind": "escape_certificate", "passed": True})
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("command,case", [
+    ("render", "not-json"),
+    ("verify", "not-json"),
+    ("render", "shape-without-roots"),
+    ("verify", "shape-without-roots"),
+    ("verify", "field-without-width"),
+    ("render", "nested-shape-of-wrong-kind"),
+    ("verify", "nested-shape-of-wrong-kind"),
+    ("render", "certificate-without-radii"),
+    ("verify", "certificate-without-radii"),
+])
+def test_malformed_dump_exits_parse(command, case, built_square, fixture_dir,
+                                    tmp_path, capsys):
+    shape = json.loads((built_square / "shape.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(_malformed_dump(case, shape))
+    dump, cert = bad, built_square / "certificate.json"
+    if case == "certificate-without-radii":
+        dump, cert = built_square / "shape.json", bad
+    argv = [command, str(dump), "--certificate", str(cert), "--grid", "32",
+            "--out", str(tmp_path / "out")]
+    if command == "verify":
+        argv += ["--curve", str(fixture_dir / "square.txt"), "--delta", "0.3"]
+    assert main(argv) == 2
+    assert "error [PARSE_ERROR]" in capsys.readouterr().err

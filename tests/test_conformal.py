@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from juliafit.conformal import (
+    ExteriorMap,
     build_exterior_map,
     evaluate_map,
     laurent_coefficients,
-    load_map,
-    save_map,
 )
+from juliafit.dumps import load_dump, save_dump
 from juliafit.errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
 from juliafit.shapes import make_blob, make_circle, make_ellipse, make_square
 
@@ -163,20 +163,20 @@ def test_laurent_reproduces_direct_at_two(square_map):
 
 def test_save_load_round_trip(ellipse_map, tmp_path):
     p = tmp_path / "map.json"
-    save_map(ellipse_map, p)
-    m2 = load_map(p)
+    save_dump(ellipse_map, p)
+    m2 = load_dump(p, (ExteriorMap,))
     assert m2.t == ellipse_map.t
     assert m2.capacity == ellipse_map.capacity
     assert np.array_equal(m2.laurent, ellipse_map.laurent)
     assert np.array_equal(m2.boundary_samples, ellipse_map.boundary_samples)
-    save_map(m2, tmp_path / "map2.json")
+    save_dump(m2, tmp_path / "map2.json")
     assert (tmp_path / "map.json").read_bytes() == (tmp_path / "map2.json").read_bytes()
 
 
 def test_loaded_map_evaluates(ellipse_map, tmp_path):
     p = tmp_path / "map.json"
-    save_map(ellipse_map, p)
-    m2 = load_map(p)
+    save_dump(ellipse_map, p)
+    m2 = load_dump(p, (ExteriorMap,))
     th = 2 * np.pi * np.arange(64) / 64
     for r in (1.0, 1.0625, 2.0):
         w = r * np.exp(1j * th)

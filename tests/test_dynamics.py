@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from juliafit.curves import AnnulusSpec, sample_interior
+from juliafit.dumps import load_dump
 from juliafit.dynamics import (
+    EscapeCertificate,
     OrbitStatus,
     certify,
     find_min_degree,
     iterate,
-    load_certificate,
     save_certificate,
 )
 from juliafit.errors import NoDegreeFound, SamplingFailure
-from juliafit.shapepoly import PolynomialKernel, eval_P, make_circle_shape, p_step_array
+from juliafit.shapepoly import eval_P, make_circle_shape, p_step_array
 from juliafit.shapes import make_circle
 
 
@@ -136,7 +137,7 @@ def test_find_min_degree_blob(built_shapes):
 
 
 def test_iterate_origin_captured(circle64, cert64):
-    k = PolynomialKernel(circle64)
+    k = circle64
     r = iterate(k, 0j, cert64.escape_radius, cert64.capture_radius)
     assert r.status is OrbitStatus.INTERIOR_CAPTURED
     assert r.iterations == 0
@@ -145,7 +146,7 @@ def test_iterate_origin_captured(circle64, cert64):
 def test_iterate_escapes_in_one_step(circle64):
     # with an escape radius beyond 2c, the first map application jumps out:
     # |P(2c)| = 2^65 c
-    k = PolynomialKernel(circle64)
+    k = circle64
     z0 = 2 * circle64.capacity
     r = iterate(k, z0, escape_radius=3.0, capture_radius=0.55)
     assert r.status is OrbitStatus.ESCAPED
@@ -156,7 +157,7 @@ def test_iterate_escapes_in_one_step(circle64):
 def test_iterate_on_invariant_circle_small_budget(circle64, cert64):
     # points on |z| = c stay numerically on the invariant circle for a
     # modest budget (1-ulp drift needs ~10 doublings of degree 65 to surface)
-    k = PolynomialKernel(circle64)
+    k = circle64
     z0 = circle64.capacity * np.exp(0.31j)
     r = iterate(k, z0, cert64.escape_radius, cert64.capture_radius, max_iter=6)
     assert r.status is OrbitStatus.UNDECIDED
@@ -165,7 +166,7 @@ def test_iterate_on_invariant_circle_small_budget(circle64, cert64):
 
 def test_monotone_escape_iteration_bound(circle64, cert64):
     # certified expansion implies escape within ceil(log(R/|z|)/log kappa) + 1
-    k = PolynomialKernel(circle64)
+    k = circle64
     rng = np.random.default_rng(11)
     for th in rng.uniform(0, 2 * np.pi, 50):
         z0 = 1.1 * np.exp(1j * th)
@@ -189,10 +190,10 @@ def test_translation_equivariance(circle64, cert64):
         assert a == b + t
     # the shifted shape has identical roots in its own frame, so iteration
     # from the same shifted-frame start matches the unshifted shape exactly
-    k = PolynomialKernel(circle64)
+    k = circle64
     for zz in (0.3 + 0.1j, 1.2 + 0.4j, 0.9j):
         r1 = iterate(k, zz, cert64.escape_radius, cert64.capture_radius, 50)
-        r2 = iterate(PolynomialKernel(shifted), zz, cert64.escape_radius,
+        r2 = iterate(shifted, zz, cert64.escape_radius,
                      cert64.capture_radius, 50)
         assert (r1.status, r1.iterations) == (r2.status, r2.iterations)
 
@@ -215,7 +216,7 @@ def test_constant_kernel_everything_captured():
 def test_certificate_round_trip(tmp_path, cert64):
     p = tmp_path / "cert.json"
     save_certificate(cert64, p)
-    c2 = load_certificate(p)
+    c2 = load_dump(p, (EscapeCertificate,))
     assert c2 == cert64
     obj = __import__("json").loads(p.read_text())
     assert obj["sampled"] is True

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from juliafit.curves import AnnulusSpec
+from juliafit.dumps import load_dump, save_dump
 from juliafit.dynamics import find_min_degree
-from juliafit.errors import BadBasepoint, GeometryRejected, Indeterminate, NoDegreeFound
+from juliafit.errors import (
+    BadBasepoint, GeometryRejected, Indeterminate, NoDegreeFound, ParseError,
+)
 from juliafit.rational import (
-    AnnulusMapKernel,
     AnnulusSystem,
-    MultiShapeKernel,
     MultiShapeSystem,
     auto_bounds,
     certify_S,
@@ -18,14 +20,11 @@ from juliafit.rational import (
     eval_Omega,
     eval_R,
     eval_S,
-    load_annulus_system,
-    load_system,
-    save_annulus_system,
-    save_system,
     validate_mutually_exterior,
 )
-from juliafit.shapepoly import ShapePolynomial, eval_P, eval_omega, make_circle_shape
-from juliafit.shapes import make_circle
+from juliafit.render import EscapeField
+from juliafit.shapepoly import ShapePolynomial, eval_P, make_circle_shape
+from juliafit.shapes import make_circle, make_square
 
 
 def circle_shape_at(center: complex, radius=1.0, eps=0.0625, n=64, t=0j):
@@ -98,7 +97,7 @@ def test_indeterminate_on_vanishing_locus():
     other4 = ShapePolynomial(n=4, epsilon=0.1, t=0j, capacity=other.capacity,
                              roots=other.roots[:4])
     system = MultiShapeSystem(shapes=(exact, other4))
-    assert eval_omega(exact, 0j).add_complex(1.0).is_zero
+    assert oracles.eval_omega(exact, 0j).add_complex(1.0).is_zero
     with pytest.raises(Indeterminate):
         eval_Omega(system, 0j)
 
@@ -170,9 +169,7 @@ def test_nested_annuli_rejected():
 
 def _r_step_scaled(system, z):
     """One application of the combined map with a scaled argument."""
-    from juliafit.shapepoly import eval_omega
-
-    terms = [eval_omega(s, z).add_complex(1.0) for s in system.shapes]
+    terms = [oracles.eval_omega(s, z).add_complex(1.0) for s in system.shapes]
     acc = terms[0].reciprocal()
     for t in terms[1:]:
         acc = acc.add(t.reciprocal())
@@ -180,8 +177,9 @@ def _r_step_scaled(system, z):
 
 
 def test_growth_composition(two_circle_system, two_circle_annuli):
-    # certified expansion compounds along orbits: |R^m(z)| > B^m |z|
-    from juliafit.shapepoly import ScaledComplex
+    # certified expansion compounds along orbits: |R^m(z)| > B^m |z|; the
+    # scalar reference follows orbits past double range
+    from oracles import ScaledComplex
 
     b, big = auto_bounds(two_circle_annuli)
     cert = certify_multi(two_circle_system, two_circle_annuli, b, big, 1024, 0)
@@ -276,11 +274,11 @@ def test_curve_gap():
 
 
 def test_multi_kernel_matches_scalar(two_circle_system):
-    k = MultiShapeKernel(two_circle_system)
+    k = two_circle_system
     z = np.array([0.3 + 0.1j, 5.2 - 0.1j, 2.5 + 0j, 20.0 + 0j])
     vals, log2m = k.step(z)
     for i, zz in enumerate(z):
-        want = eval_R(two_circle_system, zz)
+        want = oracles.eval_R(two_circle_system, zz)
         if hasattr(want, "log2_magnitude"):
             assert log2m[i] == pytest.approx(want.log2_magnitude, rel=1e-9)
         else:
@@ -290,22 +288,22 @@ def test_multi_kernel_matches_scalar(two_circle_system):
 def test_annulus_kernel_matches_scalar(round_annulus_system):
     # -1.5 is the inner-disk center, a pole of the map: the value there is a
     # cancellation-noise reciprocal, so only its magnitude class is checked
-    k = AnnulusMapKernel(round_annulus_system)
+    k = round_annulus_system
     z = np.array([0j, 2.2 + 0j, 0.4 + 0.2j])
     vals, log2m = k.step(z)
     for i, zz in enumerate(z):
-        want = eval_S(round_annulus_system, zz)
+        want = oracles.eval_S(round_annulus_system, zz)
         assert abs(vals[i] - want) <= 1e-11 * abs(want) + 1e-13
     pole = np.array([-1.5 + 0j])
     _, log2m = k.step(pole)
     assert log2m[0] > 30
-    assert abs(eval_S(round_annulus_system, -1.5 + 0j)) > 2.0 ** 30
+    assert abs(oracles.eval_S(round_annulus_system, -1.5 + 0j)) > 2.0 ** 30
 
 
 def test_system_dump_round_trip(two_circle_system, tmp_path):
     p = tmp_path / "system.json"
-    save_system(two_circle_system, p)
-    s2 = load_system(p)
+    save_dump(two_circle_system, p)
+    s2 = load_dump(p, (MultiShapeSystem,))
     assert s2.m == 2
     assert np.array_equal(s2.shapes[0].roots, two_circle_system.shapes[0].roots)
     assert np.array_equal(s2.shapes[1].roots, two_circle_system.shapes[1].roots)
@@ -313,9 +311,50 @@ def test_system_dump_round_trip(two_circle_system, tmp_path):
 
 def test_annulus_dump_round_trip(round_annulus_system, tmp_path):
     p = tmp_path / "ann.json"
-    save_annulus_system(round_annulus_system, p)
-    s2 = load_annulus_system(p)
+    save_dump(round_annulus_system, p)
+    s2 = load_dump(p, (AnnulusSystem,))
     assert s2.xi == round_annulus_system.xi
     assert np.array_equal(s2.outer_shape.roots, round_annulus_system.outer_shape.roots)
     assert np.array_equal(s2.inner_band.outer.points,
                           round_annulus_system.inner_band.outer.points)
+
+
+def test_load_dump_rejects_other_kinds(two_circle_system, tmp_path):
+    p = tmp_path / "system.json"
+    save_dump(two_circle_system, p)
+    for types in ((ShapePolynomial,), (AnnulusSystem,), (EscapeField,)):
+        with pytest.raises(ParseError):
+            load_dump(p, types)
+
+
+# ---------------------------------------------------------------------------
+# curves that meet only at vertices
+
+
+def _squares_touching_at_vertices():
+    # the boundaries of [0, 1]^2 and [0.5, 1.5]^2 cross only at the common
+    # vertices 0.5+1j and 1+0.5j, so no two segments cross properly; the
+    # second square starts at 1.5+1j, outside the first
+    a = make_square()
+    b = make_square(corner=0.5 + 0.5j)
+    start = int(np.argmin(np.abs(b.points - (1.5 + 1j))))
+    return a, type(b).from_points(np.roll(b.points, -start), check_simple=False)
+
+
+def test_annuli_crossing_at_vertices_rejected():
+    a, b = _squares_touching_at_vertices()
+    assert curve_gap(a, b) == 0.0
+    anns = [AnnulusSpec(a, make_circle(0.1, 0.5 + 0.5j), 0.1),
+            AnnulusSpec(b, make_circle(0.1, 1.0 + 1.0j), 0.1)]
+    with pytest.raises(GeometryRejected):
+        validate_mutually_exterior(anns)
+
+
+def test_annulus_bands_crossing_at_vertices_rejected():
+    a, b = _squares_touching_at_vertices()
+    outer_band = AnnulusSpec(make_square(3.0, -1.0 - 1.0j), a, 0.1)
+    inner_band = AnnulusSpec(b, make_circle(0.1, 1.0 + 1.0j), 0.1)
+    with pytest.raises(GeometryRejected):
+        AnnulusSystem(outer_shape=circle_shape_at(0j, 2.0),
+                      inner_shape=circle_shape_at(0j, 0.5),
+                      outer_band=outer_band, inner_band=inner_band, xi=0.5)

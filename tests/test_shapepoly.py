@@ -5,29 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from juliafit.curves import AnnulusSpec, winding_numbers
+from juliafit.dumps import load_dump, save_dump
 from juliafit.errors import DuplicateRoots, NoEpsilon
 from juliafit.shapepoly import (
     EscapedLarge,
-    ScaledComplex,
     ShapePolynomial,
     eval_P,
-    eval_P_scaled,
     eval_omega,
-    load_shape,
     make_circle_shape,
     omega_scaled_array,
     p_step_array,
     sample_roots,
-    save_shape,
-    scaled_power,
     select_epsilon,
 )
 from juliafit.shapes import make_circle, make_ellipse
+from oracles import ScaledComplex, eval_P_scaled, scaled_power
 
 
 # ---------------------------------------------------------------------------
-# scaled arithmetic
+# scaled arithmetic of the scalar reference (tests/oracles.py)
 
 finite_c = st.complex_numbers(min_magnitude=1e-150, max_magnitude=1e150,
                               allow_nan=False, allow_infinity=False)
@@ -186,7 +184,7 @@ def test_vectorized_matches_scalar(circle64):
     z = (rng.uniform(-2, 2, 64) + 1j * rng.uniform(-2, 2, 64))
     w, e = omega_scaled_array(circle64, z)
     for i, zz in enumerate(z):
-        sc = eval_omega(circle64, zz)
+        sc = oracles.eval_omega(circle64, zz)
         got = math.ldexp(w[i].real, int(e[i]) - sc.exponent) \
             + 1j * math.ldexp(w[i].imag, int(e[i]) - sc.exponent)
         assert got == pytest.approx(sc.mantissa, rel=1e-12)
@@ -199,8 +197,43 @@ def test_p_step_array_matches_eval(circle64):
     z = np.array([0.5 + 0.2j, 1.0 + 1.0j, 0j])
     vals, log2m = p_step_array(circle64, z)
     for i, zz in enumerate(z):
-        want = eval_P(circle64, zz)
+        want = oracles.eval_P(circle64, zz)
         assert abs(vals[i] - want) <= 1e-12 * abs(want) + 1e-14 * abs(zz)
+
+
+@pytest.mark.parametrize("radius,n", [(1.0, 64), (0.1, 512), (7.5, 300), (1e-3, 100)])
+def test_cap_pow_matches_reference_bit_for_bit(radius, n):
+    shape = make_circle_shape(radius, 0.0625, n)
+    want = scaled_power(shape.capacity, -n)
+    assert (shape.cap_pow.mantissa, shape.cap_pow.exponent) == (want.mantissa, want.exponent)
+
+
+def test_p_step_array_keeps_roots_fixed_past_the_cutoff():
+    # capacity**-n is about 2**1657 here: a root's exact-zero node product
+    # must still give omega + 1 == 1, not 0 * 2**1657
+    shape = make_circle_shape(0.1, 0.0625, 512)
+    assert shape.cap_pow.exponent == 1657
+    vals, log2m = p_step_array(shape, shape.roots)
+    assert np.array_equal(vals, shape.roots)
+    assert np.allclose(log2m, np.log2(np.abs(shape.roots)))
+    assert eval_P(shape, shape.roots[3]) == shape.roots[3]
+
+
+@pytest.mark.parametrize("radius,n", [(1.0, 64), (0.1, 512)])
+def test_single_point_evaluation_matches_reference(radius, n):
+    # the length-1 array path against the scalar reference near the roots,
+    # away from the catastrophic cancellation deep inside the shape
+    shape = make_circle_shape(radius, 0.0625, n, t=0.3 - 0.2j)
+    rng = np.random.default_rng(17)
+    c = abs(shape.capacity)
+    z = c * rng.uniform(0.97, 1.03, 40) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
+    for zz in z:
+        got, want = eval_omega(shape, zz), oracles.eval_omega(shape, zz)
+        aligned = got.mantissa * 2.0 ** (got.exponent - want.exponent)
+        assert aligned == pytest.approx(want.mantissa, rel=1e-13)
+        for frame, zf in (("translated", zz), ("original", zz + shape.t)):
+            got, want = eval_P(shape, zf, frame), oracles.eval_P(shape, zf, frame)
+            assert got == pytest.approx(want, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +301,8 @@ def test_duplicate_roots_rejected():
 
 def test_shape_dump_round_trip(tmp_path, circle64):
     p = tmp_path / "shape.json"
-    save_shape(circle64, p)
-    s2 = load_shape(p)
+    save_dump(circle64, p)
+    s2 = load_dump(p, (ShapePolynomial,))
     assert s2.n == circle64.n
     assert s2.epsilon == circle64.epsilon
     assert s2.t == circle64.t
@@ -281,9 +314,9 @@ def test_shape_dump_reverifies(tmp_path, circle64):
     import json
 
     p = tmp_path / "shape.json"
-    save_shape(circle64, p)
+    save_dump(circle64, p)
     obj = json.loads(p.read_text())
     obj["roots"][1] = obj["roots"][0]
     p.write_text(json.dumps(obj))
     with pytest.raises(DuplicateRoots):
-        load_shape(p)
+        load_dump(p, (ShapePolynomial,))
