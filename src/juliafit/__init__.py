@@ -20,7 +20,7 @@ from .shapepoly import (
     sample_roots,
     select_epsilon,
 )
-from .dynamics import EscapeCertificate, OrbitResult, OrbitStatus, certify, find_min_degree, iterate
+from .dynamics import EscapeCertificate, OrbitStatus, certify, classify_orbits, find_min_degree
 from .rational import (
     AnnulusSystem,
     MultiShapeSystem,
@@ -37,11 +37,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AnnulusSpec", "AnnulusSystem", "EscapeCertificate", "EscapeField",
     "EscapedLarge", "ExteriorMap", "JordanCurve", "MultiShapeSystem",
-    "OrbitResult", "OrbitStatus", "RegionLabel", "ScaledComplex",
-    "ShapePolynomial", "boundary_pixels", "build_exterior_map", "certify",
-    "certify_S", "certify_multi", "eval_Omega", "eval_P", "eval_R", "eval_S",
-    "eval_omega", "evaluate_map", "find_min_degree", "hausdorff_distance",
-    "iterate", "laurent_coefficients", "load_curve", "make_circle_shape",
-    "offset_annulus", "render", "sample_roots", "select_epsilon",
-    "verify_hausdorff", "winding_region", "write_image",
+    "OrbitStatus", "RegionLabel", "ScaledComplex", "ShapePolynomial",
+    "boundary_pixels", "build_exterior_map", "certify", "certify_S",
+    "certify_multi", "classify_orbits", "eval_Omega", "eval_P", "eval_R",
+    "eval_S", "eval_omega", "evaluate_map", "find_min_degree",
+    "hausdorff_distance", "laurent_coefficients", "load_curve",
+    "make_circle_shape", "offset_annulus", "render", "sample_roots",
+    "select_epsilon", "verify_hausdorff", "winding_region", "write_image",
 ]

@@ -8,6 +8,11 @@ render and verify take a dump of any of the three maps (``shape.json`` from
 build, ``system.json`` from rational and annulus); verify also takes a
 ``field.json``. A malformed dump exits 2.
 
+verify compares the rendered sets with the target curves. Two curves of which
+one lies inside the other, given in either order, are the boundary of the
+band between them, as for annulus; otherwise the target is the union of the
+curves' insides. There is no --annulus flag.
+
 Certificates, fields and reports embed the run configuration; identical
 configurations produce byte-identical outputs, wherever they are written. The
 configuration records input paths (``input``/``inputs``, ``--certificate``,
@@ -20,14 +25,13 @@ Exit codes: 0 ok, 2 parse, 3 geometry, 4 certification fail,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
 from . import conformal, curves, dynamics, rational, shapepoly
-from .dumps import load_dump, save_dump
+from .dumps import load_dump, save_dump, write_json
 from .render import (
     EscapeField,
     render as render_grid,
@@ -55,12 +59,6 @@ _CERTIFICATES = (dynamics.EscapeCertificate, rational.MultiCertificate,
 
 def _say(msg: str) -> None:
     print(msg, file=sys.stderr)
-
-
-def _write_json(obj: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _outpath(args, name: str) -> str:
@@ -138,16 +136,29 @@ def _say_certified(cert) -> None:
     _say(f"certified at n = {cert.n_certified} (margins: {margins})")
 
 
-def _report(args, cfg, field, curve_list, delta: float, annulus: bool) -> int:
-    """Verify the field against the curves (outer and inner boundary of a
-    band when annulus is set), write report.json and return the exit code."""
-    if annulus:
-        rep = verify_hausdorff_annulus(field, curve_list[0], curve_list[1], delta)
+def _band(curve_list):
+    """(outer, inner) when the target is two curves of which one lies inside
+    the other, in either order; otherwise None."""
+    if len(curve_list) == 2:
+        a, b = curve_list
+        if a.contains(b.points).all():
+            return a, b
+        if b.contains(a.points).all():
+            return b, a
+    return None
+
+
+def _report(args, cfg, field, curve_list, delta: float) -> int:
+    """Verify the field against the curves (the band between them when they
+    are nested), write report.json and return the exit code."""
+    band = _band(curve_list)
+    if band:
+        rep = verify_hausdorff_annulus(field, *band, delta)
     else:
         rep = verify_hausdorff(field, curve_list, delta)
     robj = rep.to_obj()
     robj["config"] = cfg
-    _write_json(robj, _outpath(args, "report.json"))
+    write_json(robj, _outpath(args, "report.json"))
     _say(f"d_K={rep.d_K:.4g} d_J={rep.d_J:.4g} d_L={rep.d_L:.4g} "
          f"tolerance={rep.delta + rep.pixel_diag:.4g} pass={rep.passed}")
     return EXIT_OK if rep.passed else EXIT_VERIFICATION
@@ -163,8 +174,7 @@ def _finish(args, cfg, system, cert, curve_list, delta: float) -> int:
                     (cert.escape_radius, cert.capture_radius))
     save_field(field, _outpath(args, "field.json"), config=cfg)
     write_image(field, _outpath(args, "image.pgm"))
-    return _report(args, cfg, field, curve_list, delta,
-                   isinstance(system, rational.AnnulusSystem))
+    return _report(args, cfg, field, curve_list, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +235,16 @@ def cmd_render(args) -> int:
 def cmd_verify(args) -> int:
     dumped = load_dump(args.input, _MAPS + (EscapeField,))
     curve_list = [curves.load_curve(p) for p in args.curve]
-    if args.annulus and len(curve_list) != 2:
-        raise ParseError("--annulus needs exactly two curves: outer inner")
     field = dumped if isinstance(dumped, EscapeField) else _render(
         args, dumped, _pipeline_bbox(curve_list, args.delta), _radii(args, dumped.roots))
-    return _report(args, _config(args, "verify"), field, curve_list,
-                   args.delta, args.annulus)
+    return _report(args, _config(args, "verify"), field, curve_list, args.delta)
 
 
 def cmd_rational(args) -> int:
     curve_list = [curves.load_curve(p) for p in args.inputs]
     delta = args.delta if args.delta else 0.2 * max(c.diameter for c in curve_list)
     if len(curve_list) > 1:
-        eta = 0.5 * min(rational.curve_gap(a, b)
+        eta = 0.5 * min(curves.curve_gap(a, b)
                         for i, a in enumerate(curve_list)
                         for b in curve_list[i + 1:])
         if eta <= 0:
@@ -301,9 +308,9 @@ def cmd_annulus(args) -> int:
     inner = curves.load_curve(args.inputs[1])
     if not outer.contains([inner.centroid])[0]:
         raise GeometryRejected("second curve must lie inside the first")
-    xi = rational.curve_gap(outer, inner)
-    if xi <= 0:
-        raise GeometryRejected("annulus curves touch")
+    if curves.curves_meet(outer, inner):
+        raise GeometryRejected("annulus curves cross or touch")
+    xi = curves.curve_gap(outer, inner)
     delta = args.delta if args.delta else 0.2 * outer.diameter
     delta1 = min(delta, xi) / 3.0
     eps_geom = args.eps_geom if args.eps_geom else delta1 / 2.0
@@ -396,8 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target curve file (repeatable)")
     p.add_argument("--delta", type=float, required=True,
                    help="target Hausdorff tolerance")
-    p.add_argument("--annulus", action="store_true",
-                   help="treat the two curves as outer/inner annulus boundary")
     p.add_argument("--certificate", default=None,
                    help="certificate JSON supplying escape/capture radii")
     p.set_defaults(func=cmd_verify)

@@ -23,7 +23,17 @@ import numpy as np
 from .curves import JordanCurve, distance_to_polyline, resample_closed, signed_area, winding_numbers
 from .errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
 
+#: relative agreement demanded of the Laurent series: between its two
+#: extractions and against the slit-map chain
 REL_TOL_MAP = 1e-6
+#: unit-circle samples in the boundary table of a built map
+BOUNDARY_TABLE = 1024
+#: negative powers kept in the Laurent series of a built map
+LAURENT_ORDER = 64
+#: radius of the circle the Laurent coefficients are read on
+RHO_SAMPLE = 1.25
+#: points on that circle
+FFT_SIZE = 4096
 #: queried |w| may undershoot 1 by this much before OUT_OF_DOMAIN
 DOMAIN_TOL = 1e-9
 #: boundary evaluations are pulled inside the disk by this relative amount
@@ -228,10 +238,8 @@ def evaluate_map(m: ExteriorMap, w):
     return complex(vals[0]) if scalar else vals
 
 
-def laurent_coefficients(m: ExteriorMap, order: int = 64,
-                         rho_sample: float = 1.25, *,
-                         rel_tol: float = REL_TOL_MAP,
-                         fft_size: int = 4096) -> np.ndarray:
+def laurent_coefficients(m: ExteriorMap, order: int = LAURENT_ORDER,
+                         rho_sample: float = RHO_SAMPLE) -> np.ndarray:
     """Recover [c1, c0, c_-1, ..., c_-order] by Fourier analysis on the circle
     |w| = rho_sample, cross-checked against a second extraction at twice the
     radius (the two truncated series must agree in the far field)."""
@@ -239,14 +247,14 @@ def laurent_coefficients(m: ExteriorMap, order: int = 64,
         raise Aliasing("order exceeds half the boundary table size")
 
     def extract(rho: float) -> np.ndarray:
-        th = 2.0 * np.pi * np.arange(fft_size) / fft_size
+        th = 2.0 * np.pi * np.arange(FFT_SIZE) / FFT_SIZE
         vals = evaluate_map(m, rho * np.exp(1j * th))
-        f = np.fft.fft(vals) / fft_size
+        f = np.fft.fft(vals) / FFT_SIZE
         out = np.empty(order + 2, dtype=np.complex128)
         out[0] = f[1] / rho
         out[1] = f[0]
         ks = np.arange(1, order + 1)
-        out[2:] = f[fft_size - ks] * rho ** ks
+        out[2:] = f[FFT_SIZE - ks] * rho ** ks
         return out
 
     c_lo = extract(rho_sample)
@@ -256,7 +264,7 @@ def laurent_coefficients(m: ExteriorMap, order: int = 64,
     s_lo = _series_eval(c_lo, w_test)
     s_hi = _series_eval(c_hi, w_test)
     scale = float(np.abs(s_lo).max())
-    if float(np.abs(s_lo - s_hi).max()) > rel_tol * scale:
+    if float(np.abs(s_lo - s_hi).max()) > REL_TOL_MAP * scale:
         raise Aliasing(
             f"coefficient extraction disagrees between |w|={rho_sample} and "
             f"{2 * rho_sample}; map resolution insufficient")
@@ -264,10 +272,8 @@ def laurent_coefficients(m: ExteriorMap, order: int = 64,
 
 
 def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
-                       resample: int = 512, boundary_table: int = 1024,
-                       laurent_order: int = 64, rho_sample: float = 1.25,
-                       map_tol: float | None = None,
-                       rel_tol: float = REL_TOL_MAP) -> ExteriorMap:
+                       resample: int = 512,
+                       map_tol: float | None = None) -> ExteriorMap:
     """Construct the exterior map for a curve about interior basepoint t
     (default: the region centroid).
 
@@ -300,7 +306,7 @@ def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
                    b_close=chain.b_close, a_disk=chain.a_disk,
                    gauge=complex(np.conjugate(probe[best])))
 
-    th_b = 2.0 * np.pi * np.arange(boundary_table) / boundary_table
+    th_b = 2.0 * np.pi * np.arange(BOUNDARY_TABLE) / BOUNDARY_TABLE
     wb = np.exp(1j * th_b)
     zb = _chain_eval(chain, wb)
     rmse = float(np.sqrt(np.mean(distance_to_polyline(zb, work) ** 2)))
@@ -312,7 +318,7 @@ def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
     ring_vals = _chain_eval(chain, ring)
     if np.any(winding_numbers(ring_vals[::4], work) != 0):
         raise MapDiverged("points just outside the disk map inside the curve")
-    dth = 2.0 * np.pi / boundary_table
+    dth = 2.0 * np.pi / BOUNDARY_TABLE
     dvals = (np.roll(ring_vals, -1) - np.roll(ring_vals, 1)) / (2.0 * dth)
     deriv = np.abs(dvals) / np.abs(ring)
     quality = MapQuality(boundary_rmse=rmse,
@@ -322,14 +328,14 @@ def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
     m = ExteriorMap(t=complex(t), capacity=1.0, laurent=np.array([1.0 + 0j]),
                     boundary_samples=np.column_stack((wb, zb)), quality=quality,
                     chain=chain)
-    laurent = laurent_coefficients(m, laurent_order, rho_sample, rel_tol=rel_tol)
+    laurent = laurent_coefficients(m)
 
     # truncated series must reproduce the chain at |w| = 2
     w2 = 2.0 * np.exp(1j * th_b[::4])
     direct = _chain_eval(chain, w2)
     approx = _series_eval(laurent, w2)
     err = float(np.abs(direct - approx).max())
-    if err > rel_tol * float(np.abs(direct).max()):
+    if err > REL_TOL_MAP * float(np.abs(direct).max()):
         raise MapDiverged(f"Laurent truncation error {err:.3g} at |w| = 2")
 
     return ExteriorMap(t=complex(t), capacity=complex(laurent[0]),

@@ -31,6 +31,8 @@ ON_TOL_REL = 1e-9
 
 #: bound on the (query, edge) pairs a kernel holds in memory at once
 _PAIR_CHUNK = 1 << 18
+#: rejection-sampling rounds before sample_interior gives up
+MAX_SAMPLE_BATCHES = 64
 
 
 class RegionLabel(enum.Enum):
@@ -340,6 +342,19 @@ def winding_region(z: complex, curve: JordanCurve, tol_on: float | None = None) 
     return RegionLabel.BOUNDED_INSIDE if w != 0 else RegionLabel.UNBOUNDED_OUTSIDE
 
 
+def curve_gap(a: JordanCurve, b: JordanCurve) -> float:
+    """Minimal distance between two polylines (vertex-to-segment, both ways)."""
+    return float(min(distance_to_polyline(a.points, b.points).min(),
+                     distance_to_polyline(b.points, a.points).min()))
+
+
+def curves_meet(a: JordanCurve, b: JordanCurve) -> bool:
+    """Whether two polylines cross or touch: a proper crossing of two
+    segments, or a shared point (where they can cross through a vertex)."""
+    return (_segment_pairs_intersect(a.points, b.points) is not None
+            or curve_gap(a, b) == 0)
+
+
 # ---------------------------------------------------------------------------
 # annuli by polygon offsetting
 
@@ -401,7 +416,7 @@ class AnnulusSpec:
         inner_w = winding_numbers(self.inner.points, self.outer.points)
         if not np.all(inner_w == 1):
             raise OffsetCollapse("inner curve must wind once inside the outer curve")
-        if _segment_pairs_intersect(self.outer.points, self.inner.points) is not None:
+        if curves_meet(self.outer, self.inner):
             raise OffsetCollapse("inner and outer curves intersect")
         if winding_numbers([self.outer.points[0]], self.inner.points)[0] != 0:
             raise OffsetCollapse("outer curve lies inside the inner curve")
@@ -470,9 +485,6 @@ def offset_annulus(curve: JordanCurve, eps_geom: float) -> AnnulusSpec:
 
 
 def _directed(x: np.ndarray, y: np.ndarray) -> float:
-    if len(x) * len(y) <= 250_000:
-        d = np.abs(x[:, None] - y[None, :])
-        return float(d.min(axis=1).max())
     tree = cKDTree(np.column_stack((y.real, y.imag)))
     dmin, _ = tree.query(np.column_stack((x.real, x.imag)), k=1)
     return float(dmin.max())
@@ -489,13 +501,13 @@ def hausdorff_distance(x, y) -> float:
 
 
 def sample_interior(curve: JordanCurve, count: int, rng: np.random.Generator,
-                    exclude: JordanCurve | None = None, max_batches: int = 64) -> np.ndarray:
+                    exclude: JordanCurve | None = None) -> np.ndarray:
     """Seeded rejection sampling of the region inside `curve` (and outside
     `exclude` if given)."""
     lo, hi = curve.bbox
     got: list[np.ndarray] = []
     have = 0
-    for _ in range(max_batches):
+    for _ in range(MAX_SAMPLE_BATCHES):
         m = max(4 * count, 256)
         z = (rng.uniform(lo.real, hi.real, m)
              + 1j * rng.uniform(lo.imag, hi.imag, m))

@@ -1,7 +1,8 @@
-"""JSON dumps: one writer for the maps and one reader for every dump a
-command takes as input. A dumped type has a ``kind`` class attribute, which
-its dump records, and rebuilds itself with ``from_obj``; the maps (the three
-constructions and ``ExteriorMap``) also have ``to_obj``.
+"""JSON dumps: one writer for the maps, one for reports and certificates,
+and one reader for every dump a command takes as input. A dumped type has a
+``kind`` class attribute, which its dump records, and rebuilds itself with
+``from_obj``; the maps (the three constructions and ``ExteriorMap``) also
+have ``to_obj``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,14 @@ def save_dump(item, path) -> None:
     """Write ``item.to_obj()`` as indented JSON."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(item.to_obj(), fh, indent=1)
+        fh.write("\n")
+
+
+def write_json(obj: dict, path) -> None:
+    """Write obj as indented JSON with sorted keys: the report and
+    certificate format."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 

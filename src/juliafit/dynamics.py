@@ -1,4 +1,7 @@
-"""Orbit iteration and sampled escape certificates.
+"""Orbit classification and sampled escape certificates.
+
+``classify_orbits`` is the one orbit classifier: the render runs it on each
+tile of pixel centers, and nothing else iterates a map.
 
 A certificate witnesses, on dense samples, the two inequalities that justify
 finite-iteration classification: the map contracts the region inside the
@@ -13,7 +16,6 @@ records this as a sampled certificate.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
@@ -21,6 +23,7 @@ from typing import ClassVar
 import numpy as np
 
 from .curves import AnnulusSpec, distance_to_polyline, sample_interior
+from .dumps import write_json
 from .errors import NoDegreeFound, SamplingFailure
 from .shapepoly import ShapePolynomial, p_step_array
 
@@ -31,49 +34,51 @@ class OrbitStatus(enum.IntEnum):
     UNDECIDED = 2
 
 
-@dataclass(frozen=True)
-class OrbitResult:
-    status: OrbitStatus
-    iterations: int
-    final_magnitude_exponent: int
+def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
+                    capture_radius: float, max_iter: int = 200):
+    """The one orbit classifier: iterate ``kernel.step`` from every point of
+    the 1-D array z (in the kernel's shifted frame) until the orbit magnitude
+    leaves [capture_radius, escape_radius] or the budget runs out.
 
-
-def iterate(kernel, z0: complex, escape_radius: float, capture_radius: float,
-            max_iter: int = 200) -> OrbitResult:
-    """Iterate a per-pixel kernel from z0 until the orbit magnitude leaves
-    [capture_radius, escape_radius] or the budget runs out. The kernel works
-    in the shifted frame; callers shift z0 accordingly."""
-    if not (escape_radius > capture_radius > 0):
-        raise ValueError("need escape_radius > capture_radius > 0")
+    Returns uint8 OrbitStatus codes and uint32 iteration counts: 0 for a
+    start already outside the interval, the step that decided the orbit, or
+    max_iter. A step whose magnitude is NaN (indeterminate) ends the orbit
+    UNDECIDED at that step.
+    """
     log_cap = math.log2(capture_radius)
     log_esc = math.log2(escape_radius)
-    z = complex(z0)
-    lm = math.log2(abs(z)) if z != 0 else -math.inf
-    if lm < log_cap:
-        return OrbitResult(OrbitStatus.INTERIOR_CAPTURED, 0, _expo(lm))
-    if lm > log_esc:
-        return OrbitResult(OrbitStatus.ESCAPED, 0, _expo(lm))
-    buf = np.empty(1, dtype=np.complex128)
+    status = np.full(z.shape, int(OrbitStatus.UNDECIDED), dtype=np.uint8)
+    iters = np.full(z.shape, max_iter, dtype=np.uint32)
+
+    with np.errstate(divide="ignore"):
+        lm = np.log2(np.abs(z))
+    cap0 = lm < log_cap
+    esc0 = lm > log_esc
+    status[cap0] = int(OrbitStatus.INTERIOR_CAPTURED)
+    status[esc0] = int(OrbitStatus.ESCAPED)
+    iters[cap0 | esc0] = 0
+
+    active = np.flatnonzero(~(cap0 | esc0))
+    cur = z[active]
     for m in range(1, max_iter + 1):
-        buf[0] = z
-        vals, log2m = kernel.step(buf)
-        lm = float(log2m[0])
-        if math.isnan(lm):
-            return OrbitResult(OrbitStatus.UNDECIDED, m, 0)
-        if lm < log_cap:
-            return OrbitResult(OrbitStatus.INTERIOR_CAPTURED, m, _expo(lm))
-        if lm > log_esc:
-            return OrbitResult(OrbitStatus.ESCAPED, m, _expo(lm))
-        z = complex(vals[0])
-    return OrbitResult(OrbitStatus.UNDECIDED, max_iter, _expo(lm))
-
-
-def _expo(log2m: float) -> int:
-    if log2m == -math.inf:
-        return -(2 ** 30)
-    if log2m == math.inf:
-        return 2 ** 30
-    return int(round(log2m))
+        if active.size == 0:
+            break
+        vals, lm = kernel.step(cur)
+        bad = np.isnan(lm)
+        cap = lm < log_cap
+        esc = lm > log_esc
+        done = bad | cap | esc
+        if done.any():
+            status[active[cap]] = int(OrbitStatus.INTERIOR_CAPTURED)
+            status[active[esc]] = int(OrbitStatus.ESCAPED)
+            # indeterminate points keep UNDECIDED status (boundary)
+            iters[active[done]] = m
+            keep = ~done
+            active = active[keep]
+            cur = vals[keep]
+        else:
+            cur = vals
+    return status, iters
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +218,4 @@ def save_certificate(cert, path, config: dict | None = None) -> None:
     obj["escape_radius"] = cert.escape_radius
     if config is not None:
         obj["config"] = config
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(obj, path)

@@ -26,8 +26,15 @@ from typing import ClassVar
 
 import numpy as np
 
-from .curves import AnnulusSpec, JordanCurve, distance_to_polyline, sample_interior, winding_numbers
-from .curves import _segment_pairs_intersect
+from .curves import (
+    AnnulusSpec,
+    JordanCurve,
+    curve_gap,  # noqa: F401 (traced as rational.curve_gap by perfbench)
+    curves_meet,
+    distance_to_polyline,
+    sample_interior,
+    winding_numbers,
+)
 from .dynamics import Certificate
 from .errors import BadBasepoint, GeometryRejected
 from .shapepoly import (
@@ -115,7 +122,7 @@ class AnnulusSystem:
     def __post_init__(self):
         if self.xi <= 0:
             raise GeometryRejected("curves of the annulus must be disjoint")
-        if _curves_meet(self.outer_band.inner, self.inner_band.outer):
+        if curves_meet(self.outer_band.inner, self.inner_band.outer):
             raise GeometryRejected("offset bands of the two curves overlap")
 
     @property
@@ -166,30 +173,17 @@ def _band_from_obj(obj: dict) -> AnnulusSpec:
                        width_hint=float(obj["width_hint"]))
 
 
-def _curves_meet(a: JordanCurve, b: JordanCurve) -> bool:
-    """Whether two polylines cross or touch: a proper crossing of two
-    segments, or a shared point (where they can cross through a vertex)."""
-    return (_segment_pairs_intersect(a.points, b.points) is not None
-            or curve_gap(a, b) == 0)
-
-
 def validate_mutually_exterior(annuli: list[AnnulusSpec]) -> None:
     """Every annulus (with its inside) must avoid every other: outer curves
     pairwise disjoint and never nested."""
     for i in range(len(annuli)):
         for j in range(i + 1, len(annuli)):
             a, b = annuli[i].outer, annuli[j].outer
-            if _curves_meet(a, b):
+            if curves_meet(a, b):
                 raise GeometryRejected(f"annuli {i} and {j} intersect")
             if winding_numbers([b.points[0]], a.points)[0] != 0 \
                     or winding_numbers([a.points[0]], b.points)[0] != 0:
                 raise GeometryRejected(f"annuli {i} and {j} are nested")
-
-
-def curve_gap(a: JordanCurve, b: JordanCurve) -> float:
-    """Minimal distance between two polylines (vertex-to-segment, both ways)."""
-    return float(min(distance_to_polyline(a.points, b.points).min(),
-                     distance_to_polyline(b.points, a.points).min()))
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +307,15 @@ def certify_multi(system: MultiShapeSystem, annuli: list[AnnulusSpec],
     """Sampled certificate: |Omega| < b across every inner region, |Omega| > B
     on every outer boundary; b and B must satisfy the geometric product
     conditions (b * sup|inside| < contraction ball, B * inf|outside| >
-    sup|bands|)."""
+    sup|bands|).
+
+    The annuli must already have passed ``validate_mutually_exterior``; the
+    degree search calls this once per degree, so it does not check again.
+    """
     if not (B > b > 0):
         raise GeometryRejected(f"need B > b > 0, got b={b}, B={B}")
     if len(annuli) != system.m:
         raise GeometryRejected("one annulus per shape required")
-    validate_mutually_exterior(annuli)
     rho, sup_in, inf_out, sup_bands = system_geometry(annuli)
     if not (b * sup_in < rho):
         raise GeometryRejected(

@@ -2,12 +2,13 @@
 
 A render classifies every pixel center by orbit fate (captured near the
 origin, escaped beyond the certified radius, or undecided at the iteration
-budget). Work is split into row tiles; each tile is computed independently,
-so worker count changes timing but never bytes. Verification compares the
-rendered sets against sampled targets in Hausdorff distance, clipping the
-unbounded side to the render bbox; undecided pixels count as boundary, and
-the one-pixel thickness of a rasterized boundary is absorbed by adding one
-pixel diagonal to the tolerance.
+budget) with ``dynamics.classify_orbits``, the one orbit classifier. Work is
+split into row tiles; each tile is computed independently, so worker count
+changes timing but never bytes. Verification compares the rendered sets
+against sampled targets in Hausdorff distance (``curves.hausdorff_distance``
+for the boundary), clipping the unbounded side to the render bbox; undecided
+pixels count as boundary, and the one-pixel thickness of a rasterized
+boundary is absorbed by adding one pixel diagonal to the tolerance.
 """
 
 from __future__ import annotations
@@ -22,13 +23,14 @@ from typing import ClassVar
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
-from scipy.spatial import cKDTree
 
-from .curves import JordanCurve, winding_numbers
-from .dynamics import OrbitStatus
+from .curves import JordanCurve, hausdorff_distance, winding_numbers
+from .dynamics import OrbitStatus, classify_orbits
 from .errors import BboxTooSmall, EmptySet, MonochromeField
 
 TILE_ROWS = 16
+#: samples per target curve in the Hausdorff check
+CURVE_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -115,51 +117,16 @@ def _dilate4(mask: np.ndarray) -> np.ndarray:
 # rendering
 
 
-def _tile_coords(bbox, width, height, row0, nrows):
+def _render_tile(kernel, bbox, width, height, row0, nrows,
+                 escape_radius, capture_radius, max_iter, frame_shift):
     lo, hi = bbox
     dx = (hi.real - lo.real) / width
     dy = (hi.imag - lo.imag) / height
     xs = lo.real + (np.arange(width) + 0.5) * dx
     ys = hi.imag - (np.arange(row0, row0 + nrows) + 0.5) * dy
-    return (xs[None, :] + 1j * ys[:, None]).reshape(-1)
-
-
-def _render_tile(kernel, bbox, width, height, row0, nrows,
-                 escape_radius, capture_radius, max_iter, frame_shift):
-    z = _tile_coords(bbox, width, height, row0, nrows) - frame_shift
-    log_cap = math.log2(capture_radius)
-    log_esc = math.log2(escape_radius)
-    status = np.full(z.shape, int(OrbitStatus.UNDECIDED), dtype=np.uint8)
-    iters = np.full(z.shape, max_iter, dtype=np.uint32)
-
-    with np.errstate(divide="ignore"):
-        lm = np.log2(np.abs(z))
-    cap0 = lm < log_cap
-    esc0 = lm > log_esc
-    status[cap0] = int(OrbitStatus.INTERIOR_CAPTURED)
-    status[esc0] = int(OrbitStatus.ESCAPED)
-    iters[cap0 | esc0] = 0
-
-    active = np.flatnonzero(~(cap0 | esc0))
-    cur = z[active]
-    for m in range(1, max_iter + 1):
-        if active.size == 0:
-            break
-        vals, lm = kernel.step(cur)
-        bad = np.isnan(lm)
-        cap = lm < log_cap
-        esc = lm > log_esc
-        done = bad | cap | esc
-        if done.any():
-            status[active[cap]] = int(OrbitStatus.INTERIOR_CAPTURED)
-            status[active[esc]] = int(OrbitStatus.ESCAPED)
-            # indeterminate points keep UNDECIDED status (boundary)
-            iters[active[done]] = m
-            keep = ~done
-            active = active[keep]
-            cur = vals[keep]
-        else:
-            cur = vals
+    z = (xs[None, :] + 1j * ys[:, None]).reshape(-1) - frame_shift
+    status, iters = classify_orbits(kernel, z, escape_radius, capture_radius,
+                                    max_iter)
     return status.reshape(nrows, width), iters.reshape(nrows, width)
 
 
@@ -239,16 +206,6 @@ def _mask_hausdorff(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> float
     return max(d_ab, d_ba)
 
 
-def _point_hausdorff(x: np.ndarray, y: np.ndarray) -> float:
-    if len(x) == 0 or len(y) == 0:
-        return math.inf
-    ty = cKDTree(np.column_stack((y.real, y.imag)))
-    tx = cKDTree(np.column_stack((x.real, x.imag)))
-    d_xy = float(ty.query(np.column_stack((x.real, x.imag)), k=1)[0].max())
-    d_yx = float(tx.query(np.column_stack((y.real, y.imag)), k=1)[0].max())
-    return max(d_xy, d_yx)
-
-
 def _check_bbox(field: EscapeField, curves, delta: float) -> None:
     lo, hi = field.bbox
     for c in curves:
@@ -268,15 +225,14 @@ def _verify(field: EscapeField, inside_mask: np.ndarray, curve_samples: np.ndarr
     d_l = _mask_hausdorff(~inside_mask, l_mask, dx, dy)
     jb_mask = field.boundary_mask()
     centers = field.pixel_centers()
-    d_j = _point_hausdorff(curve_samples, centers[jb_mask]) if jb_mask.any() else math.inf
+    d_j = hausdorff_distance(curve_samples, centers[jb_mask]) if jb_mask.any() else math.inf
     tol = delta + field.pixel_diag
     passed = bool(d_k < tol and d_j < tol and d_l < tol)
     return HausdorffReport(d_K=d_k, d_J=d_j, d_L=d_l, delta=delta,
                            pixel_diag=field.pixel_diag, passed=passed)
 
 
-def verify_hausdorff(field: EscapeField, curves, delta: float, *,
-                     curve_samples: int = 4096) -> HausdorffReport:
+def verify_hausdorff(field: EscapeField, curves, delta: float) -> HausdorffReport:
     """Compare the rendered sets with the regions of one or more disjoint
     curves: captured vs. union of insides, escaped vs. the clipped outside,
     boundary pixels vs. the curves themselves. Passes when all three
@@ -291,13 +247,12 @@ def verify_hausdorff(field: EscapeField, curves, delta: float, *,
     inside = np.zeros(flat.shape, dtype=bool)
     for c in curves:
         inside |= winding_numbers(flat, c.points) != 0
-    samples = np.concatenate([c.boundary_samples(curve_samples) for c in curves])
+    samples = np.concatenate([c.boundary_samples(CURVE_SAMPLES) for c in curves])
     return _verify(field, inside.reshape(centers.shape), samples, delta)
 
 
 def verify_hausdorff_annulus(field: EscapeField, outer: JordanCurve,
-                             inner: JordanCurve, delta: float, *,
-                             curve_samples: int = 4096) -> HausdorffReport:
+                             inner: JordanCurve, delta: float) -> HausdorffReport:
     """Annulus variant: the target bounded set is the closed band between the
     two curves, and both curves together form the target boundary."""
     _check_bbox(field, [outer, inner], delta)
@@ -305,8 +260,8 @@ def verify_hausdorff_annulus(field: EscapeField, outer: JordanCurve,
     flat = centers.reshape(-1)
     band = (winding_numbers(flat, outer.points) != 0) \
         & (winding_numbers(flat, inner.points) == 0)
-    samples = np.concatenate([outer.boundary_samples(curve_samples),
-                              inner.boundary_samples(curve_samples)])
+    samples = np.concatenate([outer.boundary_samples(CURVE_SAMPLES),
+                              inner.boundary_samples(CURVE_SAMPLES)])
     return _verify(field, band.reshape(centers.shape), samples, delta)
 
 
@@ -314,11 +269,9 @@ def verify_hausdorff_annulus(field: EscapeField, outer: JordanCurve,
 # images and dumps
 
 
-def write_image(field: EscapeField, path, palette: str = "gray") -> None:
+def write_image(field: EscapeField, path) -> None:
     """Binary portable graymap, bit-exact: interior 0, boundary 128, exterior
     255 - min(iterations, 126) (fast escapes brightest)."""
-    if palette != "gray":
-        raise ValueError(f"unsupported palette {palette!r}")
     boundary = field.boundary_mask()
     img = np.zeros((field.height, field.width), dtype=np.uint8)
     esc = field.escaped_mask & ~boundary

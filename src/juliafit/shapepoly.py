@@ -30,6 +30,10 @@ EXP_CAP = 2 ** 30
 #: |exponent| below which values are materialized as ordinary complex numbers
 #: (any cutoff >= 54 yields bit-identical results; 128 leaves headroom)
 _MID = 128
+#: select_epsilon tries the inflations 2**-1 ... 2**-EPS_HALVINGS, each on
+#: EPS_SAMPLES points of the inflated circle
+EPS_HALVINGS = 20
+EPS_SAMPLES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +174,19 @@ def _check_distinct(roots: np.ndarray) -> None:
         raise DuplicateRoots(f"roots {i} and {j} coincide (map degeneracy)")
 
 
-def select_epsilon(m: ExteriorMap, annulus: AnnulusSpec, *,
-                   max_halvings: int = 20, samples: int = 4096) -> float:
+def select_epsilon(m: ExteriorMap, annulus: AnnulusSpec) -> float:
     """Largest inflation from the halving schedule 1/2, 1/4, ... whose image
     circle stays strictly inside the annulus band. The annulus must be given
     in the map's output frame (source curve minus t)."""
-    th = 2.0 * np.pi * np.arange(samples) / samples
+    th = 2.0 * np.pi * np.arange(EPS_SAMPLES) / EPS_SAMPLES
     ring = np.exp(1j * th)
-    for k in range(1, max_halvings + 1):
+    for k in range(1, EPS_HALVINGS + 1):
         eps = 2.0 ** -k
         pts = evaluate_map(m, (1.0 + eps) * ring)
         if np.all(annulus.strictly_in_band(pts)):
             return eps
     raise NoEpsilon(
-        f"no inflation down to 2**-{max_halvings} stays inside the annulus "
+        f"no inflation down to 2**-{EPS_HALVINGS} stays inside the annulus "
         "(map quality or annulus width insufficient)")
 
 

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+import juliafit
 from juliafit.cli import main
-from juliafit.shapes import make_figure_eight, write_curve_file
+from juliafit.shapes import make_figure_eight, make_square, write_curve_file
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +232,18 @@ def test_annulus_default_delta(fixture_dir, tmp_path):
     assert rc == 0
 
 
+def test_annulus_crossing_curves_rejected(tmp_path, capsys):
+    # the inner square crosses the outer one's right edge between vertices,
+    # so the curves are a positive distance apart at every vertex
+    outer, inner = tmp_path / "outer.txt", tmp_path / "inner.txt"
+    write_curve_file(make_square(2.0, -1.0 - 1.0j), outer)
+    write_curve_file(make_square(1.0, 0.3 - 0.45j), inner)
+    rc = main(["annulus", str(outer), str(inner), "--delta", "0.3",
+               "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "annulus curves cross or touch" in capsys.readouterr().err
+
+
 def test_annulus_basepoint_in_inner_disk(fixture_dir, tmp_path):
     rc = main(["annulus", str(fixture_dir / "ring_outer.txt"),
                str(fixture_dir / "ring_inner.txt"),
@@ -240,19 +253,28 @@ def test_annulus_basepoint_in_inner_disk(fixture_dir, tmp_path):
 
 
 def test_console_entry_point(fixture_dir, tmp_path):
+    # the child imports the package from where this process found it, which
+    # pytest's pythonpath setting does not pass on
+    src = os.path.dirname(os.path.dirname(juliafit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "juliafit.cli", "build",
          str(fixture_dir / "circle.txt"), "--n", "64", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (tmp_path / "shape.json").exists()
 
 
-@pytest.mark.parametrize("command", ["rational", "annulus"])
-def test_system_dump_read_once(command, fixture_dir, tmp_path, monkeypatch):
+def _pair_args(command, fixture_dir):
     names = {"rational": ("circle_left", "circle_right"),
              "annulus": ("ring_outer", "ring_inner")}[command]
-    files = [str(fixture_dir / f"{n}.txt") for n in names]
+    return [str(fixture_dir / f"{n}.txt") for n in names]
+
+
+@pytest.mark.parametrize("command", ["rational", "annulus"])
+def test_system_dump_read_once(command, fixture_dir, tmp_path, monkeypatch):
+    files = _pair_args(command, fixture_dir)
     built = tmp_path / "built"
     assert main([command, *files, "--delta", "0.3", "--n", "256",
                  "--epsilon", "0.015625", "--grid", "64", "--out", str(built)]) == 0
@@ -270,12 +292,44 @@ def test_system_dump_read_once(command, fixture_dir, tmp_path, monkeypatch):
               "--out", str(tmp_path / "verify")]
     for f in files:
         verify += ["--curve", f]
-    if command == "annulus":
-        verify.append("--annulus")
     assert main(verify) == 0
     assert len(reads) == 1
     assert main(["render", dump, "--grid", "64", "--out", str(tmp_path / "render")]) == 0
     assert len(reads) == 2
+
+
+def test_verify_annulus_dump_curves_in_either_order(fixture_dir, tmp_path):
+    files = _pair_args("annulus", fixture_dir)
+    built = tmp_path / "built"
+    assert main(["annulus", *files, "--delta", "0.3", "--n", "256",
+                 "--epsilon", "0.015625", "--grid", "64", "--out", str(built)]) == 0
+    for order in (files, files[::-1]):
+        out = tmp_path / "verify"
+        argv = ["verify", str(built / "system.json"), "--delta", "0.3",
+                "--grid", "64", "--out", str(out)]
+        for f in order:
+            argv += ["--curve", f]
+        assert main(argv) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["pass"] is True
+        assert "annulus" not in report["config"]
+
+
+def test_rational_validates_annuli_once(fixture_dir, tmp_path, monkeypatch):
+    from juliafit import rational
+
+    calls = []
+    real = rational.validate_mutually_exterior
+
+    def counting(annuli):
+        calls.append(len(annuli))
+        return real(annuli)
+
+    monkeypatch.setattr(rational, "validate_mutually_exterior", counting)
+    assert main(["rational", *_pair_args("rational", fixture_dir), "--delta", "0.3",
+                 "--n", "256", "--epsilon", "0.015625", "--grid", "64",
+                 "--out", str(tmp_path)]) == 0
+    assert calls == [2]
 
 
 def _malformed_dump(case, shape):

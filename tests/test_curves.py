@@ -9,6 +9,7 @@ from juliafit.curves import (
     AnnulusSpec,
     JordanCurve,
     RegionLabel,
+    curve_gap,
     hausdorff_distance,
     load_curve,
     offset_annulus,
@@ -228,6 +229,20 @@ def test_annulus_requires_nesting():
     with pytest.raises(OffsetCollapse):
         AnnulusSpec(outer=make_circle(1.0), inner=make_circle(1.0, center=5.0),
                     width_hint=0.1)
+
+
+def test_annulus_rejects_inner_curve_touching_outer():
+    # a diamond inside the unit square whose bottom vertex 0.5+0j lies on the
+    # square's bottom edge: no two segments cross properly, but the curves
+    # share that point
+    corners = 0.5 + 0.25j + 0.25 * 1j ** np.arange(5)
+    t = np.arange(4) / 4
+    diamond = JordanCurve.from_points(np.concatenate(
+        [a + (b - a) * t for a, b in zip(corners[:-1], corners[1:])]))
+    assert len(diamond.points) == 16 and 0.5 + 0j in diamond.points
+    assert curve_gap(make_square(), diamond) == 0.0
+    with pytest.raises(OffsetCollapse):
+        AnnulusSpec(outer=make_square(), inner=diamond, width_hint=0.1)
 
 
 def test_annulus_classify_partition():
