@@ -190,13 +190,32 @@ def _chain_pullback(chain: _Chain, u: np.ndarray) -> np.ndarray:
     zeta = (a - u * np.conjugate(a)) / (1.0 - u)
     s = 1j * np.sqrt(zeta)
     zeta = s * chain.b_close / (chain.b_close + s)
+    # Each stage computes u2 = zeta * sqrt(1 - (c/zeta)**2) (u2 = i*c where
+    # zeta = 0), then zeta = u2 * b / (b + u2), into work buffers allocated
+    # once, with the operands in that order. No ufunc writes into one of its
+    # own operands: for short arrays NumPy runs a complex product whose
+    # output aliases an input through another loop, whose last bits differ
+    # from those of the unaliased product.
+    u2, ratio, tmp = (np.empty_like(zeta) for _ in range(3))
     for c, b in zip(chain.cs[::-1], chain.bs[::-1]):
-        ratio = np.zeros_like(zeta)
-        nz = zeta != 0
-        ratio[nz] = c / zeta[nz]
-        u2 = zeta * np.sqrt(1.0 - ratio * ratio)
-        u2[~nz] = 1j * c
-        zeta = u2 * b / (b + u2) if math.isfinite(b) else u2
+        zero = None if zeta.all() else zeta == 0
+        if zero is None:
+            np.divide(c, zeta, out=ratio)
+        else:
+            ratio.fill(0)
+            ratio[~zero] = c / zeta[~zero]
+        np.multiply(ratio, ratio, out=tmp)
+        np.subtract(1.0, tmp, out=ratio)
+        np.sqrt(ratio, out=tmp)
+        np.multiply(zeta, tmp, out=u2)
+        if zero is not None:
+            u2[zero] = 1j * c
+        if math.isfinite(b):
+            np.multiply(u2, b, out=tmp)
+            np.add(b, u2, out=ratio)
+            np.divide(tmp, ratio, out=zeta)
+        else:
+            zeta, u2 = u2, zeta
     q = -zeta * zeta
     return (chain.z1 - q * chain.z0) / (1.0 - q)
 

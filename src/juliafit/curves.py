@@ -149,13 +149,15 @@ def distance_to_polyline(z, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None):
+def _segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None,
+                             touch: bool = False):
     """First properly-intersecting segment pair (i, j), lowest i then lowest
-    j, or None.
+    j, or None. With touch, a pair also counts when an endpoint of one
+    segment lies on the other (a vertex on a non-adjacent edge).
 
     With one argument, tests the closed polyline against itself (adjacent
     segments and shared endpoints excluded); the pair then has i < j. With
-    two, tests all cross pairs. Segments can only cross where their y-ranges
+    two, tests all cross pairs. Segments can only meet where their y-ranges
     overlap, so only those pairs are tested: each segment is paired with the
     segments whose lower end lies within its y-range.
     """
@@ -170,6 +172,12 @@ def _segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None
     def orient(p, q, r):
         return ((q.real - p.real) * (r.imag - p.imag)
                 - (q.imag - p.imag) * (r.real - p.real))
+
+    def on(d, p, q, r):
+        # r collinear with segment pq (d = orient(p, q, r)) and inside its box
+        return ((d == 0)
+                & (np.minimum(p.real, q.real) <= r.real) & (r.real <= np.maximum(p.real, q.real))
+                & (np.minimum(p.imag, q.imag) <= r.imag) & (r.imag <= np.maximum(p.imag, q.imag)))
 
     def starts_within(lo, hi, starts):
         order = np.argsort(starts)
@@ -189,11 +197,15 @@ def _segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None
         if other is None:
             # the test is symmetric in its two segments
             i, j = np.minimum(i, j), np.maximum(i, j)
-        d1 = orient(a1[i], b1[i], a2[j])
-        d2 = orient(a1[i], b1[i], b2[j])
-        d3 = orient(a2[j], b2[j], a1[i])
-        d4 = orient(a2[j], b2[j], b1[i])
+        p1, q1, p2, q2 = a1[i], b1[i], a2[j], b2[j]
+        d1 = orient(p1, q1, p2)
+        d2 = orient(p1, q1, q2)
+        d3 = orient(p2, q2, p1)
+        d4 = orient(p2, q2, q1)
         hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+        if touch:
+            hit |= (on(d1, p1, q1, p2) | on(d2, p1, q1, q2)
+                    | on(d3, p2, q2, p1) | on(d4, p2, q2, q1))
         if other is None:
             hit &= (i != j) & ((i + 1) % n1 != j) & ((j + 1) % n1 != i)
         if hit.any():
@@ -257,7 +269,7 @@ class JordanCurve:
         if area < 0.0:
             pts = pts[::-1].copy()
         if check_simple:
-            bad = _segment_pairs_intersect(pts)
+            bad = _segment_pairs_intersect(pts, touch=True)
             if bad is not None:
                 raise NotSimple(*bad)
         return cls(points=pts)

@@ -56,11 +56,12 @@ def built_shapes():
         ann_t = ann.translated(-t)
         p = curve_t.centroid
         m = build_exterior_map(curve_t, p)
-        eps = select_epsilon(m, ann_t.translated(-p))
+        band = ann_t.translated(-p)
+        eps = select_epsilon(m, band)
 
         def build(n, m=m, eps=eps, t=t, p=p):
             return sample_roots(m, eps, n, t=t, frame_offset=p)
 
         out[name] = {"curve": curve, "t": t, "annulus": ann, "annulus_t": ann_t,
-                     "map": m, "epsilon": eps, "build": build}
+                     "map": m, "band": band, "epsilon": eps, "build": build}
     return out

@@ -5,6 +5,10 @@ kernels learned to skip (query, edge) pairs that cannot affect the answer.
 They compare every query against every edge, so the fast kernels must equal
 them bit for bit.
 
+Conformal map: the slit-map pullback as it was before it reused its work
+buffers, and the inflation search that evaluates every ring point of every
+inflation it tries. The fast versions must return the same bits.
+
 Dynamics: the scalar scaled-complex arithmetic that `juliafit.shapepoly` and
 `juliafit.rational` evaluated single points with before all evaluation went
 through the array kernels. It renormalizes after every product and works on
@@ -18,9 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from juliafit.errors import Indeterminate
+from juliafit.conformal import evaluate_map
+from juliafit.errors import Indeterminate, NoEpsilon
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
-from juliafit.shapepoly import EXP_CAP, EscapedLarge, ShapePolynomial
+from juliafit.shapepoly import EPS_HALVINGS, EPS_SAMPLES, EXP_CAP, EscapedLarge, ShapePolynomial
 
 _CHUNK = 4096
 
@@ -63,7 +68,8 @@ def distance_to_polyline(z, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None):
+def segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None,
+                            touch: bool = False):
     a1 = points
     b1 = np.roll(points, -1)
     if other is None:
@@ -76,6 +82,11 @@ def segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None)
         return ((q.real - p.real) * (r.imag - p.imag)
                 - (q.imag - p.imag) * (r.real - p.real))
 
+    def on(d, p, q, r):
+        return ((d == 0)
+                & (np.minimum(p.real, q.real) <= r.real) & (r.real <= np.maximum(p.real, q.real))
+                & (np.minimum(p.imag, q.imag) <= r.imag) & (r.imag <= np.maximum(p.imag, q.imag)))
+
     for lo in range(0, n1, 512):
         hi = min(lo + 512, n1)
         A1 = a1[lo:hi, None]
@@ -85,6 +96,9 @@ def segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None)
         d3 = orient(a2[None, :], b2[None, :], A1)
         d4 = orient(a2[None, :], b2[None, :], B1)
         hit = (d1 * d2 < 0) & (d3 * d4 < 0)
+        if touch:
+            hit |= (on(d1, A1, B1, a2[None, :]) | on(d2, A1, B1, b2[None, :])
+                    | on(d3, a2[None, :], b2[None, :], A1) | on(d4, a2[None, :], b2[None, :], B1))
         if other is None:
             i_idx = np.arange(lo, hi)[:, None]
             j_idx = np.arange(n2)[None, :]
@@ -94,6 +108,40 @@ def segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None)
             i, j = np.argwhere(hit)[0]
             return int(i + lo), int(j)
     return None
+
+
+# ---------------------------------------------------------------------------
+# conformal map
+
+
+def chain_pullback(chain, u: np.ndarray) -> np.ndarray:
+    """Map points of the closed unit disk back to the inverted-plane region."""
+    a = chain.a_disk
+    zeta = (a - u * np.conjugate(a)) / (1.0 - u)
+    s = 1j * np.sqrt(zeta)
+    zeta = s * chain.b_close / (chain.b_close + s)
+    for c, b in zip(chain.cs[::-1], chain.bs[::-1]):
+        ratio = np.zeros_like(zeta)
+        nz = zeta != 0
+        ratio[nz] = c / zeta[nz]
+        u2 = zeta * np.sqrt(1.0 - ratio * ratio)
+        u2[~nz] = 1j * c
+        zeta = u2 * b / (b + u2) if math.isfinite(b) else u2
+    q = -zeta * zeta
+    return (chain.z1 - q * chain.z0) / (1.0 - q)
+
+
+def select_epsilon(m, annulus) -> float:
+    """Largest inflation from the halving schedule 1/2, 1/4, ... whose image
+    circle, all EPS_SAMPLES points of it, stays strictly inside the band."""
+    th = 2.0 * np.pi * np.arange(EPS_SAMPLES) / EPS_SAMPLES
+    ring = np.exp(1j * th)
+    for k in range(1, EPS_HALVINGS + 1):
+        eps = 2.0 ** -k
+        pts = evaluate_map(m, (1.0 + eps) * ring)
+        if np.all(annulus.strictly_in_band(pts)):
+            return eps
+    raise NoEpsilon(f"no inflation down to 2**-{EPS_HALVINGS} stays inside the annulus")
 
 
 # ---------------------------------------------------------------------------

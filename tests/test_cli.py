@@ -57,6 +57,17 @@ def test_build_figure_eight_exits_not_simple(tmp_path):
     assert rc == 3
 
 
+def test_build_pinched_polygon_exits_not_simple(tmp_path, capsys):
+    # vertex 0.5 lies on the non-adjacent edge from 0 to 1; the curve is
+    # rejected on loading, before its offsets are taken
+    p = tmp_path / "pinched.txt"
+    write_curve_file(np.array([0, 1, 1 + 1j, 0.6 + 1j, 0.5 + 0j, 0.4 + 1j, 1j,
+                               0.2 + 0.5j, 0.1 + 0.2j]), p)
+    rc = main(["build", str(p), "--out", str(tmp_path)])
+    assert rc == 3
+    assert "[NOT_SIMPLE]" in capsys.readouterr().err
+
+
 def test_build_missing_file_exits_io(tmp_path):
     rc = main(["build", str(tmp_path / "nope.txt"), "--out", str(tmp_path)])
     assert rc == 6

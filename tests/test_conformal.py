@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from juliafit.conformal import (
     ExteriorMap,
+    _chain_pullback,
     build_exterior_map,
     evaluate_map,
     laurent_coefficients,
 )
 from juliafit.dumps import load_dump, save_dump
 from juliafit.errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
-from juliafit.shapes import make_blob, make_circle, make_ellipse, make_square
+from juliafit.shapes import FIXTURES, make_blob, make_circle, make_ellipse, make_square
 
 # logarithmic capacity of a square per unit side: Gamma(1/4)^2 / (4 pi^(3/2))
 SQUARE_CAPACITY = 0.5901702995080481
@@ -181,3 +185,38 @@ def test_loaded_map_evaluates(ellipse_map, tmp_path):
     for r in (1.0, 1.0625, 2.0):
         w = r * np.exp(1j * th)
         assert np.abs(evaluate_map(m2, w) - evaluate_map(ellipse_map, w)).max() < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the buffer-reusing pullback against the allocating one
+
+
+def assert_pullback_exact(chain, u):
+    got = _chain_pullback(chain, u)
+    want = oracles.chain_pullback(chain, u)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(FIXTURES)), size=st.sampled_from([1, 2, 7, 512, 4096]),
+       seed=st.integers(0, 2**32 - 1))
+def test_chain_pullback_matches_oracle(built_shapes, name, size, seed):
+    chain = built_shapes[name]["map"].chain
+    rng = np.random.default_rng(seed)
+    u = np.sqrt(rng.uniform(0.0, 1.0, size)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+    kind = rng.integers(0, 3, size)
+    # boundary evaluations pull |u| = 1 in to 1 - 1e-12
+    u[kind == 1] *= (1.0 - 1e-12) / np.abs(u[kind == 1])
+    # the preimage of the inversion center: zeta is 0 on some chains
+    u[kind == 2] = chain.a_disk / np.conjugate(chain.a_disk)
+    assert_pullback_exact(chain, u)
+
+
+@pytest.mark.parametrize("name", ["ellipse", "blob"])
+def test_chain_pullback_zero_branch(built_shapes, name):
+    chain = built_shapes[name]["map"].chain
+    a = chain.a_disk
+    u = np.array([a / np.conjugate(a), 0.5j, a / np.conjugate(a)])
+    assert (a - u[0] * np.conjugate(a)) == 0     # the first stage sees zeta = 0
+    for size in (1, 2, 3):
+        assert_pullback_exact(chain, u[:size])

@@ -196,6 +196,8 @@ def test_segment_pairs_match_oracle_random(seed, n):
     if seed % 3 == 0:
         points = np.round(points, 1)        # shared coordinates and collinear runs
     assert _segment_pairs_intersect(points) == oracles.segment_pairs_intersect(points)
+    assert (_segment_pairs_intersect(points, touch=True)
+            == oracles.segment_pairs_intersect(points, touch=True))
     other = rng.normal(size=n // 2 + 2) + 1j * rng.normal(size=n // 2 + 2)
     assert (_segment_pairs_intersect(points, other)
             == oracles.segment_pairs_intersect(points, other))

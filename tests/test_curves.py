@@ -57,6 +57,17 @@ def test_figure_eight_not_simple():
     assert i != j
 
 
+#: vertex 4 (0.5) lies on edge 0 (from 0 to 1): no proper crossing, but the
+#: polygon pinches there into two loops
+PINCHED = np.array([0, 1, 1 + 1j, 0.6 + 1j, 0.5 + 0j, 0.4 + 1j, 1j, 0.2 + 0.5j, 0.1 + 0.2j])
+
+
+def test_vertex_on_edge_not_simple():
+    with pytest.raises(NotSimple) as exc:
+        JordanCurve.from_points(PINCHED)
+    assert exc.value.segments == (0, 3)
+
+
 def test_too_few_points():
     with pytest.raises(TooFewPoints):
         load_curve(io.StringIO("0 0\n1 0\n1 1\n0 1"))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from juliafit.curves import AnnulusSpec, winding_numbers
+from juliafit import shapepoly
+from juliafit.curves import AnnulusSpec, offset_annulus, winding_numbers
 from juliafit.dumps import load_dump, save_dump
-from juliafit.errors import DuplicateRoots, NoEpsilon
+from juliafit.errors import DuplicateRoots, NoEpsilon, OffsetCollapse
 from juliafit.shapepoly import (
+    EPS_COARSE,
+    EPS_SAMPLES,
     EscapedLarge,
     ShapePolynomial,
     eval_P,
@@ -256,9 +260,76 @@ def test_select_epsilon_generous_ellipse(ellipse_map):
 
 def test_select_epsilon_hairline_annulus(circle_map):
     ann = AnnulusSpec(outer=make_circle(1.0 + 1e-9), inner=make_circle(1.0 - 1e-9),
-                      width_hint=2e-9)
-    with pytest.raises(NoEpsilon):
-        select_epsilon(circle_map, ann.translated(-circle_map.t))
+                      width_hint=2e-9).translated(-circle_map.t)
+    for search in (select_epsilon, oracles.select_epsilon):
+        with pytest.raises(NoEpsilon):
+            search(circle_map, ann)
+
+
+def test_select_epsilon_matches_full_ring_search(built_shapes):
+    for name, data in built_shapes.items():
+        assert select_epsilon(data["map"], data["band"]) == \
+            oracles.select_epsilon(data["map"], data["band"]), name
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.floats(0.0002, 0.1))
+def test_select_epsilon_matches_full_ring_search_on_offsets(built_shapes, rel):
+    # the band of the blob at other offset distances: a narrower band takes
+    # more halvings (2**-14 at 0.0002 times the diameter)
+    data = built_shapes["blob"]
+    curve = data["curve"]
+    shift = -data["t"] - data["map"].t
+    try:
+        band = offset_annulus(curve, rel * curve.diameter).translated(shift)
+    except OffsetCollapse:
+        return
+    try:
+        want = oracles.select_epsilon(data["map"], band)
+    except NoEpsilon:
+        with pytest.raises(NoEpsilon):
+            select_epsilon(data["map"], band)
+        return
+    assert select_epsilon(data["map"], band) == want
+
+
+def test_select_epsilon_screens_coarse_first(built_shapes, monkeypatch):
+    data = built_shapes["blob"]
+    points = []
+    real = shapepoly.evaluate_map
+
+    def counting(m, w):
+        points.append(np.size(w))
+        return real(m, w)
+
+    monkeypatch.setattr(shapepoly, "evaluate_map", counting)
+    eps = select_epsilon(data["map"], data["band"])
+    assert eps == data["epsilon"]
+    tried = round(-math.log2(eps))
+    assert sum(points) <= EPS_SAMPLES + tried * EPS_SAMPLES // EPS_COARSE
+
+
+#: sha256 over each built fixture map's Laurent series and boundary table,
+#: its inflation and its roots at n = 64; a chain-kernel change that moves a
+#: bit of the map or of the search changes it
+FIXTURE_DIGESTS = {
+    "circle": "eb549f0e6ad994d65d4d9be7cc13fc1894295676b93d58fd05e3d61ef3b0f036",
+    "ellipse": "187e91e3b6651cc014bf3adc1199b81748e4a4c38592134d91b2674c24536032",
+    "square": "6eee02b6815f9fbab87860b0004cff48cb9c93e8c3ec7d5b645cbbbf1b26d8ac",
+    "blob": "737585fa2a27762eb753150d2f5f5ddceb83478459cb483a96ea4a013867c0c4",
+}
+
+
+def test_fixture_map_digest_regression(built_shapes):
+    got = {}
+    for name, data in built_shapes.items():
+        m = data["map"]
+        h = hashlib.sha256()
+        for part in (m.laurent, m.boundary_samples, np.float64(data["epsilon"]),
+                     data["build"](64).roots):
+            h.update(part.tobytes())
+        got[name] = h.hexdigest()
+    assert got == FIXTURE_DIGESTS
 
 
 def test_sample_roots_circle(circle_map):
