@@ -8,10 +8,10 @@ render and verify take a dump of any of the three maps (``shape.json`` from
 build, ``system.json`` from rational and annulus); verify also takes a
 ``field.json``. A malformed dump exits 2.
 
-verify compares the rendered sets with the target curves. Two curves of which
-one lies inside the other, given in either order, are the boundary of the
-band between them, as for annulus; otherwise the target is the union of the
-curves' insides. There is no --annulus flag.
+verify compares the rendered sets with the region inside an odd number of the
+target curves: the union of their insides when they lie apart, the band
+between two nested curves (in either order, as for annulus). Target curves
+that cross or touch exit 3. There is no --annulus flag.
 
 Certificates, fields and reports embed the run configuration; identical
 configurations produce byte-identical outputs, wherever they are written. The
@@ -33,11 +33,11 @@ import numpy as np
 from . import conformal, curves, dynamics, rational, shapepoly
 from .dumps import load_dump, save_dump, write_json
 from .render import (
+    MIN_GRID,
     EscapeField,
     render as render_grid,
     save_field,
     verify_hausdorff,
-    verify_hausdorff_annulus,
     write_image,
 )
 from .errors import (
@@ -115,7 +115,7 @@ def _build_one_shape(curve_t: curves.JordanCurve, band_t: curves.AnnulusSpec,
     p = curve_t.centroid
     m = conformal.build_exterior_map(curve_t, p, resample=args.resample)
     band_local = band_t.translated(-p)
-    eps = args.epsilon if args.epsilon else shapepoly.select_epsilon(m, band_local)
+    eps = shapepoly.select_epsilon(m, band_local) if args.epsilon is None else args.epsilon
 
     def build(n: int) -> shapepoly.ShapePolynomial:
         return shapepoly.sample_roots(m, eps, n, t=t_dyn, frame_offset=p)
@@ -128,7 +128,7 @@ def _render(args, system, bbox, radii):
     return render_grid(
         system, bbox, args.grid, args.grid, escape_radius=escape_radius,
         capture_radius=capture_radius, max_iter=args.max_iter,
-        workers=args.workers, frame_shift=system.t)
+        workers=args.workers)
 
 
 def _say_certified(cert) -> None:
@@ -136,26 +136,9 @@ def _say_certified(cert) -> None:
     _say(f"certified at n = {cert.n_certified} (margins: {margins})")
 
 
-def _band(curve_list):
-    """(outer, inner) when the target is two curves of which one lies inside
-    the other, in either order; otherwise None."""
-    if len(curve_list) == 2:
-        a, b = curve_list
-        if a.contains(b.points).all():
-            return a, b
-        if b.contains(a.points).all():
-            return b, a
-    return None
-
-
 def _report(args, cfg, field, curve_list, delta: float) -> int:
-    """Verify the field against the curves (the band between them when they
-    are nested), write report.json and return the exit code."""
-    band = _band(curve_list)
-    if band:
-        rep = verify_hausdorff_annulus(field, *band, delta)
-    else:
-        rep = verify_hausdorff(field, curve_list, delta)
+    """Verify the field against the curves, write report.json, return the exit code."""
+    rep = verify_hausdorff(field, curve_list, delta)
     robj = rep.to_obj()
     robj["config"] = cfg
     write_json(robj, _outpath(args, "report.json"))
@@ -183,7 +166,7 @@ def _finish(args, cfg, system, cert, curve_list, delta: float) -> int:
 
 def cmd_build(args) -> int:
     curve = curves.load_curve(args.input)
-    eps_geom = args.eps_geom if args.eps_geom else 0.05 * curve.diameter
+    eps_geom = args.eps_geom if args.eps_geom is not None else 0.05 * curve.diameter
     ann = curves.offset_annulus(curve, eps_geom)
     t = curve.centroid
     curve_t = curve.translated(-t)
@@ -242,17 +225,13 @@ def cmd_verify(args) -> int:
 
 def cmd_rational(args) -> int:
     curve_list = [curves.load_curve(p) for p in args.inputs]
-    delta = args.delta if args.delta else 0.2 * max(c.diameter for c in curve_list)
-    if len(curve_list) > 1:
-        eta = 0.5 * min(curves.curve_gap(a, b)
-                        for i, a in enumerate(curve_list)
-                        for b in curve_list[i + 1:])
-        if eta <= 0:
-            raise GeometryRejected("curves touch or intersect")
-        delta1 = min(delta / 3.0, eta)
-    else:
-        delta1 = delta / 3.0
-    eps_geom = args.eps_geom if args.eps_geom else delta1 / 2.0
+    delta = (args.delta if args.delta is not None
+             else 0.2 * max(c.diameter for c in curve_list))
+    pairs = [(a, b) for i, a in enumerate(curve_list) for b in curve_list[i + 1:]]
+    if any(curves.relation(a, b) == "meet" for a, b in pairs):
+        raise GeometryRejected("curves touch or intersect")
+    delta1 = min([delta / 3.0] + [0.5 * curves.curve_gap(a, b) for a, b in pairs])
+    eps_geom = args.eps_geom if args.eps_geom is not None else delta1 / 2.0
     anns = [curves.offset_annulus(c, eps_geom) for c in curve_list]
     rational.validate_mutually_exterior(anns)
 
@@ -275,7 +254,7 @@ def cmd_rational(args) -> int:
         _say(f"shape map ready: capacity {abs(m.capacity):.6g}, inflation {eps}")
         builders.append(build)
 
-    if args.level_b and args.level_big:
+    if args.level_b is not None:
         b, big = args.level_b, args.level_big
     else:
         b, big = rational.auto_bounds(anns_t)
@@ -306,14 +285,14 @@ def _default_basepoint(outer: curves.JordanCurve, inner: curves.JordanCurve) -> 
 def cmd_annulus(args) -> int:
     outer = curves.load_curve(args.inputs[0])
     inner = curves.load_curve(args.inputs[1])
-    if not outer.contains([inner.centroid])[0]:
-        raise GeometryRejected("second curve must lie inside the first")
-    if curves.curves_meet(outer, inner):
-        raise GeometryRejected("annulus curves cross or touch")
+    how = curves.relation(outer, inner)
+    if how != "contains":
+        raise GeometryRejected("annulus curves cross or touch" if how == "meet"
+                               else "second curve must lie inside the first")
     xi = curves.curve_gap(outer, inner)
-    delta = args.delta if args.delta else 0.2 * outer.diameter
+    delta = args.delta if args.delta is not None else 0.2 * outer.diameter
     delta1 = min(delta, xi) / 3.0
-    eps_geom = args.eps_geom if args.eps_geom else delta1 / 2.0
+    eps_geom = args.eps_geom if args.eps_geom is not None else delta1 / 2.0
     band_e = curves.offset_annulus(outer, eps_geom)
     band_f = curves.offset_annulus(inner, eps_geom)
 
@@ -342,32 +321,50 @@ def cmd_annulus(args) -> int:
 # parser
 
 
+def _number(kind, low, above: bool = False):
+    """argparse type: a `kind` of at least `low` (above it, with above)."""
+    def parse(text: str):
+        value = kind(text)
+        if value > low or (value == low and not above):
+            return value
+        raise argparse.ArgumentTypeError(f"must be {'above' if above else 'at least'} {low}")
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+_POSITIVE = _number(float, 0.0, above=True)
+
+
 def _add_common(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--out", default=".", help="output directory (default: .)")
-    ap.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
-    ap.add_argument("--samples", type=int, default=4096,
+    ap.add_argument("--seed", type=_number(int, 0), default=0,
+                    help="sampling seed (default 0)")
+    ap.add_argument("--samples", type=_number(int, 1), default=4096,
                     help="samples per region for certification (default 4096)")
 
 
 def _add_build(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--n", type=int, default=None,
+    roots = _number(int, shapepoly.MIN_ROOTS)
+    ap.add_argument("--n", type=roots, default=None,
                     help="exact root count (default: search the doubling schedule)")
-    ap.add_argument("--n-max", type=int, default=512, dest="n_max",
+    ap.add_argument("--n-max", type=roots, default=512, dest="n_max",
                     help="largest root count to try (default 512)")
-    ap.add_argument("--epsilon", type=float, default=None,
+    ap.add_argument("--epsilon", type=_POSITIVE, default=None,
                     help="override the circle inflation (default: halving search)")
-    ap.add_argument("--eps-geom", type=float, default=None, dest="eps_geom",
+    ap.add_argument("--eps-geom", type=_POSITIVE, default=None, dest="eps_geom",
                     help="offset distance for the annulus (default: 5%% of diameter "
                          "for build, delta/6 for rational/annulus)")
-    ap.add_argument("--resample", type=int, default=512,
+    ap.add_argument("--resample", type=_number(int, curves.MIN_POINTS), default=512,
                     help="boundary resampling count for the map (default 512)")
 
 
 def _add_render(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--grid", type=int, default=512, help="render grid size (default 512)")
-    ap.add_argument("--max-iter", type=int, default=200, dest="max_iter",
+    ap.add_argument("--grid", type=_number(int, MIN_GRID), default=512,
+                    help="render grid size (default 512)")
+    ap.add_argument("--max-iter", type=_number(int, 1), default=200, dest="max_iter",
                     help="iteration budget per pixel (default 200)")
-    ap.add_argument("--workers", type=int, default=None,
+    ap.add_argument("--workers", type=_number(int, 1), default=None,
                     help="render worker processes (default: up to 4)")
 
 
@@ -391,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certificate JSON supplying escape/capture radii")
     p.add_argument("--bbox", type=float, nargs=4, default=None,
                    metavar=("X0", "Y0", "X1", "Y1"), help="render window")
-    p.add_argument("--margin", type=float, default=0.3,
+    p.add_argument("--margin", type=_number(float, 0.0), default=0.3,
                    help="relative margin around the roots when --bbox is absent")
     p.set_defaults(func=cmd_render)
 
@@ -401,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_render(p)
     p.add_argument("--curve", action="append", required=True,
                    help="target curve file (repeatable)")
-    p.add_argument("--delta", type=float, required=True,
+    p.add_argument("--delta", type=_number(float, 0.0), required=True,
                    help="target Hausdorff tolerance")
     p.add_argument("--certificate", default=None,
                    help="certificate JSON supplying escape/capture radii")
@@ -413,12 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_build(p)
     _add_render(p)
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=_POSITIVE, default=None,
                    help="Hausdorff tolerance (default: 20%% of largest diameter)")
-    p.add_argument("--b", type=float, default=None, dest="level_b",
-                   help="contraction level (default: from geometry)")
-    p.add_argument("--B", type=float, default=None, dest="level_big",
-                   help="expansion level (default: from geometry)")
+    p.add_argument("--b", type=_POSITIVE, default=None, dest="level_b",
+                   help="contraction level, given with --B (default: from geometry)")
+    p.add_argument("--B", type=_POSITIVE, default=None, dest="level_big",
+                   help="expansion level, given with --b (default: from geometry)")
     p.set_defaults(func=cmd_rational)
 
     p = sub.add_parser("annulus", help="outer+inner curves -> annulus map")
@@ -427,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_build(p)
     _add_render(p)
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=_POSITIVE, default=None,
                    help="Hausdorff tolerance (default: 20%% of outer diameter)")
     p.add_argument("--basepoint", type=float, nargs=2, default=None,
                    metavar=("X", "Y"), help="basepoint in the middle region")
@@ -437,7 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if args.command == "rational" and (args.level_b is None) != (args.level_big is None):
+        ap.error("rational: give both --b and --B, or neither")
     try:
         return args.func(args)
     except _PARSE_ERRORS as exc:

@@ -4,6 +4,10 @@ and Hausdorff distance between sampled point sets.
 Curves are stored as complex arrays (x + iy), oriented counterclockwise, with
 the closing edge implicit. All operations are pure; curve objects are
 immutable after construction.
+
+``relation`` is the one test of how two curves lie, and ``enclosed`` the one
+rule for the region several curves bound: the points inside an odd number of
+them (the target region that verify checks).
 """
 
 from __future__ import annotations
@@ -252,7 +256,7 @@ class JordanCurve:
         object.__setattr__(self, "diameter", float(abs(span)))
 
     @classmethod
-    def from_points(cls, z, check_simple: bool = True) -> "JordanCurve":
+    def from_points(cls, z) -> "JordanCurve":
         pts = _as_points(z).copy()
         if len(pts) < MIN_POINTS:
             raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
@@ -268,10 +272,9 @@ class JordanCurve:
             raise ParseError("curve has zero signed area")
         if area < 0.0:
             pts = pts[::-1].copy()
-        if check_simple:
-            bad = _segment_pairs_intersect(pts, touch=True)
-            if bad is not None:
-                raise NotSimple(*bad)
+        bad = _segment_pairs_intersect(pts, touch=True)
+        if bad is not None:
+            raise NotSimple(*bad)
         return cls(points=pts)
 
     @property
@@ -296,9 +299,6 @@ class JordanCurve:
 
     def translated(self, dz: complex) -> "JordanCurve":
         return JordanCurve(points=self.points + dz)
-
-    def scaled(self, s: float) -> "JordanCurve":
-        return JordanCurve(points=self.points * s)
 
     def boundary_samples(self, n: int) -> np.ndarray:
         return resample_closed(self.points, n)
@@ -360,11 +360,27 @@ def curve_gap(a: JordanCurve, b: JordanCurve) -> float:
                      distance_to_polyline(b.points, a.points).min()))
 
 
-def curves_meet(a: JordanCurve, b: JordanCurve) -> bool:
-    """Whether two polylines cross or touch: a proper crossing of two
-    segments, or a shared point (where they can cross through a vertex)."""
-    return (_segment_pairs_intersect(a.points, b.points) is not None
-            or curve_gap(a, b) == 0)
+def relation(a: JordanCurve, b: JordanCurve) -> str:
+    """How two curves lie: "meet" if they cross or share a point (a vertex on
+    an edge, the rule ``from_points`` applies to one curve), else "contains"
+    if b lies inside a, "inside" if a lies inside b, or "apart". A curve that
+    does not meet the other lies wholly on one side of it: one vertex decides."""
+    if _segment_pairs_intersect(a.points, b.points, touch=True) is not None:
+        return "meet"
+    if winding_numbers(b.points[:1], a.points)[0] != 0:
+        return "contains"
+    if winding_numbers(a.points[:1], b.points)[0] != 0:
+        return "inside"
+    return "apart"
+
+
+def enclosed(z, curves) -> np.ndarray:
+    """True at the points inside an odd number of the curves: the union of
+    the insides for curves that lie apart, the band between a nested pair."""
+    odd = np.zeros(np.size(z), dtype=bool)
+    for c in curves:
+        odd ^= winding_numbers(z, c.points) != 0
+    return odd
 
 
 # ---------------------------------------------------------------------------
@@ -425,13 +441,8 @@ class AnnulusSpec:
     def __post_init__(self):
         if self.width_hint <= 0:
             raise OffsetCollapse("annulus width must be positive")
-        inner_w = winding_numbers(self.inner.points, self.outer.points)
-        if not np.all(inner_w == 1):
-            raise OffsetCollapse("inner curve must wind once inside the outer curve")
-        if curves_meet(self.outer, self.inner):
-            raise OffsetCollapse("inner and outer curves intersect")
-        if winding_numbers([self.outer.points[0]], self.inner.points)[0] != 0:
-            raise OffsetCollapse("outer curve lies inside the inner curve")
+        if relation(self.outer, self.inner) != "contains":
+            raise OffsetCollapse("inner curve must lie inside the outer one, off it")
 
     def classify(self, z) -> np.ndarray:
         """Vectorized region labels: inside the inner curve, in the band, or
@@ -448,8 +459,7 @@ class AnnulusSpec:
         """True where points are strictly between the two curves (off both)."""
         z = _as_points(z)
         tol = ON_TOL_REL * self.outer.diameter
-        ok = winding_numbers(z, self.outer.points) != 0
-        ok &= winding_numbers(z, self.inner.points) == 0
+        ok = enclosed(z, (self.outer, self.inner))
         ok &= distance_to_polyline(z, self.outer.points) > tol
         ok &= distance_to_polyline(z, self.inner.points) > tol
         return ok
@@ -515,7 +525,7 @@ def hausdorff_distance(x, y) -> float:
 def sample_interior(curve: JordanCurve, count: int, rng: np.random.Generator,
                     exclude: JordanCurve | None = None) -> np.ndarray:
     """Seeded rejection sampling of the region inside `curve` (and outside
-    `exclude` if given)."""
+    `exclude`, a curve inside it, if given)."""
     lo, hi = curve.bbox
     got: list[np.ndarray] = []
     have = 0
@@ -523,10 +533,7 @@ def sample_interior(curve: JordanCurve, count: int, rng: np.random.Generator,
         m = max(4 * count, 256)
         z = (rng.uniform(lo.real, hi.real, m)
              + 1j * rng.uniform(lo.imag, hi.imag, m))
-        keep = winding_numbers(z, curve.points) != 0
-        if exclude is not None:
-            keep &= winding_numbers(z, exclude.points) == 0
-        z = z[keep]
+        z = z[enclosed(z, [curve] if exclude is None else [curve, exclude])]
         if z.size:
             got.append(z)
             have += z.size

@@ -30,10 +30,10 @@ from .curves import (
     AnnulusSpec,
     JordanCurve,
     curve_gap,  # noqa: F401 (traced as rational.curve_gap by perfbench)
-    curves_meet,
     distance_to_polyline,
+    enclosed,
+    relation,
     sample_interior,
-    winding_numbers,
 )
 from .dynamics import Certificate
 from .errors import BadBasepoint, GeometryRejected
@@ -122,8 +122,8 @@ class AnnulusSystem:
     def __post_init__(self):
         if self.xi <= 0:
             raise GeometryRejected("curves of the annulus must be disjoint")
-        if curves_meet(self.outer_band.inner, self.inner_band.outer):
-            raise GeometryRejected("offset bands of the two curves overlap")
+        if relation(self.outer_band.inner, self.inner_band.outer) != "contains":
+            raise GeometryRejected("inner band must lie inside the outer band, off it")
 
     @property
     def t(self) -> complex:
@@ -168,7 +168,7 @@ def _band_obj(band: AnnulusSpec) -> dict:
 
 def _band_from_obj(obj: dict) -> AnnulusSpec:
     mk = lambda rows: JordanCurve.from_points(
-        np.array([complex(a, b) for a, b in rows]), check_simple=False)
+        np.array([complex(a, b) for a, b in rows]))
     return AnnulusSpec(outer=mk(obj["outer"]), inner=mk(obj["inner"]),
                        width_hint=float(obj["width_hint"]))
 
@@ -176,14 +176,10 @@ def _band_from_obj(obj: dict) -> AnnulusSpec:
 def validate_mutually_exterior(annuli: list[AnnulusSpec]) -> None:
     """Every annulus (with its inside) must avoid every other: outer curves
     pairwise disjoint and never nested."""
-    for i in range(len(annuli)):
+    for i, a in enumerate(annuli):
         for j in range(i + 1, len(annuli)):
-            a, b = annuli[i].outer, annuli[j].outer
-            if curves_meet(a, b):
-                raise GeometryRejected(f"annuli {i} and {j} intersect")
-            if winding_numbers([b.points[0]], a.points)[0] != 0 \
-                    or winding_numbers([a.points[0]], b.points)[0] != 0:
-                raise GeometryRejected(f"annuli {i} and {j} are nested")
+            if relation(a.outer, annuli[j].outer) != "apart":
+                raise GeometryRejected(f"annuli {i} and {j} meet or nest")
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +379,7 @@ def certify_S(system: AnnulusSystem, samples_per_region: int = 4096,
     |S| > R on the outer boundary and the inner disk, and |S| > 2|z| on the
     outer boundary."""
     E, F = system.outer_band, system.inner_band
-    in_e_inner = bool(E.inner.contains([0j])[0])
-    out_f_outer = not bool(F.outer.contains([0j])[0])
-    if not (in_e_inner and out_f_outer):
+    if not enclosed([0j], (E.inner, F.outer))[0]:
         raise BadBasepoint("frame origin must lie in the middle region "
                            "(inside the outer band, outside the inner band)")
     r_mid = 0.999 * min(float(distance_to_polyline([0j], E.inner.points)[0]),

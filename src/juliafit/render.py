@@ -8,7 +8,9 @@ changes timing but never bytes. Verification compares the rendered sets
 against sampled targets in Hausdorff distance (``curves.hausdorff_distance``
 for the boundary), clipping the unbounded side to the render bbox; undecided
 pixels count as boundary, and the one-pixel thickness of a rasterized
-boundary is absorbed by adding one pixel diagonal to the tolerance.
+boundary is absorbed by adding one pixel diagonal to the tolerance. The
+target bounded set is ``curves.enclosed``: the points inside an odd number of
+the target curves, which must not meet.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from typing import ClassVar
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .curves import JordanCurve, hausdorff_distance, winding_numbers
+from .curves import JordanCurve, enclosed, hausdorff_distance, relation
 from .dynamics import OrbitStatus, classify_orbits
-from .errors import BboxTooSmall, EmptySet, MonochromeField
+from .errors import BboxTooSmall, EmptySet, GeometryRejected, MonochromeField
 
 TILE_ROWS = 16
+#: smallest render grid side
+MIN_GRID = 16
 #: samples per target curve in the Hausdorff check
 CURVE_SAMPLES = 4096
 
@@ -118,13 +122,13 @@ def _dilate4(mask: np.ndarray) -> np.ndarray:
 
 
 def _render_tile(kernel, bbox, width, height, row0, nrows,
-                 escape_radius, capture_radius, max_iter, frame_shift):
+                 escape_radius, capture_radius, max_iter):
     lo, hi = bbox
     dx = (hi.real - lo.real) / width
     dy = (hi.imag - lo.imag) / height
     xs = lo.real + (np.arange(width) + 0.5) * dx
     ys = hi.imag - (np.arange(row0, row0 + nrows) + 0.5) * dy
-    z = (xs[None, :] + 1j * ys[:, None]).reshape(-1) - frame_shift
+    z = (xs[None, :] + 1j * ys[:, None]).reshape(-1) - kernel.t
     status, iters = classify_orbits(kernel, z, escape_radius, capture_radius,
                                     max_iter)
     return status.reshape(nrows, width), iters.reshape(nrows, width)
@@ -136,24 +140,24 @@ def _tile_task(args):
 
 def render(kernel, bbox, width: int, height: int, *, escape_radius: float,
            capture_radius: float, max_iter: int = 200,
-           workers: int | None = None, frame_shift: complex = 0j) -> EscapeField:
+           workers: int | None = None) -> EscapeField:
     """Classify every pixel center of the bbox grid by iterating the kernel.
 
-    The bbox lives in the caller's frame; frame_shift is subtracted from
-    pixel centers before iteration, so kernels built in a shifted frame can
-    render fields in original coordinates. Deterministic for fixed
-    parameters: tiles are computed independently and reassembled in order, so
-    the worker count cannot change the output.
+    The bbox lives in the original frame; the kernel's frame shift ``kernel.t``
+    is subtracted from pixel centers before iteration, so maps built in a
+    shifted frame render fields in original coordinates. Deterministic for
+    fixed parameters: tiles are computed independently and reassembled in
+    order, so the worker count cannot change the output.
     """
-    if width < 16 or height < 16:
-        raise ValueError("grid must be at least 16 x 16")
+    if width < MIN_GRID or height < MIN_GRID:
+        raise ValueError(f"grid must be at least {MIN_GRID} x {MIN_GRID}")
     if not (escape_radius > capture_radius > 0):
         raise ValueError("need escape_radius > capture_radius > 0")
     lo, hi = bbox
     bbox = (complex(lo), complex(hi))
     rows = [(r, min(TILE_ROWS, height - r)) for r in range(0, height, TILE_ROWS)]
     tasks = [(kernel, bbox, width, height, r0, nr, escape_radius,
-              capture_radius, max_iter, complex(frame_shift)) for r0, nr in rows]
+              capture_radius, max_iter) for r0, nr in rows]
     if workers is None:
         workers = min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
@@ -233,36 +237,28 @@ def _verify(field: EscapeField, inside_mask: np.ndarray, curve_samples: np.ndarr
 
 
 def verify_hausdorff(field: EscapeField, curves, delta: float) -> HausdorffReport:
-    """Compare the rendered sets with the regions of one or more disjoint
-    curves: captured vs. union of insides, escaped vs. the clipped outside,
-    boundary pixels vs. the curves themselves. Passes when all three
-    distances stay below delta plus one pixel diagonal."""
+    """Compare the rendered sets with the region of one or more curves that
+    do not meet: captured vs. ``enclosed`` (the points inside an odd number
+    of the curves), escaped vs. the rest clipped to the bbox, boundary pixels
+    vs. the curves themselves. Passes when all three distances stay below
+    delta plus one pixel diagonal."""
     if isinstance(curves, JordanCurve):
         curves = [curves]
     if not curves:
         raise EmptySet("need at least one target curve")
+    if any(relation(a, b) == "meet" for i, a in enumerate(curves) for b in curves[i + 1:]):
+        raise GeometryRejected("target curves cross or touch")
     _check_bbox(field, curves, delta)
     centers = field.pixel_centers()
-    flat = centers.reshape(-1)
-    inside = np.zeros(flat.shape, dtype=bool)
-    for c in curves:
-        inside |= winding_numbers(flat, c.points) != 0
+    inside = enclosed(centers, curves)
     samples = np.concatenate([c.boundary_samples(CURVE_SAMPLES) for c in curves])
     return _verify(field, inside.reshape(centers.shape), samples, delta)
 
 
 def verify_hausdorff_annulus(field: EscapeField, outer: JordanCurve,
                              inner: JordanCurve, delta: float) -> HausdorffReport:
-    """Annulus variant: the target bounded set is the closed band between the
-    two curves, and both curves together form the target boundary."""
-    _check_bbox(field, [outer, inner], delta)
-    centers = field.pixel_centers()
-    flat = centers.reshape(-1)
-    band = (winding_numbers(flat, outer.points) != 0) \
-        & (winding_numbers(flat, inner.points) == 0)
-    samples = np.concatenate([outer.boundary_samples(CURVE_SAMPLES),
-                              inner.boundary_samples(CURVE_SAMPLES)])
-    return _verify(field, band.reshape(centers.shape), samples, delta)
+    """The band between two nested curves: ``verify_hausdorff`` of the pair."""
+    return verify_hausdorff(field, [outer, inner], delta)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ _MID = 128
 EPS_HALVINGS = 20
 EPS_SAMPLES = 4096
 EPS_COARSE = 8
+#: fewest roots sample_roots places
+MIN_ROOTS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +212,8 @@ def sample_roots(m: ExteriorMap, epsilon: float, n: int,
     curve minus basepoint) into the caller's working frame; the leading
     coefficient is translation invariant.
     """
-    if n < 8:
-        raise DuplicateRoots(f"need at least 8 roots, got {n}")
+    if n < MIN_ROOTS:
+        raise DuplicateRoots(f"need at least {MIN_ROOTS} roots, got {n}")
     k = np.arange(1, n + 1)
     w = (1.0 + epsilon) * np.exp(2j * np.pi * k / n)
     roots = evaluate_map(m, w) + frame_offset

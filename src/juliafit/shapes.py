@@ -13,14 +13,13 @@ from .curves import JordanCurve
 
 def make_circle(radius: float = 1.0, center: complex = 0j, n: int = 512) -> JordanCurve:
     th = 2.0 * np.pi * np.arange(n) / n
-    return JordanCurve.from_points(center + radius * np.exp(1j * th), check_simple=False)
+    return JordanCurve.from_points(center + radius * np.exp(1j * th))
 
 
 def make_ellipse(a: float = 1.5, b: float = 0.5, center: complex = 0j,
                  n: int = 512) -> JordanCurve:
     th = 2.0 * np.pi * np.arange(n) / n
-    return JordanCurve.from_points(center + a * np.cos(th) + 1j * b * np.sin(th),
-                                   check_simple=False)
+    return JordanCurve.from_points(center + a * np.cos(th) + 1j * b * np.sin(th))
 
 
 def make_square(side: float = 1.0, corner: complex = 0j, n: int = 512) -> JordanCurve:
@@ -32,16 +31,14 @@ def make_square(side: float = 1.0, corner: complex = 0j, n: int = 512) -> Jordan
     right = corner + side + 1j * side * t
     top = corner + side * (1 - t) + 1j * side
     left = corner + 1j * side * (1 - t)
-    return JordanCurve.from_points(np.concatenate((bottom, right, top, left)),
-                                   check_simple=False)
+    return JordanCurve.from_points(np.concatenate((bottom, right, top, left)))
 
 
 def make_blob(scale: float = 1.0, center: complex = 0j, n: int = 512) -> JordanCurve:
     """Smooth nonconvex closed curve, fixed harmonics (no randomness)."""
     th = 2.0 * np.pi * np.arange(n) / n
     r = 1.0 + 0.20 * np.cos(3 * th) + 0.08 * np.sin(5 * th) + 0.04 * np.cos(7 * th + 1.0)
-    return JordanCurve.from_points(center + scale * r * np.exp(1j * th),
-                                   check_simple=False)
+    return JordanCurve.from_points(center + scale * r * np.exp(1j * th))
 
 
 def make_figure_eight(n: int = 64) -> np.ndarray:

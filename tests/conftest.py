@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from juliafit.conformal import build_exterior_map
-from juliafit.curves import AnnulusSpec, offset_annulus
-from juliafit.shapes import FIXTURES, make_circle, write_curve_file
+from juliafit.curves import AnnulusSpec, JordanCurve, offset_annulus
+from juliafit.shapes import FIXTURES, make_circle, make_square, write_curve_file
 
 
 @pytest.fixture(scope="session")
@@ -16,6 +16,45 @@ def fixture_dir(tmp_path_factory):
     write_curve_file(make_circle(2.0), d / "ring_outer.txt")
     write_curve_file(make_circle(1.0), d / "ring_inner.txt")
     return d
+
+
+def annular_sector(r0, r1, a0, a1, n=256):
+    """Counterclockwise boundary of {r0 <= |z| <= r1, a0 <= arg z <= a1},
+    angles in degrees."""
+    th = np.radians(np.linspace(a0, a1, n))
+    radial = np.linspace(r1, r0, 10)[1:-1]
+    return np.concatenate((r1 * np.exp(1j * th), radial * np.exp(1j * th[-1]),
+                           r0 * np.exp(1j * th[::-1]), radial[::-1] * np.exp(1j * th[0])))
+
+
+@pytest.fixture(scope="session")
+def c_shaped_pair():
+    """Two nested C-shaped curves; the inner one's centroid (-0.453) lies in
+    the gap of the outer C, outside the outer curve."""
+    return (JordanCurve.from_points(annular_sector(1.0, 2.0, 30, 330)),
+            JordanCurve.from_points(annular_sector(1.3, 1.7, 45, 315)))
+
+
+@pytest.fixture(scope="session")
+def squares_touching_at_vertices():
+    """The boundaries of [0, 1]^2 and [0.5, 1.5]^2, which cross only at the
+    common vertices 0.5+1j and 1+0.5j, so no two segments cross properly;
+    the second square starts at 1.5+1j, outside the first."""
+    a = make_square()
+    b = make_square(corner=0.5 + 0.5j)
+    start = int(np.argmin(np.abs(b.points - (1.5 + 1j))))
+    return a, JordanCurve.from_points(np.roll(b.points, -start))
+
+
+@pytest.fixture(scope="session")
+def diamond_on_square():
+    """The unit square and a diamond inside it whose bottom vertex 0.5+0j
+    lies on the square's bottom edge: no two segments cross properly, but
+    the curves share that point."""
+    corners = 0.5 + 0.25j + 0.25 * 1j ** np.arange(5)
+    t = np.arange(4) / 4
+    return make_square(), JordanCurve.from_points(np.concatenate(
+        [a + (b - a) * t for a, b in zip(corners[:-1], corners[1:])]))
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,9 @@
 Geometry: the all-pairs bodies that `juliafit.curves` used before its
 kernels learned to skip (query, edge) pairs that cannot affect the answer.
 They compare every query against every edge, so the fast kernels must equal
-them bit for bit.
+them bit for bit. The contact test of two curves as it was before
+`juliafit.curves.relation` replaced it: a proper crossing, or a vertex at
+distance zero from the other curve.
 
 Conformal map: the slit-map pullback as it was before it reused its work
 buffers, and the inflation search that evaluates every ring point of every
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from juliafit.conformal import evaluate_map
+from juliafit.curves import _segment_pairs_intersect, curve_gap
 from juliafit.errors import Indeterminate, NoEpsilon
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
 from juliafit.shapepoly import EPS_HALVINGS, EPS_SAMPLES, EXP_CAP, EscapedLarge, ShapePolynomial
@@ -108,6 +111,23 @@ def segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None,
             i, j = np.argwhere(hit)[0]
             return int(i + lo), int(j)
     return None
+
+
+def curves_meet(a, b) -> bool:
+    """Whether two polylines cross or touch: a proper crossing of two
+    segments, or a shared point (where they can cross through a vertex)."""
+    return (_segment_pairs_intersect(a.points, b.points) is not None
+            or curve_gap(a, b) == 0)
+
+
+def relation(a, b) -> str:
+    if curves_meet(a, b):
+        return "meet"
+    if winding_numbers(b.points[:1], a.points)[0] != 0:
+        return "contains"
+    if winding_numbers(a.points[:1], b.points)[0] != 0:
+        return "inside"
+    return "apart"
 
 
 # ---------------------------------------------------------------------------

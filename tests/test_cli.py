@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -183,6 +184,18 @@ def test_verify_zero_delta_fails(built_square, fixture_dir, tmp_path):
     assert rc == 5
 
 
+def test_verify_crossing_target_curves_exits_geometry(built_square, fixture_dir,
+                                                     tmp_path, capsys):
+    other = tmp_path / "shifted_square.txt"
+    write_curve_file(make_square(corner=0.5 + 0.25j), other)
+    rc = main(["verify", str(built_square / "shape.json"),
+               "--certificate", str(built_square / "certificate.json"),
+               "--curve", str(fixture_dir / "square.txt"), "--curve", str(other),
+               "--delta", "0.3", "--grid", "64", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "[GEOMETRY_REJECTED]" in capsys.readouterr().err
+
+
 def test_verify_field_input(built_square, fixture_dir, tmp_path):
     rc = main(["render", str(built_square / "shape.json"),
                "--certificate", str(built_square / "certificate.json"),
@@ -253,6 +266,20 @@ def test_annulus_crossing_curves_rejected(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "annulus curves cross or touch" in capsys.readouterr().err
+
+
+def test_annulus_nesting_ignores_inner_centroid(c_shaped_pair, tmp_path, capsys):
+    # the inner C lies inside the outer one although its centroid does not;
+    # the run passes the nesting check and stops where the outer curve's own
+    # centroid, the map's basepoint, lies outside it
+    files = [tmp_path / "outer.txt", tmp_path / "inner.txt"]
+    for curve, f in zip(c_shaped_pair, files):
+        write_curve_file(curve, f)
+    rc = main(["annulus", *map(str, files), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "second curve must lie inside the first" not in err
+    assert "[BAD_BASEPOINT]" in err
 
 
 def test_annulus_basepoint_in_inner_disk(fixture_dir, tmp_path):
@@ -388,3 +415,87 @@ def test_malformed_dump_exits_parse(command, case, built_square, fixture_dir,
         argv += ["--curve", str(fixture_dir / "square.txt"), "--delta", "0.3"]
     assert main(argv) == 2
     assert "error [PARSE_ERROR]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("build", ["--n", "4"]),
+    ("build", ["--n-max", "4"]),
+    ("build", ["--epsilon", "0"]),
+    ("build", ["--eps-geom", "0"]),
+    ("build", ["--seed", "-1"]),
+    ("build", ["--resample", "4"]),
+    ("render", ["--grid", "8"]),
+    ("render", ["--max-iter", "-3"]),
+    ("render", ["--workers", "0"]),
+    ("render", ["--margin", "-1"]),
+    ("verify", ["--delta", "-1"]),
+    ("rational", ["--delta", "0"]),
+    ("rational", ["--samples", "0"]),
+    ("rational", ["--b", "0.001"]),
+    ("rational", ["--B", "100"]),
+    ("annulus", ["--delta", "0"]),
+])
+def test_unusable_number_is_a_usage_error(command, bad, built_square, fixture_dir,
+                                          tmp_path, capsys):
+    shape = str(built_square / "shape.json")
+    args = {"build": [str(fixture_dir / "circle.txt")],
+            "render": [shape, "--grid", "64"],
+            "verify": [shape, "--curve", str(fixture_dir / "square.txt"),
+                       "--delta", "0.3", "--grid", "64"],
+            "rational": _pair_args("rational", fixture_dir) + ["--grid", "64"],
+            "annulus": _pair_args("annulus", fixture_dir) + ["--grid", "64"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, *bad, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+#: sha256 over the name and bytes of every artifact and the stderr of each
+#: run of test_cli_artifact_digest_regression; any change to an output, its
+#: configuration included, flips one of these
+CLI_DIGESTS = {
+    "build-square": "ab51d3534aef8b5c8317addd957f0071b8df69cad7f2dae168cececa90a5216b",
+    "build-square-verify": "95fd79a4a36375a435de7e115c4a66486ced373e3b58148a24c20adee18d1458",
+    "build-blob": "06bde2e67c8381cf719183a77425c28ca6e6389477cecb36f2066d86b17f5ec7",
+    "build-blob-verify": "702a0ad193c4ce6cfec293f1f0b3c39cc9c556d2b932d2d74f4f9fd1f95dad3b",
+    "build-circle": "184d5770e22abe3f5ca81cfd69366899e3eb3dc49784cd622f7f5a270bfd99c7",
+    "build-circle-verify": "3367e47bbf3facd68e185d0b9339f74a9274113915c00f6ccd4908c01c065180",
+    "rational": "b7eea2644d27855240fc9306213b7e8d3ab7c284bce6d8ef324a4343fea70d41",
+    "rational-verify": "58094fabf0afa8aed92172f1299ad934ef65edaa7604d99565c10b5d9bf1059d",
+    "annulus": "916961d9642bde8a3026c487e4717fdb264a40a9d3af14de7d707c8bd89f7174",
+    "annulus-verify": "e5032e3583a4e927bf8c25a25dbabe07b58c2c53b4da8c5dd72f3e68f182a437",
+}
+
+
+def _digest(out, err: str) -> str:
+    h = hashlib.sha256()
+    for p in sorted(out.iterdir()):
+        h.update(p.name.encode() + b"\0" + p.read_bytes())
+    h.update(b"stderr\0" + err.encode())
+    return h.hexdigest()
+
+
+def test_cli_artifact_digest_regression(fixture_dir, tmp_path, capsys):
+    f = lambda name: str(fixture_dir / f"{name}.txt")
+    runs = [(f"build-{n}", ["build", f(n)], [f(n)]) for n in ("square", "blob", "circle")]
+    runs += [("rational", ["rational", f("circle_left"), f("circle_right")],
+              [f("circle_left"), f("circle_right")]),
+             ("annulus", ["annulus", f("ring_outer"), f("ring_inner")],
+              [f("ring_inner"), f("ring_outer")])]
+    grid = ["--grid", "64"]
+    got = {}
+    for name, argv, targets in runs:
+        out = tmp_path / name
+        if argv[0] != "build":
+            argv = argv + ["--delta", "0.3"] + grid
+        assert main(argv + ["--out", str(out)]) == 0
+        got[name] = _digest(out, capsys.readouterr().err)
+        dump = out / ("shape.json" if argv[0] == "build" else "system.json")
+        verify = ["verify", str(dump), "--certificate", str(out / "certificate.json"),
+                  "--delta", "0.3", *grid, "--out", str(tmp_path / f"{name}-verify")]
+        for c in targets:
+            verify += ["--curve", c]
+        assert main(verify) == 0
+        got[f"{name}-verify"] = _digest(tmp_path / f"{name}-verify",
+                                        capsys.readouterr().err)
+    assert got == CLI_DIGESTS

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 import oracles
 from juliafit import curves
 from juliafit.curves import (
+    JordanCurve,
     _offset_polyline,
     _segment_pairs_intersect,
     distance_to_polyline,
+    relation,
     winding_numbers,
 )
 from juliafit.shapes import make_blob, make_circle, make_figure_eight, make_square
@@ -169,7 +171,8 @@ def test_segment_pairs_match_oracle_self():
     assert found >= 8
 
 
-def test_segment_pairs_match_oracle_two_curves():
+def test_segment_pairs_match_oracle_two_curves(squares_touching_at_vertices,
+                                               diamond_on_square):
     blob = make_blob().points
     cases = [
         (make_circle(1.0).points, make_circle(1.0, center=0.5).points),
@@ -179,13 +182,18 @@ def test_segment_pairs_match_oracle_two_curves():
         (_offset_polyline(blob, 0.3), _offset_polyline(blob, -0.3)),
         (make_square().points, make_square(corner=0.3 + 0.4j).points),
     ]
-    found = 0
+    # curves that share points without a proper crossing
+    cases += [tuple(c.points for c in pair)
+              for pair in (squares_touching_at_vertices, diamond_on_square)]
+    found = {False: 0, True: 0}
     for p, q in cases:
         for a, b in ((p, q), (q, p)):
-            got = _segment_pairs_intersect(a, b)
-            assert got == oracles.segment_pairs_intersect(a, b)
-            found += got is not None
-    assert found >= 6
+            for touch in (False, True):
+                got = _segment_pairs_intersect(a, b, touch=touch)
+                assert got == oracles.segment_pairs_intersect(a, b, touch=touch)
+                found[touch] += got is not None
+    assert found == {False: 6, True: 10}
+
 
 
 @settings(deadline=None, max_examples=40)
@@ -199,5 +207,41 @@ def test_segment_pairs_match_oracle_random(seed, n):
     assert (_segment_pairs_intersect(points, touch=True)
             == oracles.segment_pairs_intersect(points, touch=True))
     other = rng.normal(size=n // 2 + 2) + 1j * rng.normal(size=n // 2 + 2)
-    assert (_segment_pairs_intersect(points, other)
-            == oracles.segment_pairs_intersect(points, other))
+    if seed % 3 == 0:
+        other = np.round(other, 1)
+    for touch in (False, True):
+        assert (_segment_pairs_intersect(points, other, touch=touch)
+                == oracles.segment_pairs_intersect(points, other, touch=touch))
+
+
+# ---------------------------------------------------------------------------
+# how two curves lie
+
+
+def placed_pair(seed_a, seed_b, n, m, ratio, offset, angle):
+    """Two noisy stars: the second rescaled to `ratio` times the size of the
+    first, centred on it and then moved `offset` of its sizes at `angle`."""
+    a, b = wavy_curve(seed_a, n), wavy_curve(seed_b, m)
+    size = lambda p: np.abs(p - p.mean()).max()
+    b = (a.mean() + (b - b.mean()) * (ratio * size(a) / size(b))
+         + offset * size(a) * np.exp(1j * angle))
+    return JordanCurve.from_points(a), JordanCurve.from_points(b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+       st.integers(8, 200), st.integers(8, 200),
+       st.sampled_from([0.2, 0.5, 0.9, 1.0, 1.2, 2.0, 5.0]),
+       st.floats(0.0, 4.0), st.floats(0.0, 2.0 * np.pi))
+def test_relation_matches_oracle(seed_a, seed_b, n, m, ratio, offset, angle):
+    a, b = placed_pair(seed_a, seed_b, n, m, ratio, offset, angle)
+    assert relation(a, b) == oracles.relation(a, b)
+    assert relation(b, a) == oracles.relation(b, a)
+
+
+@pytest.mark.parametrize("ratio,offset,want", [
+    (0.2, 0.0, "contains"), (5.0, 0.0, "inside"), (1.0, 0.2, "meet"), (1.0, 4.0, "apart"),
+])
+def test_relation_oracle_pairs_reach_every_outcome(ratio, offset, want):
+    a, b = placed_pair(11, 12, 150, 90, ratio, offset, 1.0)
+    assert relation(a, b) == oracles.relation(a, b) == want

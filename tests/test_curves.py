@@ -10,9 +10,11 @@ from juliafit.curves import (
     JordanCurve,
     RegionLabel,
     curve_gap,
+    enclosed,
     hausdorff_distance,
     load_curve,
     offset_annulus,
+    relation,
     winding_numbers,
     winding_region,
 )
@@ -242,18 +244,12 @@ def test_annulus_requires_nesting():
                     width_hint=0.1)
 
 
-def test_annulus_rejects_inner_curve_touching_outer():
-    # a diamond inside the unit square whose bottom vertex 0.5+0j lies on the
-    # square's bottom edge: no two segments cross properly, but the curves
-    # share that point
-    corners = 0.5 + 0.25j + 0.25 * 1j ** np.arange(5)
-    t = np.arange(4) / 4
-    diamond = JordanCurve.from_points(np.concatenate(
-        [a + (b - a) * t for a, b in zip(corners[:-1], corners[1:])]))
+def test_annulus_rejects_inner_curve_touching_outer(diamond_on_square):
+    square, diamond = diamond_on_square
     assert len(diamond.points) == 16 and 0.5 + 0j in diamond.points
-    assert curve_gap(make_square(), diamond) == 0.0
+    assert curve_gap(square, diamond) == 0.0
     with pytest.raises(OffsetCollapse):
-        AnnulusSpec(outer=make_square(), inner=diamond, width_hint=0.1)
+        AnnulusSpec(outer=square, inner=diamond, width_hint=0.1)
 
 
 def test_annulus_classify_partition():
@@ -261,3 +257,30 @@ def test_annulus_classify_partition():
     labels = ann.classify([0j, 1.0 + 0j, 2.0 + 0j])
     assert list(labels) == [RegionLabel.BOUNDED_INSIDE, RegionLabel.ON_ANNULUS,
                             RegionLabel.UNBOUNDED_OUTSIDE]
+
+
+# ---------------------------------------------------------------------------
+# how two curves lie
+
+
+def test_relation_of_curves_sharing_points(squares_touching_at_vertices,
+                                           diamond_on_square):
+    for a, b in (squares_touching_at_vertices, diamond_on_square):
+        assert relation(a, b) == relation(b, a) == "meet"
+
+
+def test_relation_of_nested_c_shapes(c_shaped_pair):
+    outer, inner = c_shaped_pair
+    # the inner curve's centroid says nothing about where the curve lies
+    assert inner.centroid.real == pytest.approx(-0.453, abs=1e-3)
+    assert not outer.contains([inner.centroid])[0]
+    assert relation(outer, inner) == "contains"
+    assert relation(inner, outer) == "inside"
+
+
+def test_enclosed_is_even_odd():
+    ring = [make_circle(2.0), make_circle(1.0)]
+    disk = make_circle(0.5, 4.0)
+    z = [0j, 1.5, 2.5, 4.0, 4.6]
+    assert enclosed(z, ring + [disk]).tolist() == [False, True, False, True, False]
+    assert enclosed(z, ring[::-1]).tolist() == [False, True, False, False, False]

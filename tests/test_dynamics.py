@@ -69,7 +69,7 @@ def test_certify_degenerate_annulus_sampling_failure(circle64):
     th = 2 * np.pi * np.arange(64) / 64
     needle = (np.cos(th) + 1e-7j * np.sin(th)) * np.exp(0.25j * np.pi) + (0.2 + 0.2j)
     ann = AnnulusSpec(outer=make_circle(3.0),
-                      inner=JordanCurve.from_points(needle, check_simple=False),
+                      inner=JordanCurve.from_points(needle),
                       width_hint=0.1)
     with pytest.raises(SamplingFailure):
         certify(circle64, ann, 512, seed=0)

@@ -331,18 +331,8 @@ def test_load_dump_rejects_other_kinds(two_circle_system, tmp_path):
 # curves that meet only at vertices
 
 
-def _squares_touching_at_vertices():
-    # the boundaries of [0, 1]^2 and [0.5, 1.5]^2 cross only at the common
-    # vertices 0.5+1j and 1+0.5j, so no two segments cross properly; the
-    # second square starts at 1.5+1j, outside the first
-    a = make_square()
-    b = make_square(corner=0.5 + 0.5j)
-    start = int(np.argmin(np.abs(b.points - (1.5 + 1j))))
-    return a, type(b).from_points(np.roll(b.points, -start), check_simple=False)
-
-
-def test_annuli_crossing_at_vertices_rejected():
-    a, b = _squares_touching_at_vertices()
+def test_annuli_crossing_at_vertices_rejected(squares_touching_at_vertices):
+    a, b = squares_touching_at_vertices
     assert curve_gap(a, b) == 0.0
     anns = [AnnulusSpec(a, make_circle(0.1, 0.5 + 0.5j), 0.1),
             AnnulusSpec(b, make_circle(0.1, 1.0 + 1.0j), 0.1)]
@@ -350,11 +340,22 @@ def test_annuli_crossing_at_vertices_rejected():
         validate_mutually_exterior(anns)
 
 
-def test_annulus_bands_crossing_at_vertices_rejected():
-    a, b = _squares_touching_at_vertices()
+def test_annulus_bands_crossing_at_vertices_rejected(squares_touching_at_vertices):
+    a, b = squares_touching_at_vertices
     outer_band = AnnulusSpec(make_square(3.0, -1.0 - 1.0j), a, 0.1)
     inner_band = AnnulusSpec(b, make_circle(0.1, 1.0 + 1.0j), 0.1)
     with pytest.raises(GeometryRejected):
         AnnulusSystem(outer_shape=circle_shape_at(0j, 2.0),
                       inner_shape=circle_shape_at(0j, 0.5),
                       outer_band=outer_band, inner_band=inner_band, xi=0.5)
+
+
+def test_annulus_bands_apart_rejected():
+    # neither band meets the other, but the inner curve's band lies beside
+    # the outer one instead of inside it
+    outer_band = AnnulusSpec(make_circle(2.05), make_circle(1.95), 0.1)
+    inner_band = AnnulusSpec(make_circle(1.05, 5.0), make_circle(0.95, 5.0), 0.1)
+    with pytest.raises(GeometryRejected, match="inside the outer band"):
+        AnnulusSystem(outer_shape=circle_shape_at(0j, 2.0),
+                      inner_shape=circle_shape_at(5.0, 1.0),
+                      outer_band=outer_band, inner_band=inner_band, xi=2.0)

@@ -25,6 +25,8 @@ BBOX = (-1.3 - 1.3j, 1.3 + 1.3j)
 
 
 class ConstantKernel:
+    t = 0j
+
     def step(self, z):
         return np.zeros_like(z), np.full(z.shape, -math.inf)
 
@@ -166,6 +168,24 @@ def test_verify_annulus_variant():
     status[band] = int(OrbitStatus.INTERIOR_CAPTURED)
     f = synthetic_field(status, bbox=(-2.6 - 2.6j, 2.6 + 2.6j))
     rep = verify_hausdorff_annulus(f, make_circle(2.0), make_circle(1.0), 0.1)
+    assert rep.passed
+    assert rep.d_K <= 0.1
+
+
+def test_verify_scores_the_even_odd_region():
+    # a captured band between radii 1 and 2 and a captured disk beside it:
+    # the target is the points inside an odd number of the three curves, so
+    # the hole of the band is not part of it
+    n = 156
+    xs = np.linspace(-2.575, 5.175, n)
+    ys = np.linspace(3.875, -3.875, n)
+    z = xs[None, :] + 1j * ys[:, None]
+    status = np.full((n, n), int(OrbitStatus.ESCAPED))
+    status[(np.abs(z) >= 1.0) & (np.abs(z) <= 2.0)] = int(OrbitStatus.INTERIOR_CAPTURED)
+    status[np.abs(z - 3.8) <= 0.8] = int(OrbitStatus.INTERIOR_CAPTURED)
+    f = synthetic_field(status, bbox=(-2.6 - 3.9j, 5.2 + 3.9j))
+    rep = verify_hausdorff(f, [make_circle(2.0), make_circle(1.0),
+                               make_circle(0.8, 3.8)], 0.1)
     assert rep.passed
     assert rep.d_K <= 0.1
 
