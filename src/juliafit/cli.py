@@ -118,7 +118,7 @@ def _build_one_shape(curve_t: curves.JordanCurve, band_t: curves.AnnulusSpec,
     eps = shapepoly.select_epsilon(m, band_local) if args.epsilon is None else args.epsilon
 
     def build(n: int) -> shapepoly.ShapePolynomial:
-        return shapepoly.sample_roots(m, eps, n, t=t_dyn, frame_offset=p)
+        return shapepoly.sample_roots(m, eps, n, t=t_dyn)
 
     return m, eps, build
 
@@ -191,6 +191,9 @@ def cmd_build(args) -> int:
 def _radii(args, roots) -> tuple[float, float]:
     if args.certificate:
         cert = load_dump(args.certificate, _CERTIFICATES)
+        if not cert.escape_radius > cert.capture_radius > 0:
+            raise ParseError(f"certificate radii need escape > capture > 0, got "
+                             f"{cert.escape_radius} and {cert.capture_radius}")
         return cert.escape_radius, cert.capture_radius
     mags = np.abs(roots)
     return 1.2 * float(mags.max()), 0.5 * float(mags.min())

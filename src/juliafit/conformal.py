@@ -38,6 +38,8 @@ FFT_SIZE = 4096
 DOMAIN_TOL = 1e-9
 #: boundary evaluations are pulled inside the disk by this relative amount
 _NUDGE = 1e-12
+#: boundary-fit tolerance of a built map (times the curve diameter)
+MAP_TOL_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -291,20 +293,18 @@ def laurent_coefficients(m: ExteriorMap, order: int = LAURENT_ORDER,
 
 
 def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
-                       resample: int = 512,
-                       map_tol: float | None = None) -> ExteriorMap:
+                       resample: int = 512) -> ExteriorMap:
     """Construct the exterior map for a curve about interior basepoint t
     (default: the region centroid).
 
     The map is normalized so that w = 1 lands on the curve point of maximal
     real part (ties toward maximal imaginary part), up to the boundary-table
-    resolution. Raises MAP_DIVERGED when the boundary fit misses map_tol
-    (default 1e-3 times the curve diameter).
+    resolution. Raises MAP_DIVERGED when the boundary fit misses MAP_TOL_REL
+    times the curve diameter.
     """
     if t is None:
         t = curve.centroid
-    if map_tol is None:
-        map_tol = 1e-3 * curve.diameter
+    map_tol = MAP_TOL_REL * curve.diameter
     if (winding_numbers([t], curve.points)[0] != 1
             or float(distance_to_polyline([t], curve.points)[0]) < 1e-9 * curve.diameter):
         raise BadBasepoint(f"basepoint {t} is not strictly inside the curve")

@@ -7,12 +7,13 @@ immutable after construction.
 
 ``relation`` is the one test of how two curves lie, and ``enclosed`` the one
 rule for the region several curves bound: the points inside an odd number of
-them (the target region that verify checks).
+them (the target region that verify checks). Points are classified only by
+``JordanCurve.contains``, ``enclosed``, ``AnnulusSpec.strictly_in_band`` and
+``distance_to_polyline``.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -37,12 +38,10 @@ ON_TOL_REL = 1e-9
 _PAIR_CHUNK = 1 << 18
 #: rejection-sampling rounds before sample_interior gives up
 MAX_SAMPLE_BATCHES = 64
-
-
-class RegionLabel(enum.Enum):
-    BOUNDED_INSIDE = "bounded_inside"
-    ON_ANNULUS = "on_annulus"
-    UNBOUNDED_OUTSIDE = "unbounded_outside"
+#: an offset vertex moves at most MITER_LIMIT times the offset distance
+MITER_LIMIT = 4.0
+#: most crossing loops spliced out of one offset polyline
+MAX_PRUNE_PASSES = 12
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +259,8 @@ class JordanCurve:
         pts = _as_points(z).copy()
         if len(pts) < MIN_POINTS:
             raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
+        if not np.all(np.isfinite(pts)):
+            raise ParseError("curve points must be finite")
         if np.any(np.abs(np.roll(pts, -1) - pts) == 0.0):
             raise ParseError("consecutive points must be distinct")
         if len(np.unique(pts)) != len(pts):
@@ -306,9 +307,6 @@ class JordanCurve:
     def contains(self, z) -> np.ndarray:
         return winding_numbers(z, self.points) != 0
 
-    def distance(self, z) -> np.ndarray:
-        return distance_to_polyline(z, self.points)
-
 
 def load_curve(source) -> JordanCurve:
     """Parse a curve file: either one "x y" pair per line, or a JSON object
@@ -341,17 +339,6 @@ def load_curve(source) -> JordanCurve:
     if len(pts) < MIN_POINTS:
         raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
     return JordanCurve.from_points(pts)
-
-
-def winding_region(z: complex, curve: JordanCurve, tol_on: float | None = None) -> RegionLabel:
-    """Classify a point against a single curve: inside (winding 1), outside
-    (winding 0), or on the curve within tol_on (default 1e-9 x diameter)."""
-    if tol_on is None:
-        tol_on = ON_TOL_REL * curve.diameter
-    if float(distance_to_polyline([z], curve.points)[0]) <= tol_on:
-        return RegionLabel.ON_ANNULUS
-    w = int(winding_numbers([z], curve.points)[0])
-    return RegionLabel.BOUNDED_INSIDE if w != 0 else RegionLabel.UNBOUNDED_OUTSIDE
 
 
 def curve_gap(a: JordanCurve, b: JordanCurve) -> float:
@@ -387,7 +374,7 @@ def enclosed(z, curves) -> np.ndarray:
 # annuli by polygon offsetting
 
 
-def _offset_polyline(points: np.ndarray, d: float, miter_limit: float = 4.0) -> np.ndarray:
+def _offset_polyline(points: np.ndarray, d: float) -> np.ndarray:
     """Displace each vertex along its outward normal by d (signed; negative
     moves inward for a counterclockwise polygon)."""
     e = np.roll(points, -1) - points
@@ -398,15 +385,15 @@ def _offset_polyline(points: np.ndarray, d: float, miter_limit: float = 4.0) -> 
     m[bad] = n_edge[bad]
     m /= np.abs(m)
     dot = (m * n_edge.conjugate()).real
-    scale = 1.0 / np.maximum(dot, 1.0 / miter_limit)
+    scale = 1.0 / np.maximum(dot, 1.0 / MITER_LIMIT)
     return points + d * scale * m
 
 
-def _prune_self_intersections(points: np.ndarray, max_passes: int = 12) -> np.ndarray:
+def _prune_self_intersections(points: np.ndarray) -> np.ndarray:
     """Remove crossing loops by splicing at the intersection point, dropping
     the shorter vertex run each time."""
     pts = points
-    for _ in range(max_passes):
+    for _ in range(MAX_PRUNE_PASSES):
         bad = _segment_pairs_intersect(pts)
         if bad is None:
             return pts
@@ -443,17 +430,6 @@ class AnnulusSpec:
             raise OffsetCollapse("annulus width must be positive")
         if relation(self.outer, self.inner) != "contains":
             raise OffsetCollapse("inner curve must lie inside the outer one, off it")
-
-    def classify(self, z) -> np.ndarray:
-        """Vectorized region labels: inside the inner curve, in the band, or
-        outside the outer curve. Points on either curve count as the band."""
-        z = _as_points(z)
-        in_outer = winding_numbers(z, self.outer.points) != 0
-        in_inner = winding_numbers(z, self.inner.points) != 0
-        out = np.full(z.shape, RegionLabel.ON_ANNULUS, dtype=object)
-        out[in_inner] = RegionLabel.BOUNDED_INSIDE
-        out[~in_outer] = RegionLabel.UNBOUNDED_OUTSIDE
-        return out
 
     def strictly_in_band(self, z) -> np.ndarray:
         """True where points are strictly between the two curves (off both)."""

@@ -84,10 +84,6 @@ class GeometryRejected(JuliafitError):
     code = "GEOMETRY_REJECTED"
 
 
-class Indeterminate(JuliafitError):
-    code = "INDETERMINATE"
-
-
 # --- rendering / verification ---
 
 class MonochromeField(JuliafitError):

@@ -16,7 +16,8 @@ have ``margins()`` too):
 
 Like ``ShapePolynomial``, each system has a ``kind``, its frame shift ``t``,
 all its ``roots``, a per-pixel ``step`` and ``to_obj``/``from_obj``, so the
-commands render, save and load all three kinds alike.
+commands render, save and load all three kinds alike. ``step`` is the only
+way to evaluate a system; a single point is a length-1 array.
 """
 
 from __future__ import annotations
@@ -38,12 +39,8 @@ from .curves import (
 from .dynamics import Certificate
 from .errors import BadBasepoint, GeometryRejected
 from .shapepoly import (
-    ScaledComplex,
     ShapePolynomial,
-    _point,
     _renorm,
-    _scaled_point,
-    eval_P,
     materialize,
     omega_plus_one_scaled_array,
     omega_scaled_array,
@@ -120,6 +117,8 @@ class AnnulusSystem:
     xi: float
 
     def __post_init__(self):
+        if self.inner_shape.t != self.outer_shape.t:
+            raise GeometryRejected("both shapes must share the same frame shift")
         if self.xi <= 0:
             raise GeometryRejected("curves of the annulus must be disjoint")
         if relation(self.outer_band.inner, self.inner_band.outer) != "contains":
@@ -224,23 +223,6 @@ def omega_big_scaled_array(system: MultiShapeSystem, z: np.ndarray):
     for w, e in terms[1:]:
         acc_w, acc_e = _scaled_add(acc_w, acc_e, *_recip_scaled(w, e))
     return _recip_scaled(acc_w, acc_e)
-
-
-# ---------------------------------------------------------------------------
-# single-point evaluation
-
-
-def eval_Omega(system: MultiShapeSystem, z, frame: str = "translated") -> ScaledComplex:
-    """Harmonic combination of the node products at a single point, through
-    the array kernel. A single shape short-circuits to omega + 1 itself
-    (exact degeneration); an exact zero among the reciprocals raises
-    Indeterminate."""
-    return _scaled_point(*omega_big_scaled_array(system, _point(z, system.t, frame)))
-
-
-#: R(z) = z * Omega(z) and S(z) = P_outer(z) + 1/(omega_inner(z) + 1) at a
-#: single point: ``eval_P`` evaluates any map through its ``step``
-eval_R = eval_S = eval_P
 
 
 # ---------------------------------------------------------------------------

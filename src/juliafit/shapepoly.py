@@ -8,8 +8,10 @@ attracting once omega is uniformly close to -1 inside the shape. Degrees run
 to several hundred, so all products are carried as mantissa * 2**exponent
 arrays; renormalization by powers of two is exact in binary floating point,
 so a product does not depend on how often it is renormalized. There is one
-arithmetic path: the per-pixel array kernels. Single-point evaluations
-(``eval_omega``, ``eval_P``) run them on length-1 arrays.
+arithmetic path: the per-pixel array kernels, reached through a map's
+``step``. A single point is a length-1 array: a NaN log2 magnitude marks a
+point where a rational map is indeterminate, and an inf value with a finite
+log2 magnitude one too large for a double.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .conformal import ExteriorMap, evaluate_map
 from .curves import AnnulusSpec
-from .errors import DuplicateRoots, Indeterminate, MapDiverged, NoEpsilon, ParseError
+from .errors import DuplicateRoots, MapDiverged, NoEpsilon, ParseError
 
 #: exponent saturation; reaching it means the value is astronomically large
 #: (or small) and its magnitude class can never change back
@@ -47,40 +49,10 @@ MIN_ROOTS = 8
 @dataclass(frozen=True)
 class ScaledComplex:
     """Complex number as mantissa * 2**exponent with |mantissa| in [1/2, 1)
-    (or exactly zero): the value a single-point evaluation returns. All
-    arithmetic on such pairs runs in the array kernels below."""
+    (or exactly zero): the form of a shape's capacity**-n."""
 
     mantissa: complex
     exponent: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
-
-    @property
-    def log2_abs(self) -> float:
-        if self.is_zero:
-            return -math.inf
-        return math.log2(abs(self.mantissa)) + self.exponent
-
-    def to_complex(self) -> complex:
-        """Materialize; only valid when the exponent is in double range."""
-        if self.is_zero:
-            return 0j
-        if not -1020 <= self.exponent <= 1020:
-            raise OverflowError(f"exponent {self.exponent} outside double range")
-        return complex(math.ldexp(self.mantissa.real, self.exponent),
-                       math.ldexp(self.mantissa.imag, self.exponent))
-
-
-@dataclass(frozen=True)
-class EscapedLarge:
-    """Symbolic stand-in for a value too large to materialize."""
-
-    log2_magnitude: float
-
-    def __abs__(self):
-        return math.inf
 
 
 def _normalized(m: complex, e: int) -> ScaledComplex:
@@ -113,7 +85,7 @@ class ShapePolynomial:
     """n roots, inflation epsilon, frame shift t, leading coefficient.
 
     Roots live in the shifted frame (source curve minus t); the map has degree
-    n + 1 there. Original-frame evaluation conjugates by the shift. Like the
+    n + 1 there, and a caller in the original frame shifts by t itself. Like the
     two rational systems, a shape is its own per-pixel kernel (``step``) and
     its own dump (``to_obj``/``from_obj`` under ``kind``).
     """
@@ -164,9 +136,13 @@ class ShapePolynomial:
         nest shape dumps."""
         if obj["kind"] != cls.kind:
             raise ParseError(f"expected a {cls.kind} dump, got {obj['kind']!r}")
-        return cls(n=int(obj["n"]), epsilon=float(obj["epsilon"]),
-                   t=complex(*obj["t"]), capacity=complex(*obj["capacity"]),
-                   roots=np.array([complex(a, b) for a, b in obj["roots"]]))
+        epsilon, t = float(obj["epsilon"]), complex(*obj["t"])
+        capacity = complex(*obj["capacity"])
+        roots = np.array([complex(a, b) for a, b in obj["roots"]])
+        if not np.all(np.isfinite(np.concatenate(([epsilon, t, capacity], roots)))):
+            raise ParseError(f"{cls.kind} dump holds a non-finite number")
+        return cls(n=int(obj["n"]), epsilon=epsilon, t=t, capacity=capacity,
+                   roots=roots)
 
 
 def _check_distinct(roots: np.ndarray) -> None:
@@ -202,23 +178,20 @@ def select_epsilon(m: ExteriorMap, annulus: AnnulusSpec) -> float:
         "(map quality or annulus width insufficient)")
 
 
-def sample_roots(m: ExteriorMap, epsilon: float, n: int,
-                 t: complex | None = None,
-                 frame_offset: complex = 0j) -> ShapePolynomial:
-    """Roots r_k = map((1+eps) * e^(2 pi i k / n)), k = 1..n, and the rescaled
-    leading coefficient (1+eps) * capacity.
+def sample_roots(m: ExteriorMap, epsilon: float, n: int, t: complex) -> ShapePolynomial:
+    """Roots r_k = map((1+eps) * e^(2 pi i k / n)) + m.t, k = 1..n, and the
+    rescaled leading coefficient (1+eps) * capacity.
 
-    frame_offset shifts the sampled roots out of the map's own frame (source
-    curve minus basepoint) into the caller's working frame; the leading
+    Adding the map's basepoint m.t puts the roots in the frame of the curve
+    the map was built on; the shape's own frame shift is t. The leading
     coefficient is translation invariant.
     """
     if n < MIN_ROOTS:
         raise DuplicateRoots(f"need at least {MIN_ROOTS} roots, got {n}")
     k = np.arange(1, n + 1)
     w = (1.0 + epsilon) * np.exp(2j * np.pi * k / n)
-    roots = evaluate_map(m, w) + frame_offset
-    return ShapePolynomial(n=n, epsilon=float(epsilon),
-                           t=complex(m.t if t is None else t),
+    roots = evaluate_map(m, w) + m.t
+    return ShapePolynomial(n=n, epsilon=float(epsilon), t=complex(t),
                            capacity=(1.0 + epsilon) * m.capacity,
                            roots=roots)
 
@@ -308,42 +281,3 @@ def materialize(w: np.ndarray, e: np.ndarray):
     vals[ok] = np.ldexp(w.real[ok], sc) + 1j * np.ldexp(w.imag[ok], sc)
     vals[e < -970] = 0j
     return vals, log2m
-
-
-# ---------------------------------------------------------------------------
-# single-point evaluation: the kernels above on length-1 arrays
-
-
-def _point(z, t: complex, frame: str) -> np.ndarray:
-    """z as a length-1 shifted-frame array; frame="original" shifts it by -t."""
-    if frame == "original":
-        z = complex(z) - t
-    elif frame != "translated":
-        raise ValueError(f"unknown frame {frame!r}")
-    return np.array([complex(z)])
-
-
-def _scaled_point(w: np.ndarray, e: np.ndarray) -> ScaledComplex:
-    if np.isnan(w[0]):
-        raise Indeterminate("a node product hit -1 exactly; point sits on a vanishing locus")
-    return ScaledComplex(complex(w[0]), int(e[0]))
-
-
-def eval_omega(shape: ShapePolynomial, z, frame: str = "translated") -> ScaledComplex:
-    """Node product at z, as a scaled complex (never overflows). In the
-    original frame the argument is shifted by -t first."""
-    return _scaled_point(*omega_scaled_array(shape, _point(z, shape.t, frame)))
-
-
-def eval_P(system, z, frame: str = "translated"):
-    """One step of a map at a single point: z * (omega(z) + 1) for a shape,
-    R or S for the two rational systems (anything with ``step`` and ``t``),
-    conjugated by the frame shift when frame="original". Returns a complex
-    number, or EscapedLarge when the result exceeds double range; a point
-    where the map is indeterminate raises Indeterminate."""
-    vals, log2m = system.step(_point(z, system.t, frame))
-    if np.isnan(log2m[0]):
-        raise Indeterminate("the map is indeterminate at this point")
-    if np.isinf(vals[0]):
-        return EscapedLarge(float(log2m[0]))
-    return complex(vals[0]) + system.t if frame == "original" else complex(vals[0])

@@ -98,8 +98,8 @@ def built_shapes():
         band = ann_t.translated(-p)
         eps = select_epsilon(m, band)
 
-        def build(n, m=m, eps=eps, t=t, p=p):
-            return sample_roots(m, eps, n, t=t, frame_offset=p)
+        def build(n, m=m, eps=eps, t=t):
+            return sample_roots(m, eps, n, t=t)
 
         out[name] = {"curve": curve, "t": t, "annulus": ann, "annulus_t": ann_t,
                      "map": m, "band": band, "epsilon": eps, "build": build}

@@ -26,11 +26,25 @@ import numpy as np
 
 from juliafit.conformal import evaluate_map
 from juliafit.curves import _segment_pairs_intersect, curve_gap
-from juliafit.errors import Indeterminate, NoEpsilon
+from juliafit.errors import NoEpsilon
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
-from juliafit.shapepoly import EPS_HALVINGS, EPS_SAMPLES, EXP_CAP, EscapedLarge, ShapePolynomial
+from juliafit.shapepoly import EPS_HALVINGS, EPS_SAMPLES, EXP_CAP, ShapePolynomial
 
 _CHUNK = 4096
+
+
+@dataclass(frozen=True)
+class EscapedLarge:
+    """Symbolic stand-in for a value too large to materialize."""
+
+    log2_magnitude: float
+
+    def __abs__(self):
+        return math.inf
+
+
+class Indeterminate(Exception):
+    """The map is indeterminate at the point."""
 
 
 def _as_points(z) -> np.ndarray:

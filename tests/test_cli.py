@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -79,6 +80,16 @@ def test_build_garbage_file_exits_parse(tmp_path):
     p.write_text("not a curve\n")
     rc = main(["build", str(p), "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_build_non_finite_point_exits_parse(tmp_path, capsys):
+    p = tmp_path / "nan.txt"
+    write_curve_file(make_square(), p)
+    lines = p.read_text().splitlines()
+    lines[3] = "nan 0.5"
+    p.write_text("\n".join(lines) + "\n")
+    assert main(["build", str(p), "--out", str(tmp_path)]) == 2
+    assert "error [PARSE_ERROR]" in capsys.readouterr().err
 
 
 def test_build_undersized_degree_exits_certification(fixture_dir, tmp_path):
@@ -336,14 +347,20 @@ def test_system_dump_read_once(command, fixture_dir, tmp_path, monkeypatch):
     assert len(reads) == 2
 
 
-def test_verify_annulus_dump_curves_in_either_order(fixture_dir, tmp_path):
+@pytest.fixture(scope="module")
+def built_annulus(fixture_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("built_annulus")
+    assert main(["annulus", *_pair_args("annulus", fixture_dir), "--delta", "0.3",
+                 "--n", "256", "--epsilon", "0.015625", "--grid", "64",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_verify_annulus_dump_curves_in_either_order(built_annulus, fixture_dir, tmp_path):
     files = _pair_args("annulus", fixture_dir)
-    built = tmp_path / "built"
-    assert main(["annulus", *files, "--delta", "0.3", "--n", "256",
-                 "--epsilon", "0.015625", "--grid", "64", "--out", str(built)]) == 0
     for order in (files, files[::-1]):
         out = tmp_path / "verify"
-        argv = ["verify", str(built / "system.json"), "--delta", "0.3",
+        argv = ["verify", str(built_annulus / "system.json"), "--delta", "0.3",
                 "--grid", "64", "--out", str(out)]
         for f in order:
             argv += ["--curve", f]
@@ -351,6 +368,24 @@ def test_verify_annulus_dump_curves_in_either_order(fixture_dir, tmp_path):
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is True
         assert "annulus" not in report["config"]
+
+
+@pytest.mark.parametrize("command", ["render", "verify"])
+def test_annulus_dump_with_shapes_in_two_frames_exits_geometry(
+        command, built_annulus, fixture_dir, tmp_path, capsys):
+    # the map works in the outer shape's frame, so an inner shape shifted
+    # by another t would be rendered in the wrong place
+    obj = json.loads((built_annulus / "system.json").read_text())
+    obj["inner_shape"]["t"] = [5.0, 5.0]
+    bad = tmp_path / "system.json"
+    bad.write_text(json.dumps(obj))
+    argv = [command, str(bad), "--grid", "32", "--out", str(tmp_path / "out")]
+    if command == "verify":
+        argv += ["--delta", "0.3"]
+        for f in _pair_args("annulus", fixture_dir):
+            argv += ["--curve", f]
+    assert main(argv) == 3
+    assert "error [GEOMETRY_REJECTED]" in capsys.readouterr().err
 
 
 def test_rational_validates_annuli_once(fixture_dir, tmp_path, monkeypatch):
@@ -370,13 +405,18 @@ def test_rational_validates_annuli_once(fixture_dir, tmp_path, monkeypatch):
     assert calls == [2]
 
 
-def _malformed_dump(case, shape):
-    """Text of a dump that is broken in the way `case` names, made from a
-    valid shape dump."""
+def _malformed_dump(case, built):
+    """Text of a dump that is broken in the way `case` names, made from the
+    valid shape dump and certificate in `built`."""
+    shape = json.loads((built / "shape.json").read_text())
     if case == "not-json":
         return "{ not json"
     if case == "shape-without-roots":
         return json.dumps({k: v for k, v in shape.items() if k != "roots"})
+    if case == "shape-with-nan-root":
+        return json.dumps(dict(shape, roots=[[math.nan, 0.5]] + shape["roots"][1:]))
+    if case == "shape-with-nan-t":
+        return json.dumps(dict(shape, t=[math.nan, 0.0]))
     if case == "nested-shape-of-wrong-kind":
         return json.dumps({"kind": "multi_shape_system", "t": shape["t"],
                            "shapes": [dict(shape, kind="annulus_map_system")]})
@@ -387,6 +427,9 @@ def _malformed_dump(case, shape):
                            "status_b64": "", "iterations_b64": ""})
     if case == "certificate-without-radii":
         return json.dumps({"kind": "escape_certificate", "passed": True})
+    if case == "certificate-capture-above-escape":
+        cert = json.loads((built / "certificate.json").read_text())
+        return json.dumps(dict(cert, r_inner=5.0))
     raise ValueError(case)
 
 
@@ -400,14 +443,19 @@ def _malformed_dump(case, shape):
     ("verify", "nested-shape-of-wrong-kind"),
     ("render", "certificate-without-radii"),
     ("verify", "certificate-without-radii"),
+    ("render", "shape-with-nan-root"),
+    ("verify", "shape-with-nan-root"),
+    ("render", "shape-with-nan-t"),
+    ("verify", "shape-with-nan-t"),
+    ("render", "certificate-capture-above-escape"),
+    ("verify", "certificate-capture-above-escape"),
 ])
 def test_malformed_dump_exits_parse(command, case, built_square, fixture_dir,
                                     tmp_path, capsys):
-    shape = json.loads((built_square / "shape.json").read_text())
     bad = tmp_path / "bad.json"
-    bad.write_text(_malformed_dump(case, shape))
+    bad.write_text(_malformed_dump(case, built_square))
     dump, cert = bad, built_square / "certificate.json"
-    if case == "certificate-without-radii":
+    if case.startswith("certificate-"):
         dump, cert = built_square / "shape.json", bad
     argv = [command, str(dump), "--certificate", str(cert), "--grid", "32",
             "--out", str(tmp_path / "out")]
@@ -464,6 +512,10 @@ CLI_DIGESTS = {
     "rational-verify": "58094fabf0afa8aed92172f1299ad934ef65edaa7604d99565c10b5d9bf1059d",
     "annulus": "916961d9642bde8a3026c487e4717fdb264a40a9d3af14de7d707c8bd89f7174",
     "annulus-verify": "e5032e3583a4e927bf8c25a25dbabe07b58c2c53b4da8c5dd72f3e68f182a437",
+    "build-square-render": "ff779d3130ac8df381d6b7c17de40d015cb78d7cb901d7a14172b686315258a1",
+    "build-square-render-bbox": "9cb641bf6db0cf32c5a0c446ba8446290539cbfcd453461729ee634e7112503b",
+    "rational-render": "2d9200b98693a03688ebc7e58225e76ff46d41925b19477c1ae23fb4df75b179",
+    "annulus-render": "ab92c38e1b139faa89c622bdbb14e36e07a407d9edc6c3ee870ff7ed07f669d0",
 }
 
 
@@ -498,4 +550,15 @@ def test_cli_artifact_digest_regression(fixture_dir, tmp_path, capsys):
         assert main(verify) == 0
         got[f"{name}-verify"] = _digest(tmp_path / f"{name}-verify",
                                         capsys.readouterr().err)
+    # render of each kind of map, and of a given window
+    bbox = ["--bbox", "-0.25", "-0.25", "1.25", "1.25"]
+    for name, dump, extra in (("build-square", "shape.json", []),
+                              ("build-square", "shape.json", bbox),
+                              ("rational", "system.json", []),
+                              ("annulus", "system.json", [])):
+        render = f"{name}-render" + ("-bbox" if extra else "")
+        assert main(["render", str(tmp_path / name / dump), "--certificate",
+                     str(tmp_path / name / "certificate.json"), *grid, *extra,
+                     "--out", str(tmp_path / render)]) == 0
+        got[render] = _digest(tmp_path / render, capsys.readouterr().err)
     assert got == CLI_DIGESTS

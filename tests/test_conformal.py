@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from juliafit import conformal
 from juliafit.conformal import (
     ExteriorMap,
     _chain_pullback,
@@ -131,9 +132,10 @@ def test_bad_basepoint():
         build_exterior_map(make_circle(1.0), t=5.0 + 0j)
 
 
-def test_map_diverged_on_impossible_tolerance():
+def test_map_diverged_on_impossible_tolerance(monkeypatch):
+    monkeypatch.setattr(conformal, "MAP_TOL_REL", 1e-12)
     with pytest.raises(MapDiverged):
-        build_exterior_map(make_square(1.0), map_tol=1e-12)
+        build_exterior_map(make_square(1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from juliafit.curves import (
+    ON_TOL_REL,
     AnnulusSpec,
     JordanCurve,
-    RegionLabel,
     curve_gap,
+    distance_to_polyline,
     enclosed,
     hausdorff_distance,
     load_curve,
     offset_annulus,
     relation,
     winding_numbers,
-    winding_region,
 )
 from juliafit.errors import EmptySet, NotSimple, OffsetCollapse, ParseError, TooFewPoints
 from juliafit.shapes import make_blob, make_circle, make_figure_eight, make_square
@@ -100,17 +100,17 @@ def test_garbage_text_rejected():
 
 def test_winding_region_square():
     c = JordanCurve.from_points(densified_square())
-    assert winding_region(0.5 + 0.5j, c) is RegionLabel.BOUNDED_INSIDE
-    assert winding_region(10 + 10j, c) is RegionLabel.UNBOUNDED_OUTSIDE
-    assert winding_region(0.5 + 0j, c) is RegionLabel.ON_ANNULUS
+    z = [0.5 + 0.5j, 10 + 10j, 0.5 + 0j]
+    on = distance_to_polyline(z, c.points) <= ON_TOL_REL * c.diameter
+    assert on.tolist() == [False, False, True]
+    assert c.contains(z[:2]).tolist() == [True, False]
 
 
 def test_winding_consistent_with_signed_area():
     for make in (make_circle, make_square, make_blob):
         c = make()
-        assert winding_region(c.centroid, c) is RegionLabel.BOUNDED_INSIDE
         far = c.bbox[1] + complex(10 * c.diameter, 3 * c.diameter)
-        assert winding_region(far, c) is RegionLabel.UNBOUNDED_OUTSIDE
+        assert c.contains([c.centroid, far]).tolist() == [True, False]
 
 
 @settings(deadline=None, max_examples=30)
@@ -150,8 +150,7 @@ def test_offset_square_winding_oracle():
     # brute-force containment: every inner vertex winds once around the outer
     assert np.all(winding_numbers(ann.inner.points, ann.outer.points) == 1)
     # and the original curve lies inside the band
-    labels = ann.classify(sq.points)
-    assert all(lab is RegionLabel.ON_ANNULUS for lab in labels)
+    assert np.all(enclosed(sq.points, (ann.outer, ann.inner)))
 
 
 def test_offset_square_collapse():
@@ -165,7 +164,7 @@ def test_offset_neighborhood_property():
         ann = offset_annulus(curve, eps)
         tol = eps * 0.5 + 1e-6 * curve.diameter
         for side in (ann.outer, ann.inner):
-            d = side.distance(curve.points)
+            d = distance_to_polyline(curve.points, side.points)
             assert d.max() <= eps + tol
 
 
@@ -254,9 +253,10 @@ def test_annulus_rejects_inner_curve_touching_outer(diamond_on_square):
 
 def test_annulus_classify_partition():
     ann = AnnulusSpec(outer=make_circle(1.1), inner=make_circle(0.9), width_hint=0.2)
-    labels = ann.classify([0j, 1.0 + 0j, 2.0 + 0j])
-    assert list(labels) == [RegionLabel.BOUNDED_INSIDE, RegionLabel.ON_ANNULUS,
-                            RegionLabel.UNBOUNDED_OUTSIDE]
+    z = [0j, 1.0 + 0j, 2.0 + 0j]
+    assert ann.inner.contains(z).tolist() == [True, False, False]
+    assert enclosed(z, (ann.outer, ann.inner)).tolist() == [False, True, False]
+    assert ann.outer.contains(z).tolist() == [True, True, False]
 
 
 # ---------------------------------------------------------------------------
