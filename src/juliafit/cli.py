@@ -25,6 +25,7 @@ Exit codes: 0 ok, 2 parse, 3 geometry, 4 certification fail,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -189,13 +190,19 @@ def cmd_build(args) -> int:
 
 
 def _radii(args, roots) -> tuple[float, float]:
+    """(escape, capture) radii from --certificate, or else 1.2 max|r| and
+    0.5 min|r| over the roots in the shifted frame."""
     if args.certificate:
         cert = load_dump(args.certificate, _CERTIFICATES)
-        if not cert.escape_radius > cert.capture_radius > 0:
-            raise ParseError(f"certificate radii need escape > capture > 0, got "
-                             f"{cert.escape_radius} and {cert.capture_radius}")
+        if not (math.isfinite(cert.escape_radius)
+                and cert.escape_radius > cert.capture_radius > 0):
+            raise ParseError(f"certificate radii need finite escape > capture > 0, "
+                             f"got {cert.escape_radius} and {cert.capture_radius}")
         return cert.escape_radius, cert.capture_radius
     mags = np.abs(roots)
+    if not mags.min() > 0:
+        raise ParseError("a root sits at the frame origin, so the default capture "
+                         "radius is 0; give the radii with --certificate")
     return 1.2 * float(mags.max()), 0.5 * float(mags.min())
 
 
@@ -390,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certificate", default=None,
                    help="certificate JSON supplying escape/capture radii")
     p.add_argument("--bbox", type=float, nargs=4, default=None,
-                   metavar=("X0", "Y0", "X1", "Y1"), help="render window")
+                   metavar=("X0", "Y0", "X1", "Y1"),
+                   help="render window, finite with X0 < X1 and Y0 < Y1")
     p.add_argument("--margin", type=_number(float, 0.0), default=0.3,
                    help="relative margin around the roots when --bbox is absent")
     p.set_defaults(func=cmd_render)
@@ -441,6 +449,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.command == "rational" and (args.level_b is None) != (args.level_big is None):
         ap.error("rational: give both --b and --B, or neither")
+    if args.command == "render" and args.bbox is not None:
+        x0, y0, x1, y1 = args.bbox
+        if not (all(map(math.isfinite, args.bbox)) and x0 < x1 and y0 < y1):
+            ap.error("render: --bbox needs finite X0 < X1 and Y0 < Y1")
     try:
         return args.func(args)
     except _PARSE_ERRORS as exc:

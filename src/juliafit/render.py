@@ -291,6 +291,9 @@ def read_pgm(path) -> np.ndarray:
 
 
 def save_field(field: EscapeField, path, config: dict | None = None) -> None:
+    """Write the field as one line of compact JSON with sorted keys. The two
+    base64 arrays go to the file as raw bytes at their sorted places: base64
+    text never needs escaping, so the bytes are those of ``json.dump``."""
     obj = {
         "kind": field.kind,
         "bbox": [[field.bbox[0].real, field.bbox[0].imag],
@@ -300,12 +303,22 @@ def save_field(field: EscapeField, path, config: dict | None = None) -> None:
         "escape_radius": field.escape_radius,
         "capture_radius": field.capture_radius,
         "max_iter": field.max_iter,
-        "status_b64": base64.b64encode(field.status.tobytes()).decode("ascii"),
-        "iterations_b64": base64.b64encode(
-            field.iterations.astype("<u4").tobytes()).decode("ascii"),
     }
     if config is not None:
         obj["config"] = config
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    blobs = {
+        "status_b64": base64.b64encode(np.ascontiguousarray(field.status)),
+        "iterations_b64": base64.b64encode(
+            np.ascontiguousarray(field.iterations, dtype="<u4")),
+    }
+    with open(path, "wb") as fh:
+        for i, key in enumerate(sorted([*obj, *blobs])):
+            fh.write(b"{" if i == 0 else b",")
+            if key in blobs:
+                fh.write(f'"{key}":"'.encode("ascii"))
+                fh.write(blobs[key])
+                fh.write(b'"')
+            else:
+                item = json.dumps({key: obj[key]}, sort_keys=True, separators=(",", ":"))
+                fh.write(item[1:-1].encode("ascii"))
+        fh.write(b"}\n")

@@ -6,12 +6,15 @@ is omega(z) = c**(-n) * prod(z - r_k) and the dynamic map is
 P(z) = z * (omega(z) + 1). Every root is a fixed point of P and the origin is
 attracting once omega is uniformly close to -1 inside the shape. Degrees run
 to several hundred, so all products are carried as mantissa * 2**exponent
-arrays; renormalization by powers of two is exact in binary floating point,
-so a product does not depend on how often it is renormalized. There is one
-arithmetic path: the per-pixel array kernels, reached through a map's
-``step``. A single point is a length-1 array: a NaN log2 magnitude marks a
-point where a rational map is indeterminate, and an inf value with a finite
-log2 magnitude one too large for a double.
+arrays. The node product is renormalized once per block of up to 64 roots,
+as many as keep the block's partial products within [2**-758, 2**256]; a
+call whose block ends lower goes back to blocks of 8. In that range scaling
+by a power of two commutes with rounding, so the result does not depend on
+the block length. There is one arithmetic path: the per-pixel array
+kernels, reached through a map's ``step``. A single point is a length-1
+array: a NaN log2 magnitude marks a point where a rational map is
+indeterminate, and an inf value with a finite log2 magnitude one too large
+for a double.
 """
 
 from __future__ import annotations
@@ -40,6 +43,17 @@ EPS_SAMPLES = 4096
 EPS_COARSE = 8
 #: fewest roots sample_roots places
 MIN_ROOTS = 8
+#: the node product is renormalized once per block of k roots, k the largest
+#: multiple of 8 up to _BLOCK_MAX whose factors multiply to at most
+#: 2**_BLOCK_LOG2_MAX; a block ending below 2**_BLOCK_EXP_MIN (or at zero)
+#: sends the call back to blocks of 8. Each block starts at |w| <= 1, so the
+#: partial products of both cadences stay within [2**-758, 2**256], far from
+#: overflow and subnormals, where scaling by 2**s commutes with rounding: both
+#: give the same canonical (mantissa, exponent) pairs. (Only a component more
+#: than 2**264 below its value's magnitude could round as a subnormal.)
+_BLOCK_MAX = 64
+_BLOCK_LOG2_MAX = 256
+_BLOCK_EXP_MIN = -500
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +225,54 @@ def make_circle_shape(radius: float = 1.0, epsilon: float = 0.0625,
 # vectorized evaluation (the per-pixel kernels)
 
 
-def _renorm(w: np.ndarray, e: np.ndarray) -> None:
+def _renorm(w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Scale w into [1/2, 1) in place, add the shifts to e and return them."""
     _, sh = np.frexp(np.abs(w))
     w.real = np.ldexp(w.real, -sh)
     w.imag = np.ldexp(w.imag, -sh)
     e += sh
+    return sh
+
+
+def _block_length(shape: ShapePolynomial, z: np.ndarray) -> int:
+    """Roots per renormalization: the largest multiple of 8 up to
+    _BLOCK_MAX with u**k <= 2**_BLOCK_LOG2_MAX, where u = max|z| + max|r_k|
+    bounds every factor |z - r_k|; 8 when u is not finite."""
+    u = float(np.abs(z).max(initial=0.0)) + float(np.abs(shape.roots).max())
+    if not math.isfinite(u):
+        return 8
+    k = 8 * int(_BLOCK_LOG2_MAX // (8 * math.log2(max(u, 2.0))))
+    return max(8, min(_BLOCK_MAX, k))
+
+
+def _node_product(shape: ShapePolynomial, z: np.ndarray, k: int):
+    """prod(z - r_k) in root order as canonical (mantissa, exponent) arrays,
+    renormalized after every k-th factor and at the end. None when k > 8 and
+    a block ends below 2**_BLOCK_EXP_MIN or at zero, where a block that long
+    is not known to be exact."""
+    w = np.ones(z.shape, dtype=np.complex128)
+    e = np.zeros(z.shape, dtype=np.int64)
+    tmp = np.empty_like(w)
+
+    def renorm_in_range() -> bool:
+        sh = _renorm(w, e)
+        return k == 8 or (sh.min(initial=0) >= _BLOCK_EXP_MIN and w.all())
+
+    for j, r in enumerate(shape.roots):
+        np.subtract(z, r, out=tmp)
+        w *= tmp
+        if j % k == k - 1 and not renorm_in_range():
+            return None
+    if not renorm_in_range():
+        return None
+    return w, e
 
 
 def omega_scaled_array(shape: ShapePolynomial, z: np.ndarray):
     """Vectorized node product over plain complex points (shifted frame).
     Returns (mantissa, exponent) arrays."""
-    w = np.ones(z.shape, dtype=np.complex128)
-    e = np.zeros(z.shape, dtype=np.int64)
-    tmp = np.empty_like(w)
-    for j, r in enumerate(shape.roots):
-        np.subtract(z, r, out=tmp)
-        w *= tmp
-        if j % 8 == 7:
-            _renorm(w, e)
-    _renorm(w, e)
+    k = _block_length(shape, z)
+    w, e = _node_product(shape, z, k) or _node_product(shape, z, 8)
     cp = shape.cap_pow
     w *= cp.mantissa
     _renorm(w, e)

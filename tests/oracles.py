@@ -14,11 +14,18 @@ inflation it tries. The fast versions must return the same bits.
 Dynamics: the scalar scaled-complex arithmetic that `juliafit.shapepoly` and
 `juliafit.rational` evaluated single points with before all evaluation went
 through the array kernels. It renormalizes after every product and works on
-scaled arguments, so orbits can be followed far past double range.
+scaled arguments, so orbits can be followed far past double range. The node
+product as it was before it was renormalized once per block of roots: after
+every 8th root. The block kernel must return the same bits.
+
+Dumps: the field writer as it was before it wrote the base64 arrays to the
+file itself, a single `json.dump`. The fast writer must write the same bytes.
 """
 
 from __future__ import annotations
 
+import base64
+import json
 import math
 from dataclasses import dataclass
 
@@ -28,7 +35,13 @@ from juliafit.conformal import evaluate_map
 from juliafit.curves import _segment_pairs_intersect, curve_gap
 from juliafit.errors import NoEpsilon
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
-from juliafit.shapepoly import EPS_HALVINGS, EPS_SAMPLES, EXP_CAP, ShapePolynomial
+from juliafit.shapepoly import (
+    EPS_HALVINGS,
+    EPS_SAMPLES,
+    EXP_CAP,
+    ShapePolynomial,
+    _renorm,
+)
 
 _CHUNK = 4096
 
@@ -377,3 +390,53 @@ def eval_S(system: AnnulusSystem, z, frame: str = "translated"):
         return res.to_complex()
     except OverflowError:
         return EscapedLarge(res.log2_abs)
+
+
+# ---------------------------------------------------------------------------
+# array node product
+
+
+def omega_scaled_array(shape: ShapePolynomial, z: np.ndarray):
+    """Node product over plain complex points (shifted frame), renormalized
+    after every 8th root. Returns (mantissa, exponent) arrays."""
+    w = np.ones(z.shape, dtype=np.complex128)
+    e = np.zeros(z.shape, dtype=np.int64)
+    tmp = np.empty_like(w)
+    for j, r in enumerate(shape.roots):
+        np.subtract(z, r, out=tmp)
+        w *= tmp
+        if j % 8 == 7:
+            _renorm(w, e)
+    _renorm(w, e)
+    cp = shape.cap_pow
+    w *= cp.mantissa
+    _renorm(w, e)
+    e += cp.exponent
+    # an exact zero (z on a root) keeps exponent 0, so that omega + 1 is 1
+    e[w == 0] = 0
+    return w, e
+
+
+# ---------------------------------------------------------------------------
+# dumps
+
+
+def save_field(field, path, config: dict | None = None) -> None:
+    obj = {
+        "kind": field.kind,
+        "bbox": [[field.bbox[0].real, field.bbox[0].imag],
+                 [field.bbox[1].real, field.bbox[1].imag]],
+        "width": field.width,
+        "height": field.height,
+        "escape_radius": field.escape_radius,
+        "capture_radius": field.capture_radius,
+        "max_iter": field.max_iter,
+        "status_b64": base64.b64encode(field.status.tobytes()).decode("ascii"),
+        "iterations_b64": base64.b64encode(
+            field.iterations.astype("<u4").tobytes()).decode("ascii"),
+    }
+    if config is not None:
+        obj["config"] = config
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+        fh.write("\n")

@@ -430,6 +430,9 @@ def _malformed_dump(case, built):
     if case == "certificate-capture-above-escape":
         cert = json.loads((built / "certificate.json").read_text())
         return json.dumps(dict(cert, r_inner=5.0))
+    if case == "certificate-infinite-escape":
+        cert = json.loads((built / "certificate.json").read_text())
+        return json.dumps(dict(cert, beta=math.inf))
     raise ValueError(case)
 
 
@@ -449,6 +452,8 @@ def _malformed_dump(case, built):
     ("verify", "shape-with-nan-t"),
     ("render", "certificate-capture-above-escape"),
     ("verify", "certificate-capture-above-escape"),
+    ("render", "certificate-infinite-escape"),
+    ("verify", "certificate-infinite-escape"),
 ])
 def test_malformed_dump_exits_parse(command, case, built_square, fixture_dir,
                                     tmp_path, capsys):
@@ -463,6 +468,22 @@ def test_malformed_dump_exits_parse(command, case, built_square, fixture_dir,
         argv += ["--curve", str(fixture_dir / "square.txt"), "--delta", "0.3"]
     assert main(argv) == 2
     assert "error [PARSE_ERROR]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["render", "verify"])
+def test_default_radii_with_a_root_at_the_origin_exit_parse(command, built_square,
+                                                            fixture_dir, tmp_path, capsys):
+    # without --certificate the capture radius is half the smallest root
+    # modulus, which a root at the frame origin makes 0
+    shape = json.loads((built_square / "shape.json").read_text())
+    bad = tmp_path / "shape.json"
+    bad.write_text(json.dumps(dict(shape, roots=[[0.0, 0.0]] + shape["roots"][1:])))
+    argv = [command, str(bad), "--grid", "32", "--out", str(tmp_path / "out")]
+    if command == "verify":
+        argv += ["--curve", str(fixture_dir / "square.txt"), "--delta", "0.3"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error [PARSE_ERROR]" in err and "--certificate" in err
 
 
 @pytest.mark.parametrize("command,bad", [
@@ -482,6 +503,10 @@ def test_malformed_dump_exits_parse(command, case, built_square, fixture_dir,
     ("rational", ["--b", "0.001"]),
     ("rational", ["--B", "100"]),
     ("annulus", ["--delta", "0"]),
+    ("render", ["--bbox", "nan", "0", "1", "1"]),
+    ("render", ["--bbox", "0", "0", "inf", "1"]),
+    ("render", ["--bbox", "1", "1", "0", "0"]),
+    ("render", ["--bbox", "0", "0.5", "1", "0.5"]),
 ])
 def test_unusable_number_is_a_usage_error(command, bad, built_square, fixture_dir,
                                           tmp_path, capsys):

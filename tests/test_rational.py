@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from juliafit import rational
 from juliafit.curves import AnnulusSpec
 from juliafit.dumps import load_dump, save_dump
 from juliafit.dynamics import find_min_degree
@@ -297,6 +298,25 @@ def test_annulus_kernel_matches_scalar(round_annulus_system):
     _, log2m = k.step(pole)
     assert log2m[0] > 30
     assert abs(oracles.eval_S(round_annulus_system, -1.5 + 0j)) > 2.0 ** 30
+
+
+@pytest.mark.parametrize("system", ["multi", "annulus"])
+def test_system_steps_match_every_8_reference(system, two_circle_system,
+                                              round_annulus_system, monkeypatch):
+    # the node product renormalized once per block against the every-8
+    # reference, through each system's step
+    k = two_circle_system if system == "multi" else round_annulus_system
+    rng = np.random.default_rng(11)
+    z = k.roots.mean() + 4.0 * np.sqrt(rng.uniform(0, 1, 500)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, 500))
+    for pts in (z, z[:1]):
+        got = k.step(pts)
+        with monkeypatch.context() as m:
+            m.setattr(rational, "omega_scaled_array", oracles.omega_scaled_array)
+            want = k.step(pts)
+        for a, b in zip(got, want):
+            assert a.view(np.float64).view(np.int64).tolist() == \
+                b.view(np.float64).view(np.int64).tolist()
 
 
 def test_system_dump_round_trip(two_circle_system, tmp_path):

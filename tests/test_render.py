@@ -1,9 +1,11 @@
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+import oracles
 from juliafit.curves import hausdorff_distance
 from juliafit.dumps import load_dump
 from juliafit.dynamics import OrbitStatus
@@ -233,6 +235,28 @@ def test_field_dump_round_trip(tmp_path, circle_field):
     assert np.array_equal(f2.iterations, circle_field.iterations)
     save_field(f2, tmp_path / "field2.json", config={"seed": 0})
     assert (tmp_path / "field.json").read_bytes() == (tmp_path / "field2.json").read_bytes()
+
+
+@pytest.mark.parametrize("config", [
+    None,
+    {"seed": 0},
+    {"command": "render", "input": 'say "hi"\\back\\slash.json',
+     "curve": ["kreis-\u00fc.txt", "\u5186.txt"], "bbox": [-1.5, 0.25, 1e300, math.inf],
+     "nested": {"z": None, "a": [True, 1.5, -0.0]}},
+    {"status_b64": "fake", "iterations_b64": '":"'},
+])
+@pytest.mark.parametrize("grid", ["min", "circle"])
+def test_field_writer_matches_json_dump(config, grid, circle_field, tmp_path):
+    field = circle_field if grid == "circle" else synthetic_field(
+        np.arange(256).reshape(16, 16) % 3, np.arange(256).reshape(16, 16) * 70001)
+    save_field(field, tmp_path / "got.json", config=config)
+    oracles.save_field(field, tmp_path / "want.json", config=config)
+    got = (tmp_path / "got.json").read_bytes()
+    assert got == (tmp_path / "want.json").read_bytes()
+    back = EscapeField.from_obj(json.loads(got))
+    assert back.bbox == field.bbox
+    assert np.array_equal(back.status, field.status)
+    assert np.array_equal(back.iterations, field.iterations)
 
 
 def test_circle_render_checksum_regression():

@@ -238,6 +238,105 @@ def test_single_point_evaluation_matches_reference(radius, n):
 
 
 # ---------------------------------------------------------------------------
+# block renormalization against the every-8 reference (tests/oracles.py)
+
+
+def bits(w, e):
+    """The exact bits of a scaled array: mantissa words (signed zeros and NaN
+    payloads included) and exponents."""
+    return w.view(np.float64).view(np.int64).tolist(), e.tolist()
+
+
+def jittered_shape(n, seed, cluster=None):
+    """n distinct roots about a unit circle, or within `cluster` of 0.3."""
+    rng = np.random.default_rng(seed)
+    ring = np.exp(2j * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n)
+    scale = rng.uniform(0.5, 1.5, n)
+    roots = ring * scale if cluster is None else 0.3 + cluster * ring * scale
+    return ShapePolynomial(n=n, epsilon=0.0625, t=0j, capacity=complex(rng.uniform(0.5, 2.0)),
+                           roots=roots)
+
+
+def kernel_points(shape, count, seed, spread, on_roots=0.2):
+    """count points, uniform over a disk of radius `spread` about the roots'
+    centre; about a share `on_roots` of them exact roots, and as many roots
+    moved by 1e-12 of their modulus."""
+    rng = np.random.default_rng(seed)
+    centre = shape.roots.mean()
+    z = centre + spread * np.sqrt(rng.uniform(0, 1, count)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, count))
+    pick = rng.integers(0, shape.n, count)
+    on = rng.uniform(0, 1, count) < on_roots
+    near = rng.uniform(0, 1, count) < on_roots
+    z[on] = shape.roots[pick[on]]
+    z[near] = shape.roots[pick[near]] * (1 + 1e-12 * np.exp(2j * np.pi * rng.uniform()))
+    return z
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(8, 600), st.sampled_from([0, 1, 2, 37]), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.1, 3.0), st.sampled_from([0.0, 0.2]))
+def test_block_kernel_matches_every_8_reference(n, count, seed, spread, on_roots):
+    # an exact root makes a zero, which sends the call to blocks of 8
+    shape = jittered_shape(n, seed)
+    z = kernel_points(shape, count, seed, spread, on_roots)
+    assert bits(*omega_scaled_array(shape, z)) == bits(*oracles.omega_scaled_array(shape, z))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(8, 300), st.integers(0, 2 ** 32 - 1), st.floats(-9.0, -1.0))
+def test_block_kernel_on_clustered_roots(n, seed, log_cluster):
+    # roots within 10**log_cluster of one point: the products of points in
+    # the cluster end a block of 64 far below 2**-500 (the fallback to blocks
+    # of 8) or, for wide clusters and short blocks, just above it
+    shape = jittered_shape(n, seed, cluster=10.0 ** log_cluster)
+    z = kernel_points(shape, 33, seed, 2 * 10.0 ** log_cluster, on_roots=0.0)
+    assert bits(*omega_scaled_array(shape, z)) == bits(*oracles.omega_scaled_array(shape, z))
+
+
+def test_block_kernel_falls_back_on_a_deep_cluster(monkeypatch):
+    shape = jittered_shape(200, 5, cluster=1e-6)
+    z = kernel_points(shape, 50, 5, 1e-6, on_roots=0.0)
+    blocks = []
+    node_product = shapepoly._node_product
+
+    def spy(shape, z, k):
+        out = node_product(shape, z, k)
+        blocks.append((k, out is None))
+        return out
+
+    monkeypatch.setattr(shapepoly, "_node_product", spy)
+    assert bits(*omega_scaled_array(shape, z)) == bits(*oracles.omega_scaled_array(shape, z))
+    assert blocks == [(64, True), (8, False)]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300, 1e17 + 1e17j])
+def test_block_kernel_non_finite_and_huge_points_use_blocks_of_8(bad, circle64):
+    z = np.array([0.3 + 0.2j, bad, 1.1 - 0.4j])
+    assert shapepoly._block_length(circle64, z) == 8
+    with np.errstate(all="ignore"):
+        assert bits(*omega_scaled_array(circle64, z)) == bits(
+            *oracles.omega_scaled_array(circle64, z))
+
+
+def test_block_length_follows_the_factor_bound(circle64):
+    # max|r| = 1.0625: u**k <= 2**256 for the largest multiple of 8 up to 64
+    assert shapepoly._block_length(circle64, np.zeros(0, complex)) == 64
+    assert shapepoly._block_length(circle64, np.array([14.9 + 0j])) == 64
+    assert shapepoly._block_length(circle64, np.array([30.0 + 0j])) == 48
+    assert shapepoly._block_length(circle64, np.array([2.0 ** 20 + 0j])) == 8
+
+
+@pytest.mark.parametrize("n", [64, 300, 512])
+def test_p_step_array_matches_every_8_reference(n, monkeypatch):
+    shape = jittered_shape(n, n)
+    z = kernel_points(shape, 200, n, 2.0, on_roots=0.0)
+    got = p_step_array(shape, z)
+    monkeypatch.setattr(shapepoly, "omega_scaled_array", oracles.omega_scaled_array)
+    assert bits(*got) == bits(*p_step_array(shape, z))
+
+
+# ---------------------------------------------------------------------------
 # inflation selection and root sampling
 
 
