@@ -132,9 +132,9 @@ def _render(args, system, bbox, radii):
         workers=args.workers)
 
 
-def _say_certified(cert) -> None:
-    margins = ", ".join(f"{k} {v:.3g}" for k, v in cert.margins().items())
-    _say(f"certified at n = {cert.n_certified} (margins: {margins})")
+def _say_margins(what: str, n: int, margins: dict) -> None:
+    text = ", ".join(f"{k} {v:.3g}" for k, v in margins.items())
+    _say(f"{what} n = {n} (margins: {text})")
 
 
 def _report(args, cfg, field, curve_list, delta: float) -> int:
@@ -180,9 +180,9 @@ def cmd_build(args) -> int:
     _say(f"map ready: capacity {abs(m.capacity):.6g}, "
          f"boundary rmse {m.quality.boundary_rmse:.3g}, inflation {eps}")
     shape, cert = dynamics.find_min_degree(
-        build, lambda s: dynamics.certify(s, ann_t, args.samples, args.seed),
+        build, lambda s: dynamics.certify(s, ann_t, args.samples),
         _schedule(args))
-    _say_certified(cert)
+    _say_margins("certified at", cert.n_certified, cert.margins())
     save_dump(shape, _outpath(args, "shape.json"))
     dynamics.save_certificate(cert, _outpath(args, "certificate.json"), config=cfg)
     save_dump(m, _outpath(args, "map.json"))
@@ -274,7 +274,7 @@ def cmd_rational(args) -> int:
         lambda n: rational.MultiShapeSystem(shapes=tuple(bd(n) for bd in builders)),
         lambda sy: rational.certify_multi(sy, anns_t, b, big, args.samples, args.seed),
         _schedule(args))
-    _say_certified(cert)
+    _say_margins("certified at", cert.n_certified, cert.margins())
     return _finish(args, cfg, system, cert, curve_list, delta)
 
 
@@ -323,7 +323,7 @@ def cmd_annulus(args) -> int:
             outer_band=e_t, inner_band=f_t, xi=xi),
         lambda sy: rational.certify_S(sy, args.samples, args.seed),
         _schedule(args))
-    _say_certified(cert)
+    _say_margins("certified at", cert.n_certified, cert.margins())
     return _finish(args, cfg, system, cert, [outer, inner], delta)
 
 
@@ -349,7 +349,8 @@ _POSITIVE = _number(float, 0.0, above=True)
 def _add_common(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--out", default=".", help="output directory (default: .)")
     ap.add_argument("--seed", type=_number(int, 0), default=0,
-                    help="sampling seed (default 0)")
+                    help="seed of the interior draws that the rational and annulus "
+                         "certificates sample (default 0)")
     ap.add_argument("--samples", type=_number(int, 1), default=4096,
                     help="samples per region for certification (default 4096)")
 
@@ -460,6 +461,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except NoDegreeFound as exc:
         _say(f"error [{exc.code}]: {exc}")
+        if exc.best:
+            best = exc.best
+            _say_margins("best failing at", best["n_certified"], best["margins"])
         return EXIT_CERTIFICATION
     except JuliafitError as exc:
         _say(f"error [{exc.code}]: {exc}")

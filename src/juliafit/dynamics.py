@@ -3,14 +3,23 @@
 ``classify_orbits`` is the one orbit classifier: the render runs it on each
 tile of pixel centers, and nothing else iterates a map.
 
-A certificate witnesses, on dense samples, the two inequalities that justify
-finite-iteration classification: the map contracts the region inside the
-annulus into a ball around the origin, and expands by a factor kappa outside
-it. Certification is by sampling, not interval arithmetic: the checks run on
-the annulus boundary curves (where the extrema of an analytic map live) plus
-seeded interior draws, and the unbounded region is covered by its boundary
-samples together with the far-field growth of the leading term. The dump
-records this as a sampled certificate.
+A certificate witnesses the trapping that justifies finite-iteration
+classification. For a shape polynomial P(z) = z (omega(z) + 1) against its
+annulus, write D for the inside of the inner curve, U for the unbounded side
+of the outer curve, beta = max |z| on the outer curve and d_inner =
+dist(0, inner curve). ``certify`` checks three conditions:
+
+- (A) max |P| < d_inner on the inner curve. By maximum modulus P maps the
+  closure of D into B(0, d_inner), which lies in D.
+- (R) every root r_k lies inside the outer curve.
+- (B1) min |P| > beta on the outer curve.
+
+On the outer curve |omega + 1| = |P| / |z| > 1 = |(omega + 1) - omega|, so
+by the symmetric Rouche theorem omega + 1, like omega, has all n zeros
+inside it. Then 1/P is analytic on U and at infinity, which gives |P| > beta
+on U, and w/P on |w| >= beta gives |P(w)| >= q |w| with q > 1: every orbit
+from U escapes. The extrema come from dense boundary samples, not interval
+arithmetic, and the dump records the certificate as sampled.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .curves import AnnulusSpec, distance_to_polyline, sample_interior
+from .curves import AnnulusSpec, distance_to_polyline
 from .dumps import write_json
 from .errors import NoDegreeFound, SamplingFailure
 from .shapepoly import ShapePolynomial, p_step_array
@@ -87,8 +96,8 @@ def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
 
 class Certificate:
     """What the certificates of the three constructions share: a ``kind``,
-    ``passed``, ``margins()``, escape and capture radii, and a rebuild from
-    the fields of their dump."""
+    ``passed``, ``n_certified``, ``margins()``, escape and capture radii, and
+    a rebuild from the fields of their dump."""
 
     @classmethod
     def from_obj(cls, obj: dict):
@@ -98,83 +107,64 @@ class Certificate:
 @dataclass(frozen=True)
 class EscapeCertificate(Certificate):
     kind: ClassVar[str] = "escape_certificate"
-    r_inner: float
-    kappa: float
-    K_bound: float
-    alpha: float
+    d_inner: float
     beta: float
-    gamma_inf: float
     n_certified: int
     inside_max: float
-    outside_min_ratio: float
+    outside_min: float
+    roots_outside: int
     sample_counts: dict
     passed: bool
 
     @property
     def escape_radius(self) -> float:
-        """Radius beyond which every point lies in the certified expanding
-        region (5% slack over the sampled supremum)."""
-        return 1.05 * self.beta
+        return self.beta
 
     @property
     def capture_radius(self) -> float:
-        return self.r_inner
+        return self.d_inner
 
     def margins(self) -> dict:
+        """(A) and (B1) pass above 0; "roots" is minus the number of roots
+        outside the outer curve, so (R) passes at 0."""
         return {
-            "inside": self.r_inner - self.inside_max,
-            "outside": self.outside_min_ratio - self.kappa,
-            "ball": self.kappa * self.gamma_inf - self.beta,
+            "inside": self.d_inner - self.inside_max,
+            "outside": self.outside_min - self.beta,
+            "roots": -self.roots_outside,
         }
 
 
-def _abs_p(shape: ShapePolynomial, z: np.ndarray) -> np.ndarray:
-    _, log2m = p_step_array(shape, z)
-    with np.errstate(over="ignore"):
-        return np.exp2(log2m)
-
-
 def certify(shape: ShapePolynomial, annulus: AnnulusSpec,
-            samples_per_region: int = 4096, seed: int = 0) -> EscapeCertificate:
+            samples_per_region: int = 4096) -> EscapeCertificate:
     """Sampled escape certificate for a shape polynomial against its annulus
     (both in the shifted frame: the origin must lie inside the inner curve).
 
-    PASS means: |P| < r_inner on the region inside the annulus (boundary
-    curve plus seeded interior draws), |P| > kappa |z| on the outer boundary,
-    and kappa * gamma_inf exceeds the supremum of |z| off the unbounded side.
+    PASS means (A), (R) and (B1) of the module docstring hold, each curve
+    taken at ``samples_per_region`` boundary samples: orbits that enter
+    B(0, d_inner) stay there, and orbits that leave B(0, beta) escape.
     """
     if samples_per_region < 256:
         raise SamplingFailure("need at least 256 samples per region")
     inner, outer = annulus.inner, annulus.outer
-    alpha = float(np.abs(inner.points).max())
-    beta = float(np.abs(outer.points).max())
-    gamma = float(distance_to_polyline([0j], outer.points)[0])
-    d_inner = float(distance_to_polyline([0j], inner.points)[0])
     if not inner.contains([0j])[0]:
         raise SamplingFailure("origin is not inside the annulus")
-    k_bound = max(1.0, beta / gamma)
-    kappa = 2.0 * k_bound
-    r_inner = min(gamma / 2.0, d_inner)
+    d_inner = float(distance_to_polyline([0j], inner.points)[0])
+    beta = float(np.abs(outer.points).max())
 
-    rng = np.random.default_rng(seed)
-    inside_pts = np.concatenate([
-        sample_interior(inner, samples_per_region, rng),
-        inner.boundary_samples(samples_per_region),
-    ])
+    inner_pts = inner.boundary_samples(samples_per_region)
     outer_pts = outer.boundary_samples(samples_per_region)
+    _, log_in = p_step_array(shape, inner_pts)
+    _, log_out = p_step_array(shape, outer_pts)
+    with np.errstate(over="ignore"):
+        inside_max = float(np.exp2(log_in.max()))
+        outside_min = float(np.exp2(log_out.min()))
+    roots_outside = int(np.count_nonzero(~outer.contains(shape.roots)))
 
-    inside_max = float(_abs_p(shape, inside_pts).max())
-    ratios = _abs_p(shape, outer_pts) / np.abs(outer_pts)
-    outside_min_ratio = float(ratios.min())
-
-    passed = (inside_max < r_inner
-              and outside_min_ratio > kappa
-              and kappa * gamma > beta)
+    passed = inside_max < d_inner and outside_min > beta and roots_outside == 0
     return EscapeCertificate(
-        r_inner=r_inner, kappa=kappa, K_bound=k_bound, alpha=alpha, beta=beta,
-        gamma_inf=gamma, n_certified=shape.n, inside_max=inside_max,
-        outside_min_ratio=outside_min_ratio,
-        sample_counts={"inside": int(len(inside_pts)), "outer": int(len(outer_pts))},
+        d_inner=d_inner, beta=beta, n_certified=shape.n, inside_max=inside_max,
+        outside_min=outside_min, roots_outside=roots_outside,
+        sample_counts={"inner": int(len(inner_pts)), "outer": int(len(outer_pts))},
         passed=passed)
 
 
@@ -184,8 +174,8 @@ def find_min_degree(build, certify, n_schedule):
     (a ShapePolynomial, MultiShapeSystem or AnnulusSystem) and
     ``certify(candidate)`` its certificate, which has ``passed`` and
     ``margins()``. Returns (candidate, certificate); when no degree passes,
-    raises NoDegreeFound carrying the certificate whose worst margin was
-    largest."""
+    raises NoDegreeFound carrying the fields and ``margins`` of the
+    certificate whose worst margin was largest."""
     best = None
     best_margin = -math.inf
     for n in n_schedule:
@@ -199,7 +189,7 @@ def find_min_degree(build, certify, n_schedule):
             best = cert
     raise NoDegreeFound(
         f"no degree in {list(n_schedule)} certified",
-        best=None if best is None else asdict(best))
+        best=None if best is None else dict(asdict(best), margins=best.margins()))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +198,11 @@ def find_min_degree(build, certify, n_schedule):
 
 def save_certificate(cert, path, config: dict | None = None) -> None:
     """Dump a certificate of any construction (EscapeCertificate,
-    MultiCertificate or SCertificate) under its ``kind``, with its fields and
-    radii. Only the escape certificate also records its margins."""
+    MultiCertificate or SCertificate) under its ``kind``, with its fields,
+    margins and radii."""
     obj = {"kind": cert.kind, "sampled": True}
     obj.update(asdict(cert))
-    if isinstance(cert, EscapeCertificate):
-        obj["margins"] = cert.margins()
+    obj["margins"] = cert.margins()
     obj["capture_radius"] = cert.capture_radius
     obj["escape_radius"] = cert.escape_radius
     if config is not None:

@@ -331,8 +331,6 @@ class SCertificate(Certificate):
     kind: ClassVar[str] = "s_certificate"
     r_mid: float
     R_big: float
-    eta: float
-    kappa: float
     xi: float
     mid_max: float
     far_min: float
@@ -367,11 +365,8 @@ def certify_S(system: AnnulusSystem, samples_per_region: int = 4096,
     r_mid = 0.999 * min(float(distance_to_polyline([0j], E.inner.points)[0]),
                         float(distance_to_polyline([0j], F.outer.points)[0]))
     R_big = 1.001 * float(np.abs(E.outer.points).max())
-    inf_o = float(distance_to_polyline([0j], E.outer.points)[0])
-    if not (r_mid > 0 and inf_o > 0):
+    if not r_mid > 0:
         raise GeometryRejected("middle region degenerate around the basepoint")
-    eta = 1.0 / inf_o
-    kappa = 1.05 * max(1.0, eta * (1.0 + r_mid / 2.0), eta * (R_big + r_mid / 2.0))
 
     rng = np.random.default_rng(seed)
     mid = np.concatenate([
@@ -395,7 +390,7 @@ def certify_S(system: AnnulusSystem, samples_per_region: int = 4096,
     growth_min = float(growth.min())
     passed = mid_max < r_mid and far_min > R_big and growth_min > 2.0
     return SCertificate(
-        r_mid=r_mid, R_big=R_big, eta=eta, kappa=kappa, xi=system.xi,
+        r_mid=r_mid, R_big=R_big, xi=system.xi,
         mid_max=mid_max, far_min=far_min, growth_min_ratio=growth_min,
         n_certified=system.outer_shape.n,
         sample_counts={"mid": int(len(mid)), "inner": int(len(inner_disk)),

@@ -92,10 +92,14 @@ def test_build_non_finite_point_exits_parse(tmp_path, capsys):
     assert "error [PARSE_ERROR]" in capsys.readouterr().err
 
 
-def test_build_undersized_degree_exits_certification(fixture_dir, tmp_path):
-    rc = main(["build", str(fixture_dir / "circle.txt"), "--n", "8",
+def test_build_undersized_degree_exits_certification(fixture_dir, tmp_path, capsys):
+    # 8 roots leave min |P| on the blob's outer curve at about 0.57 beta
+    rc = main(["build", str(fixture_dir / "blob.txt"), "--n", "8",
                "--out", str(tmp_path)])
     assert rc == 4
+    err = capsys.readouterr().err
+    assert "error [NO_DEGREE_FOUND]" in err
+    assert "best failing at n = 8 (margins: inside " in err
 
 
 def test_render_from_dump(built_square, tmp_path):
@@ -429,7 +433,7 @@ def _malformed_dump(case, built):
         return json.dumps({"kind": "escape_certificate", "passed": True})
     if case == "certificate-capture-above-escape":
         cert = json.loads((built / "certificate.json").read_text())
-        return json.dumps(dict(cert, r_inner=5.0))
+        return json.dumps(dict(cert, d_inner=5.0))
     if case == "certificate-infinite-escape":
         cert = json.loads((built / "certificate.json").read_text())
         return json.dumps(dict(cert, beta=math.inf))
@@ -527,18 +531,18 @@ def test_unusable_number_is_a_usage_error(command, bad, built_square, fixture_di
 #: run of test_cli_artifact_digest_regression; any change to an output, its
 #: configuration included, flips one of these
 CLI_DIGESTS = {
-    "build-square": "ab51d3534aef8b5c8317addd957f0071b8df69cad7f2dae168cececa90a5216b",
+    "build-square": "61b2264351979dcceb17daa2246ee5d8b043a22555266b54a49bdd433e0d401b",
     "build-square-verify": "95fd79a4a36375a435de7e115c4a66486ced373e3b58148a24c20adee18d1458",
-    "build-blob": "06bde2e67c8381cf719183a77425c28ca6e6389477cecb36f2066d86b17f5ec7",
+    "build-blob": "68960c32445cbe16adb30944d0c4cb102e11757fbf5eb69a9f6c50fe88ef19c4",
     "build-blob-verify": "702a0ad193c4ce6cfec293f1f0b3c39cc9c556d2b932d2d74f4f9fd1f95dad3b",
-    "build-circle": "184d5770e22abe3f5ca81cfd69366899e3eb3dc49784cd622f7f5a270bfd99c7",
+    "build-circle": "102dad7ca05cabe07efc01ef8d73c253fe09f34212a1d22ee5ba17be4b351205",
     "build-circle-verify": "3367e47bbf3facd68e185d0b9339f74a9274113915c00f6ccd4908c01c065180",
-    "rational": "b7eea2644d27855240fc9306213b7e8d3ab7c284bce6d8ef324a4343fea70d41",
+    "rational": "2a23bb1079a52c62f2ecbdadc57ddc519aaa75a1a8df816e9412bc97121b58f9",
     "rational-verify": "58094fabf0afa8aed92172f1299ad934ef65edaa7604d99565c10b5d9bf1059d",
-    "annulus": "916961d9642bde8a3026c487e4717fdb264a40a9d3af14de7d707c8bd89f7174",
+    "annulus": "e210a1630a7cecf013d3d08fef2ed3a5a82e153a4e1f0bcdcd79dd427aec1dcf",
     "annulus-verify": "e5032e3583a4e927bf8c25a25dbabe07b58c2c53b4da8c5dd72f3e68f182a437",
-    "build-square-render": "ff779d3130ac8df381d6b7c17de40d015cb78d7cb901d7a14172b686315258a1",
-    "build-square-render-bbox": "9cb641bf6db0cf32c5a0c446ba8446290539cbfcd453461729ee634e7112503b",
+    "build-square-render": "2cbf2d3f50249ed563614dfb8c7500a7c5cd9f4aca7d30f0d27f1ee3e4195674",
+    "build-square-render-bbox": "302ba00b9397ae097e87d69bd8fa701367c08197ff6ed739bb62fd1043375045",
     "rational-render": "2d9200b98693a03688ebc7e58225e76ff46d41925b19477c1ae23fb4df75b179",
     "annulus-render": "ab92c38e1b139faa89c622bdbb14e36e07a407d9edc6c3ee870ff7ed07f669d0",
 }

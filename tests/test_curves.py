@@ -16,9 +16,12 @@ from juliafit.curves import (
     load_curve,
     offset_annulus,
     relation,
+    sample_interior,
     winding_numbers,
 )
-from juliafit.errors import EmptySet, NotSimple, OffsetCollapse, ParseError, TooFewPoints
+from juliafit.errors import (
+    EmptySet, NotSimple, OffsetCollapse, ParseError, SamplingFailure, TooFewPoints,
+)
 from juliafit.shapes import make_blob, make_circle, make_figure_eight, make_square
 
 
@@ -131,6 +134,15 @@ def test_winding_matches_pointwise_oracle(zs):
                 if x > z.real:
                     crossings += 1
         assert (w != 0) == (crossings % 2 == 1)
+
+
+def test_sample_interior_needle_sampling_failure():
+    # diagonal hairline region: its area is a vanishing fraction of its own
+    # bounding box, which starves rejection sampling
+    th = 2 * np.pi * np.arange(64) / 64
+    needle = (np.cos(th) + 1e-7j * np.sin(th)) * np.exp(0.25j * np.pi) + (0.2 + 0.2j)
+    with pytest.raises(SamplingFailure):
+        sample_interior(JordanCurve.from_points(needle), 512, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

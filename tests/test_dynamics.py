@@ -15,7 +15,7 @@ from juliafit.dynamics import (
 )
 from juliafit.errors import NoDegreeFound, SamplingFailure
 from juliafit.shapepoly import make_circle_shape, p_step_array
-from juliafit.shapes import make_circle
+from juliafit.shapes import make_circle, make_ellipse
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,16 @@ def circle64():
 
 @pytest.fixture(scope="module")
 def cert64(circle64, circle_annulus):
-    return certify(circle64, circle_annulus, 4096, seed=0)
+    return certify(circle64, circle_annulus, 4096)
+
+
+@pytest.fixture(scope="module")
+def ellipse_annulus():
+    """An outer ellipse with semi-axes 2 and 1.1 around the unit circle
+    shape: beta = 2, while |P(z)| = |z|**(n+1) / 1.0625**n is least on the
+    minor axis, so (B1) needs 1.1**(n+1) / 1.0625**n > 2, that is n >= 18."""
+    return AnnulusSpec(outer=make_ellipse(2.0, 1.1), inner=make_circle(0.9),
+                       width_hint=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -35,62 +44,78 @@ def cert64(circle64, circle_annulus):
 def test_certify_circle_passes(cert64):
     c = cert64
     assert c.passed
-    # closed form: |P(z)|/|z| = (|z|/c)^n; the sampled minimum sits at a
+    # closed form: P(z) = z (z/c)**n; the sampled minimum of |P| sits at a
     # chord midpoint of the 512-gon, radius 1.1 cos(pi/512)
-    want = (1.1 * math.cos(math.pi / 512) / 1.0625) ** 64
-    assert c.outside_min_ratio == pytest.approx(want, rel=1e-3)
-    assert c.outside_min_ratio > c.kappa
-    assert c.kappa == pytest.approx(2.0, rel=1e-3)  # beta ~ gamma ~ 1.1
-    assert c.inside_max < c.r_inner
+    r = 1.1 * math.cos(math.pi / 512)
+    assert c.outside_min == pytest.approx(r * (r / 1.0625) ** 64, rel=1e-3)
+    assert c.outside_min > c.beta
+    assert c.inside_max == pytest.approx(0.9 * (0.9 / 1.0625) ** 64, rel=1e-3)
+    assert c.inside_max < c.d_inner
+    assert c.roots_outside == 0
     assert c.n_certified == 64
 
 
 def test_certify_circle_constants(cert64):
-    assert cert64.alpha == pytest.approx(0.9, rel=1e-3)
     assert cert64.beta == pytest.approx(1.1, rel=1e-3)
-    assert cert64.gamma_inf == pytest.approx(1.1, rel=1e-3)
-    assert cert64.r_inner == pytest.approx(0.55, rel=1e-3)
-    assert cert64.kappa * cert64.gamma_inf > cert64.beta
+    assert cert64.d_inner == pytest.approx(0.9, rel=1e-3)
+    assert cert64.escape_radius == cert64.beta
+    assert cert64.capture_radius == cert64.d_inner
+    assert cert64.sample_counts == {"inner": 4096, "outer": 4096}
 
 
-def test_certify_small_degree_fails(circle_annulus):
-    # closed form: expansion ratio (1.1/1.0625)^4 = 1.149 < kappa = 2
-    s4 = make_circle_shape(1.0, 0.0625, 4)
-    cert = certify(s4, circle_annulus, 1024, seed=0)
+def test_certify_small_degree_fails(ellipse_annulus):
+    s16 = make_circle_shape(1.0, 0.0625, 16)
+    cert = certify(s16, ellipse_annulus, 1024)
     assert not cert.passed
-    assert cert.outside_min_ratio == pytest.approx(1.1487, rel=1e-3)
+    assert cert.outside_min == pytest.approx(1.1 ** 17 / 1.0625 ** 16, rel=1e-3)
+    assert cert.margins()["outside"] < 0
+    assert cert.margins()["inside"] > 0 and cert.margins()["roots"] == 0
 
 
-def test_certify_degenerate_annulus_sampling_failure(circle64):
-    # diagonal hairline inner region: its area is a vanishing fraction of its
-    # own bounding box, which starves rejection sampling
-    from juliafit.curves import JordanCurve
-
-    th = 2 * np.pi * np.arange(64) / 64
-    needle = (np.cos(th) + 1e-7j * np.sin(th)) * np.exp(0.25j * np.pi) + (0.2 + 0.2j)
-    ann = AnnulusSpec(outer=make_circle(3.0),
-                      inner=JordanCurve.from_points(needle),
-                      width_hint=0.1)
-    with pytest.raises(SamplingFailure):
-        certify(circle64, ann, 512, seed=0)
+def test_certify_roots_outside_outer_curve_fail(circle64):
+    # the roots sit on |z| = 1.0625, outside an outer circle of radius 1.05
+    ann = AnnulusSpec(outer=make_circle(1.05), inner=make_circle(0.9),
+                      width_hint=0.15)
+    cert = certify(circle64, ann, 1024)
+    assert not cert.passed
+    assert cert.roots_outside == 64
+    assert cert.margins()["roots"] == -64
 
 
 def test_certify_requires_origin_inside(circle64):
     ann = AnnulusSpec(outer=make_circle(1.1, center=5.0),
                       inner=make_circle(0.9, center=5.0), width_hint=0.2)
     with pytest.raises(SamplingFailure):
-        certify(circle64, ann, 512, seed=0)
+        certify(circle64, ann, 512)
 
 
-def test_certificate_soundness_fresh_samples(circle64, cert64, circle_annulus):
-    # re-draw with a different seed: the certified bounds still hold
+@pytest.fixture(scope="module")
+def blob_certified(built_shapes):
+    data = built_shapes["blob"]
+    shape, cert = find_min_degree(
+        data["build"], lambda s: certify(s, data["annulus_t"], 4096),
+        [8, 16, 32, 64, 128, 256, 512])
+    return shape, cert, data["annulus_t"]
+
+
+def test_certificate_soundness_fresh_points(blob_certified):
+    # fresh random points, none of them certification samples, satisfy both
+    # trapping claims on the nonconvex fixture at its certified degree
+    shape, cert, ann = blob_certified
+    beta = cert.beta
     rng = np.random.default_rng(999)
-    inside = sample_interior(circle_annulus.inner, 2000, rng)
-    _, log2m = p_step_array(circle64, inside)
-    assert np.exp2(log2m).max() < cert64.r_inner
-    outer = circle_annulus.outer.boundary_samples(2000) * np.exp(1j * 0.0001)
-    _, log2m = p_step_array(circle64, outer)
-    assert np.all(np.exp2(log2m) > cert64.kappa * np.abs(outer) * 0.999)
+    _, log2m = p_step_array(shape, sample_interior(ann.inner, 4000, rng))
+    assert np.all(log2m < math.log2(cert.capture_radius))
+
+    z = 3 * beta * (rng.uniform(-1, 1, 8000) + 1j * rng.uniform(-1, 1, 8000))
+    z = z[(np.abs(z) <= 3 * beta) & ~ann.outer.contains(z)]
+    assert z.size > 4000
+    _, log2m = p_step_array(shape, z)
+    assert np.all(log2m > math.log2(beta))
+
+    w = rng.uniform(beta, 3 * beta, 4000) * np.exp(2j * np.pi * rng.uniform(size=4000))
+    _, log2m = p_step_array(shape, w)
+    assert np.all(log2m > np.log2(np.abs(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +123,14 @@ def test_certificate_soundness_fresh_samples(circle64, cert64, circle_annulus):
 
 
 def _certify_against(annulus):
-    return lambda shape: certify(shape, annulus, 1024, seed=0)
+    return lambda shape: certify(shape, annulus, 1024)
 
 
-def test_find_min_degree_circle(circle_annulus):
-    # closed form threshold: (1.1/1.0625)^n > 2  <=>  n >= 20, so 32 from
-    # the doubling schedule
+def test_find_min_degree_circle(ellipse_annulus):
+    # closed form threshold n >= 18 (see ellipse_annulus), so 32 from the
+    # doubling schedule
     shape, cert = find_min_degree(lambda n: make_circle_shape(1.0, 0.0625, n),
-                                  _certify_against(circle_annulus), [8, 16, 32, 64])
+                                  _certify_against(ellipse_annulus), [8, 16, 32, 64])
     assert shape.n == 32
     assert cert.passed
 
@@ -116,11 +141,14 @@ def test_find_min_degree_empty_schedule(circle_annulus):
                         _certify_against(circle_annulus), [])
 
 
-def test_find_min_degree_reports_best_margins(circle_annulus):
+def test_find_min_degree_reports_best_margins(ellipse_annulus):
     with pytest.raises(NoDegreeFound) as exc:
         find_min_degree(lambda n: make_circle_shape(1.0, 0.0625, n),
-                        _certify_against(circle_annulus), [8, 16])
-    assert exc.value.best["n_certified"] in (8, 16)
+                        _certify_against(ellipse_annulus), [8, 16])
+    best = exc.value.best
+    # n = 16 comes closer: 1.1**17 / 1.0625**16 = 1.92 against 1.45 at n = 8
+    assert best["n_certified"] == 16
+    assert best["margins"]["outside"] == pytest.approx(best["outside_min"] - 2.0)
 
 
 def test_find_min_degree_blob(built_shapes):
@@ -174,7 +202,8 @@ def test_iterate_on_invariant_circle_small_budget(circle64, cert64):
 
 
 def test_monotone_escape_iteration_bound(circle64, cert64):
-    # certified expansion implies escape within ceil(log(R/|z|)/log kappa) + 1
+    # a certified map sends every start outside the outer curve beyond the
+    # escape radius beta in one step
     k = circle64
     rng = np.random.default_rng(11)
     for th in rng.uniform(0, 2 * np.pi, 50):
@@ -182,9 +211,7 @@ def test_monotone_escape_iteration_bound(circle64, cert64):
         status, iterations = classify_one(k, z0, cert64.escape_radius,
                                           cert64.capture_radius)
         assert status is OrbitStatus.ESCAPED
-        bound = math.ceil(math.log(cert64.escape_radius / abs(z0))
-                          / math.log(cert64.kappa)) + 1
-        assert iterations <= bound
+        assert iterations <= 1
 
 
 def test_translation_equivariance(circle64, cert64):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import oracles
 from juliafit import rational
 from juliafit.curves import AnnulusSpec
 from juliafit.dumps import load_dump, save_dump
-from juliafit.dynamics import find_min_degree
+from juliafit.dynamics import certify, find_min_degree, save_certificate
 from juliafit.errors import BadBasepoint, GeometryRejected, NoDegreeFound, ParseError
 from juliafit.rational import (
     AnnulusSystem,
@@ -229,6 +230,28 @@ def test_round_annulus_search_reports_best_attempt():
                         lambda s: certify_S(s, 1024, seed=0), [16, 64])
     assert exc.value.best["n_certified"] == 64
     assert exc.value.best["passed"] is False
+
+
+@pytest.mark.parametrize("kind", ["escape", "multi", "annulus"])
+def test_every_certificate_dump_has_its_verdict(kind, circle_annulus, two_circle_system,
+                                                two_circle_annuli, round_annulus_system,
+                                                tmp_path):
+    if kind == "escape":
+        cert = certify(make_circle_shape(1.0, 0.0625, 64), circle_annulus, 1024)
+    elif kind == "multi":
+        cert = certify_multi(two_circle_system, two_circle_annuli,
+                             *auto_bounds(two_circle_annuli), 1024, seed=0)
+    else:
+        cert = certify_S(round_annulus_system, 1024, seed=0)
+    path = tmp_path / "certificate.json"
+    save_certificate(cert, path)
+    obj = json.loads(path.read_text())
+    assert obj["passed"] is cert.passed is True
+    assert obj["n_certified"] == cert.n_certified
+    assert obj["margins"] == cert.margins()
+    assert (obj["escape_radius"], obj["capture_radius"]) == (cert.escape_radius,
+                                                             cert.capture_radius)
+    assert load_dump(path, (type(cert),)) == cert
 
 
 def test_annulus_orbit_of_origin_stays_bounded(round_annulus_system):
