@@ -18,6 +18,11 @@ configurations produce byte-identical outputs, wherever they are written. The
 configuration records input paths (``input``/``inputs``, ``--certificate``,
 ``--curve``) by basename and never records the ``--out`` directory.
 
+build, rational and annulus certify their map from --samples (at least 256)
+boundary samples per band curve, by maximum modulus (see ``dynamics`` and
+``rational``); no command draws at random, so --seed, which every command
+takes and the configuration records, selects nothing.
+
 Exit codes: 0 ok, 2 parse, 3 geometry, 4 certification fail,
 5 verification fail, 6 io.
 """
@@ -264,15 +269,9 @@ def cmd_rational(args) -> int:
         _say(f"shape map ready: capacity {abs(m.capacity):.6g}, inflation {eps}")
         builders.append(build)
 
-    if args.level_b is not None:
-        b, big = args.level_b, args.level_big
-    else:
-        b, big = rational.auto_bounds(anns_t)
-    cfg.update(b_used=b, B_used=big)
-
     system, cert = dynamics.find_min_degree(
         lambda n: rational.MultiShapeSystem(shapes=tuple(bd(n) for bd in builders)),
-        lambda sy: rational.certify_multi(sy, anns_t, b, big, args.samples, args.seed),
+        lambda sy: rational.certify_multi(sy, anns_t, args.samples),
         _schedule(args))
     _say_margins("certified at", cert.n_certified, cert.margins())
     return _finish(args, cfg, system, cert, curve_list, delta)
@@ -321,7 +320,7 @@ def cmd_annulus(args) -> int:
         lambda n: rational.AnnulusSystem(
             outer_shape=build_out(n), inner_shape=build_in(n),
             outer_band=e_t, inner_band=f_t, xi=xi),
-        lambda sy: rational.certify_S(sy, args.samples, args.seed),
+        lambda sy: rational.certify_S(sy, args.samples),
         _schedule(args))
     _say_margins("certified at", cert.n_certified, cert.margins())
     return _finish(args, cfg, system, cert, [outer, inner], delta)
@@ -349,14 +348,14 @@ _POSITIVE = _number(float, 0.0, above=True)
 def _add_common(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--out", default=".", help="output directory (default: .)")
     ap.add_argument("--seed", type=_number(int, 0), default=0,
-                    help="seed of the interior draws that the rational and annulus "
-                         "certificates sample (default 0)")
-    ap.add_argument("--samples", type=_number(int, 1), default=4096,
-                    help="samples per region for certification (default 4096)")
+                    help="recorded in the configuration; selects nothing, since no "
+                         "command draws at random (default 0)")
 
 
 def _add_build(ap: argparse.ArgumentParser) -> None:
     roots = _number(int, shapepoly.MIN_ROOTS)
+    ap.add_argument("--samples", type=_number(int, dynamics.MIN_SAMPLES), default=4096,
+                    help="boundary samples per curve for certification (default 4096)")
     ap.add_argument("--n", type=roots, default=None,
                     help="exact root count (default: search the doubling schedule)")
     ap.add_argument("--n-max", type=roots, default=512, dest="n_max",
@@ -424,10 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_render(p)
     p.add_argument("--delta", type=_POSITIVE, default=None,
                    help="Hausdorff tolerance (default: 20%% of largest diameter)")
-    p.add_argument("--b", type=_POSITIVE, default=None, dest="level_b",
-                   help="contraction level, given with --B (default: from geometry)")
-    p.add_argument("--B", type=_POSITIVE, default=None, dest="level_big",
-                   help="expansion level, given with --b (default: from geometry)")
     p.set_defaults(func=cmd_rational)
 
     p = sub.add_parser("annulus", help="outer+inner curves -> annulus map")
@@ -448,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "rational" and (args.level_b is None) != (args.level_big is None):
-        ap.error("rational: give both --b and --B, or neither")
     if args.command == "render" and args.bbox is not None:
         x0, y0, x1, y1 = args.bbox
         if not (all(map(math.isfinite, args.bbox)) and x0 < x1 and y0 < y1):

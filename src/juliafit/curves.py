@@ -501,7 +501,8 @@ def hausdorff_distance(x, y) -> float:
 def sample_interior(curve: JordanCurve, count: int, rng: np.random.Generator,
                     exclude: JordanCurve | None = None) -> np.ndarray:
     """Seeded rejection sampling of the region inside `curve` (and outside
-    `exclude`, a curve inside it, if given)."""
+    `exclude`, a curve inside it, if given): the fresh points of the
+    certificate soundness tests. perfbench traces it by name."""
     lo, hi = curve.bbox
     got: list[np.ndarray] = []
     have = 0

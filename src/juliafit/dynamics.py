@@ -37,6 +37,10 @@ from .errors import NoDegreeFound, SamplingFailure
 from .shapepoly import ShapePolynomial, p_step_array
 
 
+#: fewest boundary samples per curve that a certificate takes
+MIN_SAMPLES = 256
+
+
 class OrbitStatus(enum.IntEnum):
     INTERIOR_CAPTURED = 0
     ESCAPED = 1
@@ -94,18 +98,12 @@ def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
 # certification
 
 
-class Certificate:
-    """What the certificates of the three constructions share: a ``kind``,
-    ``passed``, ``n_certified``, ``margins()``, escape and capture radii, and
-    a rebuild from the fields of their dump."""
-
-    @classmethod
-    def from_obj(cls, obj: dict):
-        return cls(**{f.name: obj[f.name] for f in fields(cls)})
-
-
 @dataclass(frozen=True)
-class EscapeCertificate(Certificate):
+class EscapeCertificate:
+    """The certificate of ``certify`` and the base of those of the rational
+    maps: a ``kind``, ``passed``, ``n_certified``, ``margins()``, escape and
+    capture radii, and a rebuild from the fields of their dump."""
+
     kind: ClassVar[str] = "escape_certificate"
     d_inner: float
     beta: float
@@ -133,6 +131,15 @@ class EscapeCertificate(Certificate):
             "roots": -self.roots_outside,
         }
 
+    @classmethod
+    def from_obj(cls, obj: dict):
+        return cls(**{f.name: obj[f.name] for f in fields(cls)})
+
+
+def require_samples(count: int) -> None:
+    if count < MIN_SAMPLES:
+        raise SamplingFailure(f"need at least {MIN_SAMPLES} samples per region")
+
 
 def certify(shape: ShapePolynomial, annulus: AnnulusSpec,
             samples_per_region: int = 4096) -> EscapeCertificate:
@@ -143,8 +150,7 @@ def certify(shape: ShapePolynomial, annulus: AnnulusSpec,
     taken at ``samples_per_region`` boundary samples: orbits that enter
     B(0, d_inner) stay there, and orbits that leave B(0, beta) escape.
     """
-    if samples_per_region < 256:
-        raise SamplingFailure("need at least 256 samples per region")
+    require_samples(samples_per_region)
     inner, outer = annulus.inner, annulus.outer
     if not inner.contains([0j])[0]:
         raise SamplingFailure("origin is not inside the annulus")

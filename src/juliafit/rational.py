@@ -1,23 +1,56 @@
 """Rational maps assembled from several shape polynomials.
 
 Two constructions reuse the polynomial's array kernels and, with it, the
-degree search and the certificate writer of ``dynamics`` (their certificates
-have ``margins()`` too):
+degree search and the certificate writer of ``dynamics``:
 
 * a multi-shape system combines the node products of mutually exterior shapes
   through a harmonic sum, Omega = (sum_j 1/(omega_j + 1))^-1, and iterates
   R(z) = z * Omega(z); near shape j the j-th reciprocal dominates, so every
   shape interior contracts to the origin while the common exterior expands.
 
-* an annulus map S(z) = P_outer(z) + 1/(omega_inner(z) + 1) keeps the band
-  between two nested curves bounded while both complementary components
-  escape: the polynomial term expands outside the outer curve and the
-  reciprocal term blows up inside the inner one.
+* an annulus map S(z) = P_E(z) + 1/(omega_F(z) + 1), with E the band of the
+  outer curve and F that of the inner one, keeps the middle region M between
+  E.inner and F.outer bounded while both complementary components escape.
 
 Like ``ShapePolynomial``, each system has a ``kind``, its frame shift ``t``,
 all its ``roots``, a per-pixel ``step`` and ``to_obj``/``from_obj``, so the
 commands render, save and load all three kinds alike. ``step`` is the only
 way to evaluate a system; a single point is a length-1 array.
+
+Both certificates extend the one of ``dynamics`` (see its docstring): they
+check sampled extrema on the band curves, and a NaN sample fails its
+condition. Every shape s, with outer curve O_s, must meet
+
+- (R) its roots lie inside O_s, and
+- (Z) min |omega_s + 1| > 1 on O_s: by the symmetric Rouche theorem
+  omega_s + 1, like omega_s, then has all n zeros inside O_s.
+
+``certify_multi`` takes rho = dist(0, I_h), I_h the one inner curve holding
+the origin, and beta = max |z| over all outer curves:
+
+- (P) sum_{i != j} |omega_j + 1| / |omega_i + 1| < 1 on every inner curve
+  I_j. The other shapes' zeros lie outside O_j, so g = 1 + sum_{i != j}
+  (omega_j + 1) / (omega_i + 1) is analytic inside I_j with |g - 1| < 1 on
+  it: g has no zero there, and R = z (omega_j + 1) / g no pole.
+- (A) max |R| < rho on every inner curve. By maximum modulus R maps every
+  inner region into B(0, rho), which lies inside I_h.
+- (B1) min |R| > beta on every outer curve. 1/R = sum_i 1/(z (omega_i + 1))
+  is analytic outside the outer curves and vanishes at infinity, so |R| >
+  beta there, and orbits from outside B(0, beta) escape as in ``dynamics``.
+
+``certify_S`` takes r = min(dist(0, E.inner), dist(0, F.outer)), so that
+B(0, r) lies in M, and beta = max |z| on E.outer:
+
+- (A) max |S| < r on E.inner and F.outer. The poles of S, the zeros of
+  omega_F + 1, lie inside F.outer, so S maps M into B(0, r).
+- (Q) |P_E| |omega_F + 1| < 1 on F.inner and > 1 on E.outer. By maximum
+  modulus of P_E (omega_F + 1) inside F.inner and of its reciprocal outside
+  E.outer, S = (P_E (omega_F + 1) + 1) / (omega_F + 1) has no zero there.
+- (B1) min |S| > beta on F.inner and E.outer. Then 1/S is analytic inside
+  F.inner and outside E.outer, so |S| > beta in both: the inner region maps
+  outside B(0, beta), and orbits from there escape as for R.
+
+The escape radius is beta and the capture radius rho or r, with no slack.
 """
 
 from __future__ import annotations
@@ -34,9 +67,8 @@ from .curves import (
     distance_to_polyline,
     enclosed,
     relation,
-    sample_interior,
 )
-from .dynamics import Certificate
+from .dynamics import EscapeCertificate, require_samples
 from .errors import BadBasepoint, GeometryRejected
 from .shapepoly import (
     ShapePolynomial,
@@ -86,10 +118,7 @@ class MultiShapeSystem:
         return np.concatenate([s.roots for s in self.shapes])
 
     def step(self, z: np.ndarray):
-        w, e = omega_big_scaled_array(self, z)
-        w *= z
-        _renorm(w, e)
-        return materialize(w, e)
+        return materialize(*_times_z(z, *omega_big_scaled_array(self, z)))
 
     def to_obj(self) -> dict:
         return {"kind": self.kind, "t": [self.t.real, self.t.imag],
@@ -133,12 +162,8 @@ class AnnulusSystem:
         return np.concatenate([self.outer_shape.roots, self.inner_shape.roots])
 
     def step(self, z: np.ndarray):
-        w, e = omega_plus_one_scaled_array(*omega_scaled_array(self.outer_shape, z))
-        w = w * z
-        _renorm(w, e)
-        rw, re_ = _recip_scaled(*omega_plus_one_scaled_array(
-            *omega_scaled_array(self.inner_shape, z)))
-        return materialize(*_scaled_add(w, e, rw, re_))
+        _, of, p = _annulus_terms(self, z)
+        return materialize(*_scaled_add(*p, *_recip_scaled(*of)))
 
     def to_obj(self) -> dict:
         return {
@@ -212,11 +237,34 @@ def _recip_scaled(w, e):
     return rw, re_
 
 
+def _plus_one_terms(shapes, z: np.ndarray) -> list:
+    """omega_s + 1 of every shape at z, as scaled arrays."""
+    return [omega_plus_one_scaled_array(*omega_scaled_array(s, z)) for s in shapes]
+
+
+def _times_z(z, w, e):
+    """z times a scaled array, in place (as ``p_step_array`` multiplies)."""
+    w *= z
+    _renorm(w, e)
+    return w, e
+
+
+def _annulus_terms(system: AnnulusSystem, z: np.ndarray):
+    """omega_E + 1, omega_F + 1 and P_E = z (omega_E + 1) at z, scaled."""
+    oe, of = _plus_one_terms((system.outer_shape, system.inner_shape), z)
+    p = (oe[0] * z, oe[1].copy())
+    _renorm(*p)
+    return oe, of, p
+
+
 def omega_big_scaled_array(system: MultiShapeSystem, z: np.ndarray):
-    """The harmonic combination Omega as a scaled array; a single shape
-    short-circuits to omega + 1 (exact degeneration to the polynomial)."""
-    terms = [omega_plus_one_scaled_array(*omega_scaled_array(s, z))
-             for s in system.shapes]
+    """The harmonic combination Omega as a scaled array."""
+    return _harmonic(_plus_one_terms(system.shapes, z))
+
+
+def _harmonic(terms: list):
+    """(sum 1/t)^-1 over the scaled terms t; a single term is returned itself
+    (exact degeneration to the polynomial)."""
     if len(terms) == 1:
         return terms[0]
     acc_w, acc_e = _recip_scaled(*terms[0])
@@ -230,169 +278,120 @@ def omega_big_scaled_array(system: MultiShapeSystem, z: np.ndarray):
 
 
 @dataclass(frozen=True)
-class MultiCertificate(Certificate):
+class MultiCertificate(EscapeCertificate):
+    """(A), (R) and (B1) in the fields of ``EscapeCertificate``, d_inner = rho;
+    (Z) and (P) as the least |omega_s + 1| on the outer curves and the largest
+    (P) sum on the inner curves."""
+
     kind: ClassVar[str] = "multi_certificate"
-    b: float
-    B: float
-    rho_ball: float
-    sup_inside: float
-    inf_outside: float
-    sup_bands: float
-    inside_max: float
-    outside_min: float
-    n_certified: int
-    shape_count: int
-    sample_counts: dict
-    passed: bool
-
-    @property
-    def escape_radius(self) -> float:
-        return 1.05 * self.sup_bands
-
-    @property
-    def capture_radius(self) -> float:
-        return self.rho_ball
+    zeros_min: float
+    poles_max: float
 
     def margins(self) -> dict:
-        return {"inside": self.b - self.inside_max,
-                "outside": self.outside_min - self.B}
-
-
-def system_geometry(annuli: list[AnnulusSpec]):
-    """(rho_ball, sup_inside, inf_outside, sup_bands) about the frame origin:
-    the origin must lie inside exactly one inner curve."""
-    holders = [i for i, a in enumerate(annuli) if a.inner.contains([0j])[0]]
-    if len(holders) != 1:
-        raise BadBasepoint(
-            f"frame origin lies inside {len(holders)} inner regions, need exactly 1")
-    rho = float(distance_to_polyline([0j], annuli[holders[0]].inner.points)[0])
-    sup_inside = max(float(np.abs(a.inner.points).max()) for a in annuli)
-    inf_outside = min(float(distance_to_polyline([0j], a.outer.points)[0])
-                      for a in annuli)
-    sup_bands = max(float(np.abs(a.outer.points).max()) for a in annuli)
-    return rho, sup_inside, inf_outside, sup_bands
-
-
-def auto_bounds(annuli: list[AnnulusSpec]) -> tuple[float, float]:
-    """Midpoint choices for the contraction and expansion levels b < B."""
-    rho, sup_in, inf_out, sup_bands = system_geometry(annuli)
-    return 0.5 * rho / sup_in, 2.0 * sup_bands / inf_out
+        return dict(super().margins(), zeros=self.zeros_min - 1.0,
+                    poles=1.0 - self.poles_max)
 
 
 def certify_multi(system: MultiShapeSystem, annuli: list[AnnulusSpec],
-                  b: float, B: float, samples_per_region: int = 4096,
-                  seed: int = 0) -> MultiCertificate:
-    """Sampled certificate: |Omega| < b across every inner region, |Omega| > B
-    on every outer boundary; b and B must satisfy the geometric product
-    conditions (b * sup|inside| < contraction ball, B * inf|outside| >
-    sup|bands|).
+                  samples_per_region: int = 4096) -> MultiCertificate:
+    """Sampled certificate of (R), (Z), (P), (A) and (B1) of the module
+    docstring, each curve taken at ``samples_per_region`` boundary samples.
 
     The annuli must already have passed ``validate_mutually_exterior``; the
     degree search calls this once per degree, so it does not check again.
     """
-    if not (B > b > 0):
-        raise GeometryRejected(f"need B > b > 0, got b={b}, B={B}")
+    require_samples(samples_per_region)
     if len(annuli) != system.m:
         raise GeometryRejected("one annulus per shape required")
-    rho, sup_in, inf_out, sup_bands = system_geometry(annuli)
-    if not (b * sup_in < rho):
-        raise GeometryRejected(
-            f"contraction level b={b} too large: b*sup|inside|={b * sup_in:.3g} "
-            f">= ball radius {rho:.3g}")
-    if not (B * inf_out > sup_bands):
-        raise GeometryRejected(
-            f"expansion level B={B} too small for this geometry")
+    holders = [a.inner for a in annuli if a.inner.contains([0j])[0]]
+    if len(holders) != 1:
+        raise BadBasepoint(
+            f"frame origin lies inside {len(holders)} inner regions, need exactly 1")
+    rho = float(distance_to_polyline([0j], holders[0].points)[0])
+    beta = max(float(np.abs(a.outer.points).max()) for a in annuli)
 
-    rng = np.random.default_rng(seed)
-    inside = np.concatenate(
-        [sample_interior(a.inner, samples_per_region, rng) for a in annuli]
-        + [a.inner.boundary_samples(samples_per_region) for a in annuli])
-    outer = np.concatenate(
-        [a.outer.boundary_samples(samples_per_region) for a in annuli])
+    def on(curve):
+        """log2 |omega_s + 1| of every shape and log2 |R| on the curve."""
+        z = curve.boundary_samples(samples_per_region)
+        terms = _plus_one_terms(system.shapes, z)
+        logs = [materialize(*t)[1] for t in terms]
+        return logs, materialize(*_times_z(z, *_harmonic(terms)))[1]
 
-    w, e = omega_big_scaled_array(system, inside)
-    _, log_in = materialize(w, e)
-    w, e = omega_big_scaled_array(system, outer)
-    _, log_out = materialize(w, e)
-    with np.errstate(over="ignore"):
-        inside_max = float(np.exp2(log_in).max())
-        outside_min = float(np.exp2(log_out).min())
-    passed = inside_max < b and outside_min > B
+    inner = [on(a.inner) for a in annuli]
+    outer = [on(a.outer) for a in annuli]
+    log_in = np.concatenate([lr for _, lr in inner])
+    log_out = np.concatenate([lr for _, lr in outer])
+    log_zeros = np.concatenate([logs[j] for j, (logs, _) in enumerate(outer)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        poles = np.concatenate([
+            sum((np.exp2(logs[j] - logs[i]) for i in range(system.m) if i != j),
+                np.zeros_like(logs[j]))
+            for j, (logs, _) in enumerate(inner)])
+        inside_max = float(np.exp2(log_in.max()))
+        outside_min = float(np.exp2(log_out.min()))
+        zeros_min = float(np.exp2(log_zeros.min()))
+    poles_max = float(poles.max())
+    roots_outside = sum(int(np.count_nonzero(~a.outer.contains(s.roots)))
+                        for s, a in zip(system.shapes, annuli))
+    passed = (inside_max < rho and outside_min > beta and roots_outside == 0
+              and zeros_min > 1.0 and poles_max < 1.0)
     return MultiCertificate(
-        b=b, B=B, rho_ball=rho, sup_inside=sup_in, inf_outside=inf_out,
-        sup_bands=sup_bands, inside_max=inside_max, outside_min=outside_min,
-        n_certified=system.n, shape_count=system.m,
-        sample_counts={"inside": int(len(inside)), "outer": int(len(outer))},
-        passed=passed)
+        d_inner=rho, beta=beta, n_certified=system.n, inside_max=inside_max,
+        outside_min=outside_min, roots_outside=roots_outside,
+        sample_counts={"inner": int(len(log_in)), "outer": int(len(log_out))},
+        passed=passed, zeros_min=zeros_min, poles_max=poles_max)
 
 
 @dataclass(frozen=True)
-class SCertificate(Certificate):
+class SCertificate(EscapeCertificate):
+    """(A), (R) and (B1) in the fields of ``EscapeCertificate``, d_inner = r;
+    (Z) as the least |omega_s + 1| on the outer curves, and (Q) as the largest
+    |P_E| |omega_F + 1| on F.inner and the least on E.outer."""
+
     kind: ClassVar[str] = "s_certificate"
-    r_mid: float
-    R_big: float
-    xi: float
-    mid_max: float
-    far_min: float
-    growth_min_ratio: float
-    n_certified: int
-    sample_counts: dict
-    passed: bool
-
-    @property
-    def escape_radius(self) -> float:
-        return 1.05 * self.R_big
-
-    @property
-    def capture_radius(self) -> float:
-        return self.r_mid
+    zeros_min: float
+    q_inner_max: float
+    q_outer_min: float
 
     def margins(self) -> dict:
-        return {"mid": self.r_mid - self.mid_max,
-                "far": self.far_min - self.R_big,
-                "growth": self.growth_min_ratio - 2.0}
+        return dict(super().margins(), zeros=self.zeros_min - 1.0,
+                    q_inner=1.0 - self.q_inner_max, q_outer=self.q_outer_min - 1.0)
 
 
-def certify_S(system: AnnulusSystem, samples_per_region: int = 4096,
-              seed: int = 0) -> SCertificate:
-    """Sampled certificate for the annulus map: |S| < r on the middle region,
-    |S| > R on the outer boundary and the inner disk, and |S| > 2|z| on the
-    outer boundary."""
+def certify_S(system: AnnulusSystem, samples_per_region: int = 4096) -> SCertificate:
+    """Sampled certificate of (R), (Z), (A), (Q) and (B1) of the module
+    docstring, each curve taken at ``samples_per_region`` boundary samples:
+    "inner" samples on E.inner and F.outer, "outer" on F.inner and E.outer."""
+    require_samples(samples_per_region)
     E, F = system.outer_band, system.inner_band
     if not enclosed([0j], (E.inner, F.outer))[0]:
         raise BadBasepoint("frame origin must lie in the middle region "
                            "(inside the outer band, outside the inner band)")
-    r_mid = 0.999 * min(float(distance_to_polyline([0j], E.inner.points)[0]),
-                        float(distance_to_polyline([0j], F.outer.points)[0]))
-    R_big = 1.001 * float(np.abs(E.outer.points).max())
-    if not r_mid > 0:
-        raise GeometryRejected("middle region degenerate around the basepoint")
+    r = min(float(distance_to_polyline([0j], c.points)[0]) for c in (E.inner, F.outer))
+    beta = float(np.abs(E.outer.points).max())
 
-    rng = np.random.default_rng(seed)
-    mid = np.concatenate([
-        sample_interior(E.inner, samples_per_region, rng, exclude=F.outer),
-        E.inner.boundary_samples(samples_per_region),
-        F.outer.boundary_samples(samples_per_region),
-    ])
-    inner_disk = np.concatenate([
-        sample_interior(F.inner, samples_per_region, rng),
-        F.inner.boundary_samples(samples_per_region),
-    ])
-    o_boundary = E.outer.boundary_samples(samples_per_region)
+    def on(curve):
+        """log2 of |omega_E + 1|, |omega_F + 1|, |P_E| and |S| on the curve."""
+        oe, of, p = _annulus_terms(system, curve.boundary_samples(samples_per_region))
+        s = _scaled_add(*p, *_recip_scaled(*of))
+        return [materialize(*t)[1] for t in (oe, of, p, s)]
 
-    _, log_mid = system.step(mid)
-    _, log_inner = system.step(inner_disk)
-    _, log_ob = system.step(o_boundary)
-    with np.errstate(over="ignore"):
-        mid_max = float(np.exp2(log_mid).max())
-        far_min = float(min(np.exp2(log_inner).min(), np.exp2(log_ob).min()))
-        growth = np.exp2(log_ob - np.log2(np.abs(o_boundary)))
-    growth_min = float(growth.min())
-    passed = mid_max < r_mid and far_min > R_big and growth_min > 2.0
+    e_in, f_out, f_in, e_out = (on(c) for c in (E.inner, F.outer, F.inner, E.outer))
+    log_in = np.concatenate([e_in[3], f_out[3]])
+    log_out = np.concatenate([f_in[3], e_out[3]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside_max = float(np.exp2(log_in.max()))
+        outside_min = float(np.exp2(log_out.min()))
+        zeros_min = float(np.exp2(np.concatenate([e_out[0], f_out[1]]).min()))
+        q_inner_max = float(np.exp2((f_in[2] + f_in[1]).max()))
+        q_outer_min = float(np.exp2((e_out[2] + e_out[1]).min()))
+    roots_outside = (int(np.count_nonzero(~E.outer.contains(system.outer_shape.roots)))
+                     + int(np.count_nonzero(~F.outer.contains(system.inner_shape.roots))))
+    passed = (inside_max < r and outside_min > beta and roots_outside == 0
+              and zeros_min > 1.0 and q_inner_max < 1.0 and q_outer_min > 1.0)
     return SCertificate(
-        r_mid=r_mid, R_big=R_big, xi=system.xi,
-        mid_max=mid_max, far_min=far_min, growth_min_ratio=growth_min,
-        n_certified=system.outer_shape.n,
-        sample_counts={"mid": int(len(mid)), "inner": int(len(inner_disk)),
-                       "outer_boundary": int(len(o_boundary))},
-        passed=passed)
+        d_inner=r, beta=beta, n_certified=system.outer_shape.n,
+        inside_max=inside_max, outside_min=outside_min, roots_outside=roots_outside,
+        sample_counts={"inner": int(len(log_in)), "outer": int(len(log_out))},
+        passed=passed, zeros_min=zeros_min, q_inner_max=q_inner_max,
+        q_outer_min=q_outer_min)

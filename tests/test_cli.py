@@ -504,8 +504,8 @@ def test_default_radii_with_a_root_at_the_origin_exit_parse(command, built_squar
     ("verify", ["--delta", "-1"]),
     ("rational", ["--delta", "0"]),
     ("rational", ["--samples", "0"]),
-    ("rational", ["--b", "0.001"]),
-    ("rational", ["--B", "100"]),
+    ("build", ["--samples", "255"]),
+    ("annulus", ["--samples", "100"]),
     ("annulus", ["--delta", "0"]),
     ("render", ["--bbox", "nan", "0", "1", "1"]),
     ("render", ["--bbox", "0", "0", "inf", "1"]),
@@ -532,19 +532,19 @@ def test_unusable_number_is_a_usage_error(command, bad, built_square, fixture_di
 #: configuration included, flips one of these
 CLI_DIGESTS = {
     "build-square": "61b2264351979dcceb17daa2246ee5d8b043a22555266b54a49bdd433e0d401b",
-    "build-square-verify": "95fd79a4a36375a435de7e115c4a66486ced373e3b58148a24c20adee18d1458",
+    "build-square-verify": "cb66de12f14ba64c209edadc359ddb84e62bb257ecba79bd11974fdb7e7bdcd7",
     "build-blob": "68960c32445cbe16adb30944d0c4cb102e11757fbf5eb69a9f6c50fe88ef19c4",
-    "build-blob-verify": "702a0ad193c4ce6cfec293f1f0b3c39cc9c556d2b932d2d74f4f9fd1f95dad3b",
+    "build-blob-verify": "0f9057794270b1cfc23d03d879e2fc2f178fec16c5e3125e7953f64e7e5c3a95",
     "build-circle": "102dad7ca05cabe07efc01ef8d73c253fe09f34212a1d22ee5ba17be4b351205",
-    "build-circle-verify": "3367e47bbf3facd68e185d0b9339f74a9274113915c00f6ccd4908c01c065180",
-    "rational": "2a23bb1079a52c62f2ecbdadc57ddc519aaa75a1a8df816e9412bc97121b58f9",
-    "rational-verify": "58094fabf0afa8aed92172f1299ad934ef65edaa7604d99565c10b5d9bf1059d",
-    "annulus": "e210a1630a7cecf013d3d08fef2ed3a5a82e153a4e1f0bcdcd79dd427aec1dcf",
-    "annulus-verify": "e5032e3583a4e927bf8c25a25dbabe07b58c2c53b4da8c5dd72f3e68f182a437",
-    "build-square-render": "2cbf2d3f50249ed563614dfb8c7500a7c5cd9f4aca7d30f0d27f1ee3e4195674",
-    "build-square-render-bbox": "302ba00b9397ae097e87d69bd8fa701367c08197ff6ed739bb62fd1043375045",
-    "rational-render": "2d9200b98693a03688ebc7e58225e76ff46d41925b19477c1ae23fb4df75b179",
-    "annulus-render": "ab92c38e1b139faa89c622bdbb14e36e07a407d9edc6c3ee870ff7ed07f669d0",
+    "build-circle-verify": "3c4f008c05b2404c1d4d7485e6c8601a0baad341235a5a7fb0cc8cbc0c859656",
+    "rational": "b8cd56b7201649c9d0fad50adebb8ed6ffc9e69ea7c15f04ba126a4bd050591c",
+    "rational-verify": "cce85632ed8a4fee031f28580b4c3e143e6933a7c6f7f7c38d541f1f779283c8",
+    "annulus": "85ddebf13f408acf4069387b46c7819b5f958b373b822eb607b9edc4f65db08c",
+    "annulus-verify": "97332bc062c9fb9aa2e7af84eab1733e62c0056f18b35495ea390bd62e05aa8e",
+    "build-square-render": "9f7d5a11e872583799f2ea06e0ea205df9c777489c633b4e65f1a8d63cd5c78d",
+    "build-square-render-bbox": "e095b9a4e8c5aa29953ac72be97537f2577f8e6051b0fe28c70098890515ec27",
+    "rational-render": "317fbafd300bd4239989edf28f3655d1a7444f8ebea081bbef5c1d858d307794",
+    "annulus-render": "e6b1946aadce30c3481a4df93263b80cb9e8f74b8f740bdfa198dfd51ad33d36",
 }
 
 

@@ -6,14 +6,15 @@ import pytest
 
 import oracles
 from juliafit import rational
-from juliafit.curves import AnnulusSpec
+from juliafit.curves import AnnulusSpec, enclosed, sample_interior
 from juliafit.dumps import load_dump, save_dump
-from juliafit.dynamics import certify, find_min_degree, save_certificate
-from juliafit.errors import BadBasepoint, GeometryRejected, NoDegreeFound, ParseError
+from juliafit.dynamics import MIN_SAMPLES, certify, find_min_degree, save_certificate
+from juliafit.errors import (
+    BadBasepoint, GeometryRejected, NoDegreeFound, ParseError, SamplingFailure,
+)
 from juliafit.rational import (
     AnnulusSystem,
     MultiShapeSystem,
-    auto_bounds,
     certify_S,
     certify_multi,
     curve_gap,
@@ -113,45 +114,72 @@ def test_mismatched_shapes_rejected():
 # multi-shape certification
 
 
+def two_circles(n):
+    return MultiShapeSystem(shapes=(circle_shape_at(0j, n=n),
+                                    circle_shape_at(5.0, n=n)))
+
+
 def test_two_circle_certificate_passes(two_circle_system, two_circle_annuli):
-    b, big = auto_bounds(two_circle_annuli)
-    cert = certify_multi(two_circle_system, two_circle_annuli, b, big, 1024, seed=0)
+    cert = certify_multi(two_circle_system, two_circle_annuli, 1024)
     assert cert.passed
-    assert cert.inside_max < b
-    assert cert.outside_min > big
+    assert cert.d_inner == pytest.approx(0.9, rel=1e-3)
+    assert cert.beta == pytest.approx(6.1)
+    assert cert.inside_max < cert.d_inner
+    assert cert.outside_min > cert.beta
+    assert cert.zeros_min > 1 and cert.poles_max < 1
+    assert cert.sample_counts == {"inner": 2048, "outer": 2048}
 
 
 def test_two_circle_low_degree_fails(two_circle_annuli):
-    system = MultiShapeSystem(shapes=(circle_shape_at(0j, n=16),
-                                      circle_shape_at(5.0, n=16)))
-    b, big = auto_bounds(two_circle_annuli)
-    cert = certify_multi(system, two_circle_annuli, b, big, 1024, seed=0)
+    # |R| on the outer circle about the origin is about 1.1 (1.1 / 1.0625)**n,
+    # below beta = 6.1 up to n = 49
+    cert = certify_multi(two_circles(16), two_circle_annuli, 1024)
     assert not cert.passed
+    assert cert.margins()["outside"] < 0
 
 
 def test_two_circle_search_reports_best_attempt(two_circle_annuli):
-    # both degrees fail; n = 16 has the larger worst margin (about -9.3
-    # against -9.8 on the outer boundary)
-    b, big = auto_bounds(two_circle_annuli)
+    # both degrees fail; n = 16 has the larger worst margin (about -4.2
+    # against -4.6 on the outer curves)
     with pytest.raises(NoDegreeFound) as exc:
-        find_min_degree(
-            lambda n: MultiShapeSystem(shapes=(circle_shape_at(0j, n=n),
-                                               circle_shape_at(5.0, n=n))),
-            lambda s: certify_multi(s, two_circle_annuli, b, big, 1024, seed=0),
-            [8, 16])
+        find_min_degree(two_circles,
+                        lambda s: certify_multi(s, two_circle_annuli, 1024), [8, 16])
     assert exc.value.best["n_certified"] == 16
     assert exc.value.best["passed"] is False
 
 
-def test_levels_must_be_ordered(two_circle_system, two_circle_annuli):
-    with pytest.raises(GeometryRejected):
-        certify_multi(two_circle_system, two_circle_annuli, 2.0, 1.0, 1024, 0)
+def _with_root(shape, k, root):
+    roots = shape.roots.copy()
+    roots[k] = root
+    return ShapePolynomial(n=shape.n, epsilon=shape.epsilon, t=shape.t,
+                           capacity=shape.capacity, roots=roots)
 
 
-def test_contraction_level_capped_by_geometry(two_circle_system, two_circle_annuli):
-    # b * sup|inside| must stay below the contraction ball radius
-    with pytest.raises(GeometryRejected):
-        certify_multi(two_circle_system, two_circle_annuli, 0.5, 50.0, 1024, 0)
+def test_multi_root_outside_its_outer_curve_fails(two_circle_system, two_circle_annuli):
+    shapes = two_circle_system.shapes
+    system = MultiShapeSystem(shapes=(shapes[0], _with_root(shapes[1], 0, 5.0 + 1.2j)))
+    cert = certify_multi(system, two_circle_annuli, 1024)
+    assert not cert.passed
+    assert cert.roots_outside == 1
+    assert cert.margins()["roots"] == -1
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+def test_one_shape_multi_certificate_agrees_with_certify(n, built_shapes):
+    # one shape makes R = P bit for bit, (P) vacuous and (Z) a consequence
+    # of (B1): |omega + 1| = |P| / |z| > beta / |z| >= 1 on the outer curve.
+    # The blob fails at 8 and 16 roots and passes from 32.
+    data = built_shapes["blob"]
+    shape, ann = data["build"](n), data["annulus_t"]
+    want = certify(shape, ann, 1024)
+    got = certify_multi(MultiShapeSystem(shapes=(shape,)), [ann], 1024)
+    assert got.passed is want.passed
+    for name in ("d_inner", "beta", "inside_max", "outside_min", "roots_outside",
+                 "sample_counts", "n_certified"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.poles_max == 0
+    assert got.zeros_min > 1 or not want.passed
+    assert {k: got.margins()[k] for k in want.margins()} == want.margins()
 
 
 def test_overlapping_annuli_rejected():
@@ -178,20 +206,57 @@ def _r_step_scaled(system, z):
 
 
 def test_growth_composition(two_circle_system, two_circle_annuli):
-    # certified expansion compounds along orbits: |R^m(z)| > B^m |z|; the
-    # scalar reference follows orbits past double range
+    # certified expansion compounds along orbits: from an outer curve,
+    # |R^m(z)| >= beta q**m with q = outside_min / beta, since |R(w)| >= q |w|
+    # for |w| >= beta; the scalar reference follows orbits past double range
     from oracles import ScaledComplex
 
-    b, big = auto_bounds(two_circle_annuli)
-    cert = certify_multi(two_circle_system, two_circle_annuli, b, big, 1024, 0)
+    cert = certify_multi(two_circle_system, two_circle_annuli, 1024)
     assert cert.passed
+    q = cert.outside_min / cert.beta
     rng = np.random.default_rng(3)
     pts = 1.1 * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
     for z0 in pts:
         z = ScaledComplex.from_value(z0)
         for m in range(1, 6):
             z = _r_step_scaled(two_circle_system, z)
-            assert z.log2_abs > m * math.log2(big) + math.log2(abs(z0))
+            assert z.log2_abs > m * math.log2(q) + math.log2(cert.beta)
+
+
+def _box_outside(rng, beta, curves):
+    """Fresh points within 3 beta of the origin, outside every curve given."""
+    z = 3 * beta * (rng.uniform(-1, 1, 8000) + 1j * rng.uniform(-1, 1, 8000))
+    z = z[(np.abs(z) <= 3 * beta) & ~enclosed(z, curves)]
+    assert z.size > 4000
+    return z
+
+
+def _escape_claims_hold(system, z, beta, rng) -> bool:
+    """Every fresh point z lands outside B(0, beta), and |map(w)| > |w| for
+    fresh w with beta <= |w| <= 3 beta."""
+    w = rng.uniform(beta, 3 * beta, 4000) * np.exp(2j * np.pi * rng.uniform(size=4000))
+    return bool(np.all(system.step(z)[1] > math.log2(beta))
+                and np.all(system.step(w)[1] > np.log2(np.abs(w))))
+
+
+@pytest.mark.parametrize("n, certified", [(64, True), (16, False)])
+def test_multi_certificate_soundness_fresh_points(n, certified, two_circle_annuli):
+    # fresh random points, none of them certification samples, meet both
+    # trapping claims at the certified degree of the doubling search; at 16
+    # roots some points outside the outer curves land inside B(0, beta)
+    certify_at = lambda s: certify_multi(s, two_circle_annuli, 1024)
+    system, cert = find_min_degree(two_circles, certify_at, [8, 16, 32, 64, 128])
+    assert cert.n_certified == 64
+    if not certified:
+        system = two_circles(n)
+        assert not certify_at(system).passed
+    rng = np.random.default_rng(999)
+    if certified:
+        for a in two_circle_annuli:
+            _, log2m = system.step(sample_interior(a.inner, 4000, rng))
+            assert np.all(log2m < math.log2(cert.capture_radius))
+    outside = _box_outside(rng, cert.beta, [a.outer for a in two_circle_annuli])
+    assert _escape_claims_hold(system, outside, cert.beta, rng) is certified
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +280,58 @@ def round_annulus_system():
 
 
 def test_certify_round_annulus(round_annulus_system):
-    cert = certify_S(round_annulus_system, 1024, seed=0)
+    cert = certify_S(round_annulus_system, 1024)
     assert cert.passed
-    assert cert.growth_min_ratio > 2.0
-    assert cert.mid_max < cert.r_mid
-    assert cert.far_min > cert.R_big
+    # the middle region is 0.5 < |z + 1.5| < 1.95 seen from -1.5, so r is
+    # the distance 0.45 to the inner band's outer circle
+    assert cert.d_inner == pytest.approx(0.45, rel=1e-3)
+    assert cert.beta == pytest.approx(3.55)
+    assert cert.inside_max < cert.d_inner
+    assert cert.outside_min > cert.beta
+    assert cert.zeros_min > 1
+    assert cert.q_inner_max < 1 < cert.q_outer_min
+    assert cert.sample_counts == {"inner": 2048, "outer": 2048}
+
+
+def test_annulus_root_outside_its_outer_curve_fails(round_annulus_system):
+    s = round_annulus_system
+    moved = _with_root(s.inner_shape, 0, -1.5 + 1.2j)
+    cert = certify_S(AnnulusSystem(outer_shape=s.outer_shape, inner_shape=moved,
+                                   outer_band=s.outer_band, inner_band=s.inner_band,
+                                   xi=s.xi), 1024)
+    assert not cert.passed
+    assert cert.roots_outside == 1
+    assert cert.margins()["roots"] == -1
 
 
 def test_round_annulus_search_reports_best_attempt():
     # 256 roots certify (test above); 16 and 64 fail, and n = 64 has the
-    # larger worst margin (about -2.6 against -2.9 on the far bound)
+    # larger worst margin (about -2.6 against -2.9 on the escape bound)
     with pytest.raises(NoDegreeFound) as exc:
-        find_min_degree(round_annulus,
-                        lambda s: certify_S(s, 1024, seed=0), [16, 64])
+        find_min_degree(round_annulus, lambda s: certify_S(s, 1024), [16, 64])
     assert exc.value.best["n_certified"] == 64
     assert exc.value.best["passed"] is False
+
+
+@pytest.mark.parametrize("n, certified", [(256, True), (64, False)])
+def test_annulus_certificate_soundness_fresh_points(n, certified):
+    # as above for the annulus map: the middle region is captured, and points
+    # inside the inner band's inner curve or outside the outer curves escape;
+    # at 64 roots some points outside the outer curves land inside B(0, beta)
+    certify_at = lambda s: certify_S(s, 1024)
+    system, cert = find_min_degree(round_annulus, certify_at, [16, 32, 64, 128, 256])
+    assert cert.n_certified == 256
+    if not certified:
+        system = round_annulus(n)
+        assert not certify_at(system).passed
+    E, F = system.outer_band, system.inner_band
+    rng = np.random.default_rng(999)
+    if certified:
+        _, log2m = system.step(sample_interior(E.inner, 4000, rng, exclude=F.outer))
+        assert np.all(log2m < math.log2(cert.capture_radius))
+    escaping = np.concatenate([sample_interior(F.inner, 4000, rng),
+                               _box_outside(rng, cert.beta, [E.outer])])
+    assert _escape_claims_hold(system, escaping, cert.beta, rng) is certified
 
 
 @pytest.mark.parametrize("kind", ["escape", "multi", "annulus"])
@@ -239,10 +341,9 @@ def test_every_certificate_dump_has_its_verdict(kind, circle_annulus, two_circle
     if kind == "escape":
         cert = certify(make_circle_shape(1.0, 0.0625, 64), circle_annulus, 1024)
     elif kind == "multi":
-        cert = certify_multi(two_circle_system, two_circle_annuli,
-                             *auto_bounds(two_circle_annuli), 1024, seed=0)
+        cert = certify_multi(two_circle_system, two_circle_annuli, 1024)
     else:
-        cert = certify_S(round_annulus_system, 1024, seed=0)
+        cert = certify_S(round_annulus_system, 1024)
     path = tmp_path / "certificate.json"
     save_certificate(cert, path)
     obj = json.loads(path.read_text())
@@ -254,18 +355,30 @@ def test_every_certificate_dump_has_its_verdict(kind, circle_annulus, two_circle
     assert load_dump(path, (type(cert),)) == cert
 
 
+@pytest.mark.parametrize("kind", ["escape", "multi", "annulus"])
+def test_certificates_need_min_samples(kind, circle_annulus, two_circle_system,
+                                       two_circle_annuli, round_annulus_system):
+    with pytest.raises(SamplingFailure, match=f"at least {MIN_SAMPLES}"):
+        if kind == "escape":
+            certify(make_circle_shape(1.0, 0.0625, 64), circle_annulus, MIN_SAMPLES - 1)
+        elif kind == "multi":
+            certify_multi(two_circle_system, two_circle_annuli, MIN_SAMPLES - 1)
+        else:
+            certify_S(round_annulus_system, MIN_SAMPLES - 1)
+
+
 def test_annulus_orbit_of_origin_stays_bounded(round_annulus_system):
-    cert = certify_S(round_annulus_system, 1024, seed=0)
+    cert = certify_S(round_annulus_system, 1024)
     z = 0j
     for _ in range(100):
         z = step_at(round_annulus_system, z)
-        assert abs(z) < cert.r_mid
+        assert abs(z) < cert.capture_radius
 
 
 def test_annulus_inner_disk_blows_up(round_annulus_system):
     # reciprocal term dominates inside the inner curve
     v = step_at(round_annulus_system, -1.5 + 0j)
-    assert abs(v) > certify_S(round_annulus_system, 512, 0).R_big
+    assert abs(v) > certify_S(round_annulus_system, 512).escape_radius
 
 
 def test_annulus_outer_growth(round_annulus_system):
@@ -285,7 +398,7 @@ def test_annulus_basepoint_must_be_in_middle():
     system = AnnulusSystem(outer_shape=outer_shape, inner_shape=inner_shape,
                            outer_band=e_band, inner_band=f_band, xi=1.0)
     with pytest.raises(BadBasepoint):
-        certify_S(system, 512, seed=0)
+        certify_S(system, 512)
 
 
 def test_curve_gap():
