@@ -441,8 +441,13 @@ class AnnulusSpec:
         return ok
 
     def translated(self, dz: complex) -> "AnnulusSpec":
-        return AnnulusSpec(self.outer.translated(dz), self.inner.translated(dz),
-                           self.width_hint)
+        """The band moved by dz. A translation keeps how the two curves lie,
+        so the copy skips the check of ``__post_init__``."""
+        band = object.__new__(AnnulusSpec)
+        object.__setattr__(band, "outer", self.outer.translated(dz))
+        object.__setattr__(band, "inner", self.inner.translated(dz))
+        object.__setattr__(band, "width_hint", self.width_hint)
+        return band
 
 
 def offset_annulus(curve: JordanCurve, eps_geom: float) -> AnnulusSpec:

@@ -1,7 +1,17 @@
 """Orbit classification and sampled escape certificates.
 
 ``classify_orbits`` is the one orbit classifier: the render runs it on each
-tile of pixel centers, and nothing else iterates a map.
+tile of pixel centers, and nothing else iterates a map. The render also
+passes each pixel a floor, a lower bound on log2|step| from the map's
+``step_floor``; a pixel whose floor clears log2(escape_radius) by
+FLOOR_SLACK is marked escaped at step 1 without being stepped. Stepping it
+would have marked it the same way, so no byte of a field changes: the floor
+bounds the exact value, and the slack covers both the rounding of the floor
+and the relative error of the computed step (about n 2**-52 for n roots).
+From step 2 on the same pixels are active with the same values. The one
+exception would be a rational map whose computed harmonic sum cancels to
+exactly zero, both components, at a far-field pixel center: its step reports
+an indeterminate point there.
 
 A certificate witnesses the trapping that justifies finite-iteration
 classification. For a shape polynomial P(z) = z (omega(z) + 1) against its
@@ -39,6 +49,14 @@ from .shapepoly import ShapePolynomial, p_step_array
 
 #: fewest boundary samples per curve that a certificate takes
 MIN_SAMPLES = 256
+#: log2 margin by which a floor must clear log2(escape_radius) to settle a
+#: point at step 1. It covers the rounding of the floor, whose n log2 terms
+#: are each good to a few 2**-52 of their size and whose sum adds at most
+#: n 2**-53 times the sum of their sizes (2**-21 for n up to 2**12 and terms
+#: up to 2**8 in size, distances between 2**-256 and 2**256), and the
+#: relative error of the computed step, about n 2**-52, which moves log2|step|
+#: by less than 2**-40 at n = 512.
+FLOOR_SLACK = 2.0 ** -20
 
 
 class OrbitStatus(enum.IntEnum):
@@ -48,7 +66,8 @@ class OrbitStatus(enum.IntEnum):
 
 
 def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
-                    capture_radius: float, max_iter: int = 200):
+                    capture_radius: float, max_iter: int = 200,
+                    floor: np.ndarray | None = None):
     """The one orbit classifier: iterate ``kernel.step`` from every point of
     the 1-D array z (in the kernel's shifted frame) until the orbit magnitude
     leaves [capture_radius, escape_radius] or the budget runs out.
@@ -57,6 +76,11 @@ def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
     start already outside the interval, the step that decided the orbit, or
     max_iter. A step whose magnitude is NaN (indeterminate) ends the orbit
     UNDECIDED at that step.
+
+    ``floor``, if given, holds a lower bound on log2|step(z)| per point; a
+    point still undecided after step 0 whose floor exceeds log2(escape_radius)
+    + FLOOR_SLACK escapes at step 1 without being stepped (see the module
+    docstring).
     """
     log_cap = math.log2(capture_radius)
     log_esc = math.log2(escape_radius)
@@ -72,6 +96,16 @@ def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
     iters[cap0 | esc0] = 0
 
     active = np.flatnonzero(~(cap0 | esc0))
+    if floor is not None and max_iter >= 1:
+        far = floor[active] > log_esc + FLOOR_SLACK
+        if np.count_nonzero(~far) == 1 and far.any():
+            # NumPy multiplies a length-1 complex array in place through
+            # another loop, which can round differently: keep step 1 as
+            # long as it would be without the floor, at least 2
+            far[np.argmax(far)] = False
+        status[active[far]] = int(OrbitStatus.ESCAPED)
+        iters[active[far]] = 1
+        active = active[~far]
     cur = z[active]
     for m in range(1, max_iter + 1):
         if active.size == 0:

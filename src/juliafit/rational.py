@@ -13,9 +13,11 @@ degree search and the certificate writer of ``dynamics``:
   E.inner and F.outer bounded while both complementary components escape.
 
 Like ``ShapePolynomial``, each system has a ``kind``, its frame shift ``t``,
-all its ``roots``, a per-pixel ``step`` and ``to_obj``/``from_obj``, so the
-commands render, save and load all three kinds alike. ``step`` is the only
-way to evaluate a system; a single point is a length-1 array.
+all its ``roots``, a per-pixel ``step``, a lower bound ``step_floor`` on
+log2|step| over a disk, built from its shapes' bounds on |omega_s + 1|, and
+``to_obj``/``from_obj``, so the commands render, save and load all three
+kinds alike. ``step`` is the only way to evaluate a system; a single point is
+a length-1 array.
 
 Both certificates extend the one of ``dynamics`` (see its docstring): they
 check sampled extrema on the band curves, and a NaN sample fails its
@@ -73,7 +75,10 @@ from .errors import BadBasepoint, GeometryRejected
 from .shapepoly import (
     ShapePolynomial,
     _renorm,
+    log2_one_minus_exp2,
     materialize,
+    modulus_floor,
+    omega_plus_one_floor,
     omega_plus_one_scaled_array,
     omega_scaled_array,
 )
@@ -120,6 +125,13 @@ class MultiShapeSystem:
     def step(self, z: np.ndarray):
         return materialize(*_times_z(z, *omega_big_scaled_array(self, z)))
 
+    def step_floor(self, centres: np.ndarray, radius) -> np.ndarray:
+        """Lower bound on log2|R| over each disk (see ``ShapePolynomial``):
+        1/R = sum_i 1/(z (omega_i + 1)) gives |R| >= |z| / sum_i
+        1/|omega_i + 1|, with each |omega_i + 1| bounded below by its shape."""
+        recips = [-omega_plus_one_floor(s, centres, radius) for s in self.shapes]
+        return modulus_floor(centres, radius) - np.logaddexp2.reduce(recips)
+
     def to_obj(self) -> dict:
         return {"kind": self.kind, "t": [self.t.real, self.t.imag],
                 "shapes": [s.to_obj() for s in self.shapes]}
@@ -164,6 +176,14 @@ class AnnulusSystem:
     def step(self, z: np.ndarray):
         _, of, p = _annulus_terms(self, z)
         return materialize(*_scaled_add(*p, *_recip_scaled(*of)))
+
+    def step_floor(self, centres: np.ndarray, radius) -> np.ndarray:
+        """Lower bound on log2|S| over each disk (see ``ShapePolynomial``):
+        |S| >= |z| |omega_E + 1| - 1/|omega_F + 1|, -inf where that is not
+        positive."""
+        p = self.outer_shape.step_floor(centres, radius)
+        recip = -omega_plus_one_floor(self.inner_shape, centres, radius)
+        return p + log2_one_minus_exp2(recip - p)
 
     def to_obj(self) -> dict:
         return {

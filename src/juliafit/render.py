@@ -4,13 +4,24 @@ A render classifies every pixel center by orbit fate (captured near the
 origin, escaped beyond the certified radius, or undecided at the iteration
 budget) with ``dynamics.classify_orbits``, the one orbit classifier. Work is
 split into row tiles; each tile is computed independently, so worker count
-changes timing but never bytes. Verification compares the rendered sets
-against sampled targets in Hausdorff distance (``curves.hausdorff_distance``
-for the boundary), clipping the unbounded side to the render bbox; undecided
-pixels count as boundary, and the one-pixel thickness of a rasterized
-boundary is absorbed by adding one pixel diagonal to the tolerance. The
-target bounded set is ``curves.enclosed``: the points inside an odd number of
-the target curves, which must not meet.
+changes timing but never bytes.
+
+Each tile is cut into blocks of BLOCK_COLS columns (the last one may be
+narrower), and the map's ``step_floor`` bounds log2|step| from below once per
+block, over the disk about the block that holds its pixel centres. A
+far-field pixel whose floor clears log2(escape_radius) by
+``dynamics.FLOOR_SLACK``, which covers the rounding of the floor and of the
+step, is marked escaped at step 1 without being stepped, exactly as the step
+would have marked it; so the floor changes timing but never bytes (see
+``dynamics``).
+
+Verification compares the rendered sets against sampled targets in Hausdorff
+distance (``curves.hausdorff_distance`` for the boundary), clipping the
+unbounded side to the render bbox; undecided pixels count as boundary, and
+the one-pixel thickness of a rasterized boundary is absorbed by adding one
+pixel diagonal to the tolerance. The target bounded set is
+``curves.enclosed``: the points inside an odd number of the target curves,
+which must not meet.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ from .dynamics import OrbitStatus, classify_orbits
 from .errors import BboxTooSmall, EmptySet, GeometryRejected, MonochromeField
 
 TILE_ROWS = 16
+#: columns per block of a tile that shares one ``step_floor`` bound
+BLOCK_COLS = 16
 #: smallest render grid side
 MIN_GRID = 16
 #: samples per target curve in the Hausdorff check
@@ -121,6 +134,25 @@ def _dilate4(mask: np.ndarray) -> np.ndarray:
 # rendering
 
 
+def _block_floors(kernel, z: np.ndarray) -> np.ndarray:
+    """Per pixel of the (rows, width) tile z, the kernel's ``step_floor`` over
+    the disk about the pixel's block of BLOCK_COLS columns: centred on the
+    block and reaching its corner pixel centres, widened by 2**-40 of the
+    coordinates for the rounding of the centre, the extents and hypot."""
+    nrows, width = z.shape
+    first = np.arange(0, width, BLOCK_COLS)
+    last = np.minimum(first + BLOCK_COLS, width) - 1
+    # the shifted coordinates are rounded differences of increasing
+    # coordinates, so each block's extremes sit at its corners
+    x0, x1 = z[0, first].real, z[0, last].real
+    y0, y1 = z[-1, 0].imag, z[0, 0].imag
+    centres = 0.5 * (x0 + x1) + 0.5j * (y0 + y1)
+    hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
+    radius = np.hypot(hx, hy) + 2.0 ** -40 * (np.abs(centres) + hx + hy)
+    per_block = kernel.step_floor(centres, radius)
+    return np.tile(np.repeat(per_block, last - first + 1), nrows)
+
+
 def _render_tile(kernel, bbox, width, height, row0, nrows,
                  escape_radius, capture_radius, max_iter):
     lo, hi = bbox
@@ -128,9 +160,10 @@ def _render_tile(kernel, bbox, width, height, row0, nrows,
     dy = (hi.imag - lo.imag) / height
     xs = lo.real + (np.arange(width) + 0.5) * dx
     ys = hi.imag - (np.arange(row0, row0 + nrows) + 0.5) * dy
-    z = (xs[None, :] + 1j * ys[:, None]).reshape(-1) - kernel.t
-    status, iters = classify_orbits(kernel, z, escape_radius, capture_radius,
-                                    max_iter)
+    z = (xs[None, :] + 1j * ys[:, None]) - kernel.t
+    status, iters = classify_orbits(kernel, z.reshape(-1), escape_radius,
+                                    capture_radius, max_iter,
+                                    floor=_block_floors(kernel, z))
     return status.reshape(nrows, width), iters.reshape(nrows, width)
 
 

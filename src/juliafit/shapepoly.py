@@ -15,6 +15,17 @@ kernels, reached through a map's ``step``. A single point is a length-1
 array: a NaN log2 magnitude marks a point where a rational map is
 indeterminate, and an inf value with a finite log2 magnitude one too large
 for a double.
+
+``step_floor`` bounds a step from below over a whole disk without the node
+product: for w within rho of c, |w - r_k| >= |c - r_k| - rho, so
+|omega(w)| >= 2**L with L = log2|cap_pow| + sum_k log2(|c - r_k| - rho), and
+|P(w)| >= |w| (|omega(w)| - 1) >= (|c| - rho) (2**L - 1). The bound is summed
+over every root and is -inf unless every |c - r_k| > rho, |c| > rho and
+L > 0. Every distance is taken a few ulps short, so rounding cannot lift
+the bound above the exact one. The render settles a far-field pixel without
+stepping it when the bound clears the escape radius by
+``dynamics.FLOOR_SLACK``, which covers the rounding of the bound's sum and of
+the step; see ``dynamics`` for why that cannot change a byte.
 """
 
 from __future__ import annotations
@@ -132,6 +143,11 @@ class ShapePolynomial:
 
     def step(self, z: np.ndarray):
         return p_step_array(self, z)
+
+    def step_floor(self, centres: np.ndarray, radius) -> np.ndarray:
+        """Lower bound on log2|P(w)| for every w within ``radius`` of each
+        centre (shifted frame), -inf where none is known."""
+        return modulus_floor(centres, radius) + omega_plus_one_floor(self, centres, radius)
 
     def to_obj(self) -> dict:
         return {
@@ -312,6 +328,35 @@ def p_step_array(shape: ShapePolynomial, z: np.ndarray):
     w *= z
     _renorm(w, e)
     return materialize(w, e)
+
+
+def modulus_floor(centres: np.ndarray, radius) -> np.ndarray:
+    """log2 of the least |w| over each disk, log2(|c| - radius), with |c|
+    taken 2**-50 low for its rounding; -inf where the disk holds the origin."""
+    with np.errstate(divide="ignore"):
+        return np.log2(np.maximum(np.abs(centres) * (1.0 - 2.0 ** -50) - radius, 0.0))
+
+
+def omega_plus_one_floor(shape: ShapePolynomial, centres: np.ndarray, radius) -> np.ndarray:
+    """log2 of a lower bound on |omega(w) + 1| over each disk, log2(2**L - 1)
+    with L the module docstring's bound on log2|omega|; -inf where a root
+    lies in the disk or L <= 0."""
+    # |c - r_k| is computed to within 3 ulps of |c| + |r_k|; widening the
+    # radius by that much keeps every computed gap below the true one
+    reach = np.abs(centres) + float(np.abs(shape.roots).max())
+    gap = (np.abs(centres[..., None] - shape.roots)
+           - (radius + 2.0 ** -50 * reach)[..., None])
+    cp = shape.cap_pow
+    with np.errstate(divide="ignore"):
+        big_l = (math.log2(abs(cp.mantissa)) + cp.exponent
+                 + np.log2(np.maximum(gap, 0.0)).sum(axis=-1))
+    return big_l + log2_one_minus_exp2(-big_l)
+
+
+def log2_one_minus_exp2(x: np.ndarray) -> np.ndarray:
+    """log2(1 - 2**x), -inf where x >= 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.log2(np.maximum(-np.expm1(x * math.log(2.0)), 0.0))
 
 
 def materialize(w: np.ndarray, e: np.ndarray):

@@ -104,3 +104,25 @@ def built_shapes():
         out[name] = {"curve": curve, "t": t, "annulus": ann, "annulus_t": ann_t,
                      "map": m, "band": band, "epsilon": eps, "build": build}
     return out
+
+
+@pytest.fixture(scope="session")
+def fixture_systems(fixture_dir, tmp_path_factory):
+    """The certified rational map of circle_left/circle_right and annulus map
+    of ring_outer/ring_inner, from their dumps, with (escape, capture) radii."""
+    from juliafit.cli import main
+    from juliafit.dumps import load_dump
+    from juliafit.dynamics import EscapeCertificate
+    from juliafit.rational import AnnulusSystem, MultiCertificate, MultiShapeSystem, SCertificate
+
+    out = {}
+    d = tmp_path_factory.mktemp("systems")
+    for command, names in (("rational", ("circle_left", "circle_right")),
+                           ("annulus", ("ring_outer", "ring_inner"))):
+        assert main([command, *(str(fixture_dir / f"{n}.txt") for n in names),
+                     "--delta", "0.3", "--grid", "16", "--out", str(d / command)]) == 0
+        system = load_dump(d / command / "system.json", (MultiShapeSystem, AnnulusSystem))
+        cert = load_dump(d / command / "certificate.json",
+                         (EscapeCertificate, MultiCertificate, SCertificate))
+        out[command] = (system, (cert.escape_radius, cert.capture_radius))
+    return out

@@ -18,6 +18,10 @@ scaled arguments, so orbits can be followed far past double range. The node
 product as it was before it was renormalized once per block of roots: after
 every 8th root. The block kernel must return the same bits.
 
+Render: the render as it was before it settled far-field pixels with the
+map's `step_floor`: `classify_orbits` on whole tiles, every pixel stepped. The
+render with the floor must give the same bytes.
+
 Dumps: the field writer as it was before it wrote the base64 arrays to the
 file itself, a single `json.dump`. The fast writer must write the same bytes.
 """
@@ -33,6 +37,7 @@ import numpy as np
 
 from juliafit.conformal import evaluate_map
 from juliafit.curves import _segment_pairs_intersect, curve_gap
+from juliafit.dynamics import classify_orbits
 from juliafit.errors import NoEpsilon
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
 from juliafit.shapepoly import (
@@ -415,6 +420,29 @@ def omega_scaled_array(shape: ShapePolynomial, z: np.ndarray):
     # an exact zero (z on a root) keeps exponent 0, so that omega + 1 is 1
     e[w == 0] = 0
     return w, e
+
+
+# ---------------------------------------------------------------------------
+# render
+
+
+def render_floorless(kernel, bbox, width: int, height: int, escape_radius: float,
+                     capture_radius: float, max_iter: int, tile_rows: int = 16):
+    """(status, iterations) of every pixel center of the bbox grid, each tile
+    of tile_rows rows classified without a floor."""
+    lo, hi = bbox
+    dx = (hi.real - lo.real) / width
+    dy = (hi.imag - lo.imag) / height
+    xs = lo.real + (np.arange(width) + 0.5) * dx
+    status, iters = [], []
+    for r0 in range(0, height, tile_rows):
+        ys = hi.imag - (np.arange(r0, min(r0 + tile_rows, height)) + 0.5) * dy
+        z = (xs[None, :] + 1j * ys[:, None]).reshape(-1) - kernel.t
+        s, i = classify_orbits(kernel, z, escape_radius, capture_radius, max_iter)
+        status.append(s)
+        iters.append(i)
+    return (np.concatenate(status).reshape(height, width),
+            np.concatenate(iters).reshape(height, width))
 
 
 # ---------------------------------------------------------------------------

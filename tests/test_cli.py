@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import juliafit
+from juliafit import cli, shapepoly
 from juliafit.cli import main
 from juliafit.shapes import make_figure_eight, make_square, write_curve_file
 
@@ -317,6 +318,16 @@ def test_console_entry_point(fixture_dir, tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (tmp_path / "shape.json").exists()
+
+
+def test_every_map_kind_has_the_map_interface(fixture_systems):
+    maps = [shapepoly.make_circle_shape()] + [m for m, _ in fixture_systems.values()]
+    assert [type(m) for m in maps] == list(cli._MAPS)
+    for m in maps:
+        assert isinstance(m.kind, str) and m.to_obj()["kind"] == m.kind
+        assert isinstance(m.t, complex) and m.roots.dtype == np.complex128
+        for name in ("step", "step_floor", "to_obj", "from_obj"):
+            assert callable(getattr(m, name))
 
 
 def _pair_args(command, fixture_dir):

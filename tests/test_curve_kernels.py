@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,6 +15,7 @@ from juliafit.curves import (
     relation,
     winding_numbers,
 )
+from juliafit.errors import NotSimple
 from juliafit.shapes import make_blob, make_circle, make_figure_eight, make_square
 
 
@@ -234,7 +235,12 @@ def placed_pair(seed_a, seed_b, n, m, ratio, offset, angle):
        st.sampled_from([0.2, 0.5, 0.9, 1.0, 1.2, 2.0, 5.0]),
        st.floats(0.0, 4.0), st.floats(0.0, 2.0 * np.pi))
 def test_relation_matches_oracle(seed_a, seed_b, n, m, ratio, offset, angle):
-    a, b = placed_pair(seed_a, seed_b, n, m, ratio, offset, angle)
+    try:
+        a, b = placed_pair(seed_a, seed_b, n, m, ratio, offset, angle)
+    except NotSimple:
+        # a star whose sorted angles leave a gap wider than pi can cross
+        # itself (seed 39944 at 8 points): no curve to relate
+        reject()
     assert relation(a, b) == oracles.relation(a, b)
     assert relation(b, a) == oracles.relation(b, a)
 

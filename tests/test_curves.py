@@ -271,6 +271,22 @@ def test_annulus_classify_partition():
     assert ann.outer.contains(z).tolist() == [True, True, False]
 
 
+@pytest.mark.parametrize("dz", [0.3 - 1.7j, -1e3 + 2.5e2j])
+def test_translated_band_equals_the_validated_one(dz, monkeypatch):
+    blob = make_blob()
+    band = offset_annulus(blob, 0.05 * blob.diameter)
+    want = AnnulusSpec(band.outer.translated(dz), band.inner.translated(dz),
+                       band.width_hint)
+    calls = []
+    monkeypatch.setattr("juliafit.curves.relation", lambda *a: calls.append(a))
+    moved = band.translated(dz)
+    assert calls == []
+    assert type(moved) is AnnulusSpec
+    assert np.array_equal(moved.outer.points, want.outer.points)
+    assert np.array_equal(moved.inner.points, want.inner.points)
+    assert moved.width_hint == want.width_hint
+
+
 # ---------------------------------------------------------------------------
 # how two curves lie
 

@@ -1,0 +1,139 @@
+"""The maps' lower bound on a step over a disk (``step_floor``) and the
+render that settles far-field pixels with it."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from juliafit.dynamics import FLOOR_SLACK, OrbitStatus, classify_orbits
+from juliafit.render import render
+from juliafit.shapepoly import make_circle_shape
+
+KINDS = ["circle64", "blob512", "rational", "annulus"]
+
+
+@pytest.fixture(scope="module")
+def maps(built_shapes, fixture_systems):
+    """name -> (map, (escape, capture) radii); the shapes take the default
+    radii of the render command."""
+    out = dict(fixture_systems)
+    for name, shape in (("circle64", make_circle_shape(1.0, 0.0625, 64)),
+                        ("blob512", built_shapes["blob"]["build"](512))):
+        mags = np.abs(shape.roots)
+        out[name] = (shape, (1.2 * float(mags.max()), 0.5 * float(mags.min())))
+    return out
+
+
+def disk_points(centre, radius, seed, count=32):
+    """count points on the circle of the disk and count inside it."""
+    rng = np.random.default_rng(seed)
+    th = 2 * np.pi * (np.arange(count) + rng.uniform()) / count
+    inner = radius * np.sqrt(rng.uniform(0, 1, count)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, count))
+    return centre + np.concatenate((radius * np.exp(1j * th), inner))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(deadline=None, max_examples=60)
+@given(st.floats(0.0, 2 * math.pi), st.floats(-1.5, 1.0), st.floats(0.0, 1.3),
+       st.integers(0, 2 ** 32 - 1))
+def test_floor_bounds_every_step_in_the_disk(maps, kind, angle, log_reach, share, seed):
+    # centres from inside the roots to ten spans out; radii up to 1.3 times
+    # the distance to the nearest root, so some disks hold one
+    kernel, _ = maps[kind]
+    mid = kernel.roots.mean()
+    span = float(np.abs(kernel.roots - mid).max())
+    centre = mid + span * 10.0 ** log_reach * np.exp(1j * angle)
+    radius = share * float(np.abs(centre - kernel.roots).min())
+    floor = float(kernel.step_floor(np.array([centre]), radius)[0])
+    if np.any(np.abs(centre - kernel.roots) < radius):
+        assert floor == -math.inf
+    else:
+        _, lm = kernel.step(disk_points(centre, radius, seed))
+        assert floor <= lm.min()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_floor_is_finite_and_close_in_the_far_field(maps, kind):
+    kernel, _ = maps[kind]
+    mid = kernel.roots.mean()
+    span = float(np.abs(kernel.roots - mid).max())
+    centres = mid + 3 * span * np.exp(2j * np.pi * np.arange(8) / 8)
+    floor = kernel.step_floor(centres, 0.01 * span)
+    _, lm = kernel.step(centres)
+    assert np.all(np.isfinite(floor))
+    assert np.all(floor <= lm)
+    assert np.all(lm - floor < 0.05 * kernel.roots.size)
+
+
+def test_floor_broadcasts_one_radius_per_centre(maps):
+    kernel, _ = maps["blob512"]
+    centres = np.array([3 + 1j, -2 - 4j, 0.1j])
+    radii = np.array([0.1, 0.4, 0.2])
+    each = [kernel.step_floor(centres[i:i + 1], radii[i])[0] for i in range(3)]
+    assert kernel.step_floor(centres, radii).tolist() == each
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("workers", [1, 2])
+def test_render_matches_the_floorless_render(maps, kind, workers):
+    # 200 columns leave a last block of 8, 72 rows a last tile of 8
+    kernel, (escape, capture) = maps[kind]
+    orig = kernel.roots + kernel.t
+    pad = 0.3 * max(np.ptp(orig.real), np.ptp(orig.imag))
+    bbox = (complex(orig.real.min() - pad, orig.imag.min() - pad),
+            complex(orig.real.max() + pad, orig.imag.max() + pad))
+    field = render(kernel, bbox, 200, 72, escape_radius=escape,
+                   capture_radius=capture, max_iter=60, workers=workers)
+    status, iters = oracles.render_floorless(kernel, bbox, 200, 72, escape,
+                                             capture, 60)
+    assert field.status.tobytes() == status.tobytes()
+    assert field.iterations.tobytes() == iters.tobytes()
+    settled = (field.iterations == 1) & (field.status == int(OrbitStatus.ESCAPED))
+    assert settled.any()
+
+
+class RecordingKernel:
+    """Doubles every point and records the arrays it steps."""
+
+    t = 0j
+
+    def __init__(self):
+        self.stepped = []
+
+    def step(self, z):
+        self.stepped.append(z.copy())
+        return 2 * z, np.log2(np.abs(2 * z))
+
+
+def test_floor_settles_without_stepping():
+    k = RecordingKernel()
+    z = np.array([3.0, 3.5, 2.5, 1.1, 1.2, 0.1, 9.0], dtype=complex)
+    floor = np.array([2.5, 2.5, 2.0 + 2 * FLOOR_SLACK, 1.0, 1.0, -np.inf, 4.0])
+    status, iters = classify_orbits(k, z, 4.0, 0.5, 10, floor=floor)
+    # 0.1 and 9.0 are decided at step 0, and the floor settles 3.0, 3.5 and
+    # 2.5 (its floor clears log2(4) by twice the slack)
+    assert k.stepped[0].tolist() == [1.1, 1.2]
+    assert status.tolist() == [1, 1, 1, 1, 1, 0, 1]
+    assert iters.tolist() == [1, 1, 1, 2, 2, 0, 0]
+
+
+def test_floor_never_leaves_one_point_where_there_were_more():
+    # a length-1 complex array is multiplied in place by another NumPy loop,
+    # so step 1 keeps a second point rather than step one alone
+    k = RecordingKernel()
+    z = np.array([3.0, 1.1, 3.5], dtype=complex)
+    floor = np.array([2.5, 1.0, 2.5])
+    status, iters = classify_orbits(k, z, 4.0, 0.5, 10, floor=floor)
+    assert k.stepped[0].tolist() == [3.0, 1.1]
+    assert status.tolist() == [1, 1, 1]
+    assert iters.tolist() == [1, 2, 1]
+    # with no step to take, the floor settles nothing
+    k = RecordingKernel()
+    status, iters = classify_orbits(k, z, 4.0, 0.5, 0, floor=floor)
+    assert k.stepped == []
+    assert status.tolist() == [2, 2, 2]

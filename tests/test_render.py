@@ -32,6 +32,9 @@ class ConstantKernel:
     def step(self, z):
         return np.zeros_like(z), np.full(z.shape, -math.inf)
 
+    def step_floor(self, centres, radius):
+        return np.full(centres.shape, -math.inf)
+
 
 @pytest.fixture(scope="module")
 def circle_field():
