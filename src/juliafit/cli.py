@@ -182,8 +182,7 @@ def cmd_build(args) -> int:
 
     m, eps, build = _build_one_shape(curve_t, ann_t, args, t)
     cfg["epsilon_used"] = eps
-    _say(f"map ready: capacity {abs(m.capacity):.6g}, "
-         f"boundary rmse {m.quality.boundary_rmse:.3g}, inflation {eps}")
+    _say(f"map ready: boundary rmse {m.boundary_rmse:.3g}, inflation {eps}")
     shape, cert = dynamics.find_min_degree(
         build, lambda s: dynamics.certify(s, ann_t, args.samples),
         _schedule(args))
@@ -266,7 +265,7 @@ def cmd_rational(args) -> int:
     builders = []
     for c, a_t in zip(curve_list, anns_t):
         m, eps, build = _build_one_shape(c.translated(-t), a_t, args, t)
-        _say(f"shape map ready: capacity {abs(m.capacity):.6g}, inflation {eps}")
+        _say(f"shape map ready: boundary rmse {m.boundary_rmse:.3g}, inflation {eps}")
         builders.append(build)
 
     system, cert = dynamics.find_min_degree(

@@ -6,8 +6,9 @@ Construction: shift an interior basepoint t to the origin, invert the plane
 origin inside, build an interior-to-disk map for that region as a composition
 of elementary slit-closing maps (one per boundary vertex), and conjugate the
 whole chain back. The resulting map evaluates anywhere on or outside the unit
-circle and exposes its Laurent data: the leading coefficient is the curve's
-logarithmic capacity.
+circle. Its Laurent data, whose leading coefficient is the curve's
+logarithmic capacity, is computed on demand by ``laurent_coefficients``; no
+part of the pipeline needs it.
 
 All evaluation points live in the shifted frame (curve minus t).
 """
@@ -23,12 +24,12 @@ import numpy as np
 from .curves import JordanCurve, distance_to_polyline, resample_closed, signed_area, winding_numbers
 from .errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
 
-#: relative agreement demanded of the Laurent series: between its two
-#: extractions and against the slit-map chain
+#: relative agreement demanded of the Laurent series between its two
+#: extractions
 REL_TOL_MAP = 1e-6
 #: unit-circle samples in the boundary table of a built map
 BOUNDARY_TABLE = 1024
-#: negative powers kept in the Laurent series of a built map
+#: negative powers kept in a Laurent series by default
 LAURENT_ORDER = 64
 #: radius of the circle the Laurent coefficients are read on
 RHO_SAMPLE = 1.25
@@ -40,13 +41,6 @@ DOMAIN_TOL = 1e-9
 _NUDGE = 1e-12
 #: boundary-fit tolerance of a built map (times the curve diameter)
 MAP_TOL_REL = 1e-3
-
-
-@dataclass(frozen=True)
-class MapQuality:
-    boundary_rmse: float
-    derivative_min: float
-    derivative_max: float
 
 
 @dataclass(frozen=True)
@@ -64,50 +58,22 @@ class _Chain:
 
 @dataclass(frozen=True)
 class ExteriorMap:
-    """Evaluable exterior map and its Laurent data.
-
-    laurent holds [c1, c0, c_-1, c_-2, ...]: c1 (the capacity) multiplies w,
-    c0 is the constant term, c_-k divides w**k.
-    """
+    """Exterior map of a curve about its basepoint t, evaluated through its
+    slit-map chain. The dump records t and the boundary table; no command
+    reads it back."""
 
     kind: ClassVar[str] = "exterior_map"
     t: complex
-    capacity: complex
-    laurent: np.ndarray
     boundary_samples: np.ndarray   # shape (B, 2): unit-circle point, image
-    quality: MapQuality | None = None
-    chain: _Chain | None = None
-    series: np.ndarray | None = None   # loaded maps: full Fourier coefficients
-
-    def __post_init__(self):
-        if not abs(self.capacity) > 0:
-            raise MapDiverged("capacity must be nonzero")
+    boundary_rmse: float
+    chain: _Chain
 
     def to_obj(self) -> dict:
         return {
             "kind": self.kind,
             "t": _c2pair(self.t),
-            "capacity": _c2pair(self.capacity),
-            "laurent": [_c2pair(c) for c in self.laurent],
             "boundary_samples": [[_c2pair(w), _c2pair(z)] for w, z in self.boundary_samples],
         }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ExteriorMap":
-        """Rebuild a map from its dump. The loaded map evaluates through the
-        Fourier series of its boundary table, which reproduces smooth maps to
-        high accuracy but has no access to the original composition chain."""
-        bs = np.array([[complex(*w), complex(*z)] for w, z in obj["boundary_samples"]])
-        nb = len(bs)
-        f = np.fft.fft(bs[:, 1]) / nb
-        series = np.empty(nb, dtype=np.complex128)
-        series[0] = f[1]
-        series[1] = f[0]
-        ks = np.arange(1, nb - 1)
-        series[2:] = f[nb - ks]
-        return cls(t=complex(*obj["t"]), capacity=complex(*obj["capacity"]),
-                   laurent=np.array([complex(a, b) for a, b in obj["laurent"]]),
-                   boundary_samples=bs, series=series)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +216,7 @@ def evaluate_map(m: ExteriorMap, w):
     w_arr = w_arr.reshape(-1)
     if np.any(np.abs(w_arr) < 1.0 - DOMAIN_TOL):
         raise OutOfDomain("evaluation point inside the unit disk")
-    if chain := m.chain:
-        vals = _chain_eval(chain, w_arr)
-    elif m.series is not None:
-        vals = _series_eval(m.series, w_arr)
-    else:
-        vals = _series_eval(m.laurent, w_arr)
+    vals = _chain_eval(m.chain, w_arr)
     return complex(vals[0]) if scalar else vals
 
 
@@ -263,7 +224,8 @@ def laurent_coefficients(m: ExteriorMap, order: int = LAURENT_ORDER,
                          rho_sample: float = RHO_SAMPLE) -> np.ndarray:
     """Recover [c1, c0, c_-1, ..., c_-order] by Fourier analysis on the circle
     |w| = rho_sample, cross-checked against a second extraction at twice the
-    radius (the two truncated series must agree in the far field)."""
+    radius (the two truncated series must agree in the far field): c1 (the
+    capacity) multiplies w, c0 is the constant term, c_-k divides w**k."""
     if order > len(m.boundary_samples) // 2:
         raise Aliasing("order exceeds half the boundary table size")
 
@@ -333,33 +295,12 @@ def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
         raise MapDiverged(
             f"boundary fit rmse {rmse:.3g} exceeds tolerance {map_tol:.3g}")
 
-    ring = (1.0 + 1e-3) * np.exp(1j * th_b)
-    ring_vals = _chain_eval(chain, ring)
-    if np.any(winding_numbers(ring_vals[::4], work) != 0):
+    ring = (1.0 + 1e-3) * np.exp(1j * th_b[::4])
+    if np.any(winding_numbers(_chain_eval(chain, ring), work) != 0):
         raise MapDiverged("points just outside the disk map inside the curve")
-    dth = 2.0 * np.pi / BOUNDARY_TABLE
-    dvals = (np.roll(ring_vals, -1) - np.roll(ring_vals, 1)) / (2.0 * dth)
-    deriv = np.abs(dvals) / np.abs(ring)
-    quality = MapQuality(boundary_rmse=rmse,
-                         derivative_min=float(deriv.min()),
-                         derivative_max=float(deriv.max()))
 
-    m = ExteriorMap(t=complex(t), capacity=1.0, laurent=np.array([1.0 + 0j]),
-                    boundary_samples=np.column_stack((wb, zb)), quality=quality,
-                    chain=chain)
-    laurent = laurent_coefficients(m)
-
-    # truncated series must reproduce the chain at |w| = 2
-    w2 = 2.0 * np.exp(1j * th_b[::4])
-    direct = _chain_eval(chain, w2)
-    approx = _series_eval(laurent, w2)
-    err = float(np.abs(direct - approx).max())
-    if err > REL_TOL_MAP * float(np.abs(direct).max()):
-        raise MapDiverged(f"Laurent truncation error {err:.3g} at |w| = 2")
-
-    return ExteriorMap(t=complex(t), capacity=complex(laurent[0]),
-                       laurent=laurent, boundary_samples=m.boundary_samples,
-                       quality=quality, chain=chain)
+    return ExteriorMap(t=complex(t), boundary_samples=np.column_stack((wb, zb)),
+                       boundary_rmse=rmse, chain=chain)
 
 
 def _c2pair(z: complex) -> list[float]:

@@ -1,8 +1,8 @@
 """JSON dumps: one writer for the maps, one for reports and certificates,
 and one reader for every dump a command takes as input. A dumped type has a
 ``kind`` class attribute, which its dump records, and rebuilds itself with
-``from_obj``; the maps (the three constructions and ``ExteriorMap``) also
-have ``to_obj``.
+``from_obj``; the three constructions also have ``to_obj``. ``ExteriorMap``
+has only ``to_obj``: no command reads a map back.
 """
 
 from __future__ import annotations

@@ -3,15 +3,16 @@
 ``classify_orbits`` is the one orbit classifier: the render runs it on each
 tile of pixel centers, and nothing else iterates a map. The render also
 passes each pixel a floor, a lower bound on log2|step| from the map's
-``step_floor``; a pixel whose floor clears log2(escape_radius) by
-FLOOR_SLACK is marked escaped at step 1 without being stepped. Stepping it
-would have marked it the same way, so no byte of a field changes: the floor
-bounds the exact value, and the slack covers both the rounding of the floor
-and the relative error of the computed step (about n 2**-52 for n roots).
-From step 2 on the same pixels are active with the same values. The one
-exception would be a rational map whose computed harmonic sum cancels to
-exactly zero, both components, at a far-field pixel center: its step reports
-an indeterminate point there.
+``step_floor``; a pixel whose floor clears log2(escape_radius) by FLOOR_SLACK
+is marked escaped at step 1 without being stepped. Stepping it would have
+marked it the same way, so no byte of a field changes: the floor bounds the
+exact value, and the slack covers both the rounding of the floor and the
+relative error of the computed step (about n 2**-52 for n roots). However few
+pixels the floor leaves to step, each steps exactly as it would among all of
+them (see ``shapepoly``), so from step 2 on the same pixels are active with
+the same values. The one exception would be a rational map whose computed
+harmonic sum cancels to exactly zero, both components, at a far-field pixel
+center: its step reports an indeterminate point there.
 
 A certificate witnesses the trapping that justifies finite-iteration
 classification. For a shape polynomial P(z) = z (omega(z) + 1) against its
@@ -98,11 +99,6 @@ def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
     active = np.flatnonzero(~(cap0 | esc0))
     if floor is not None and max_iter >= 1:
         far = floor[active] > log_esc + FLOOR_SLACK
-        if np.count_nonzero(~far) == 1 and far.any():
-            # NumPy multiplies a length-1 complex array in place through
-            # another loop, which can round differently: keep step 1 as
-            # long as it would be without the floor, at least 2
-            far[np.argmax(far)] = False
         status[active[far]] = int(OrbitStatus.ESCAPED)
         iters[active[far]] = 1
         active = active[~far]

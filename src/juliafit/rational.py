@@ -17,7 +17,9 @@ all its ``roots``, a per-pixel ``step``, a lower bound ``step_floor`` on
 log2|step| over a disk, built from its shapes' bounds on |omega_s + 1|, and
 ``to_obj``/``from_obj``, so the commands render, save and load all three
 kinds alike. ``step`` is the only way to evaluate a system; a single point is
-a length-1 array.
+a length-1 array and steps exactly as it would inside a batch. Each shape is
+normalized at its own basepoint, a point inside its own curve, so that
+omega_s = -1 there (see ``shapepoly``).
 
 Both certificates extend the one of ``dynamics`` (see its docstring): they
 check sampled extrema on the band curves, and a NaN sample fails its
@@ -75,6 +77,7 @@ from .errors import BadBasepoint, GeometryRejected
 from .shapepoly import (
     ShapePolynomial,
     _renorm,
+    _times_z,
     log2_one_minus_exp2,
     materialize,
     modulus_floor,
@@ -262,19 +265,10 @@ def _plus_one_terms(shapes, z: np.ndarray) -> list:
     return [omega_plus_one_scaled_array(*omega_scaled_array(s, z)) for s in shapes]
 
 
-def _times_z(z, w, e):
-    """z times a scaled array, in place (as ``p_step_array`` multiplies)."""
-    w *= z
-    _renorm(w, e)
-    return w, e
-
-
 def _annulus_terms(system: AnnulusSystem, z: np.ndarray):
     """omega_E + 1, omega_F + 1 and P_E = z (omega_E + 1) at z, scaled."""
     oe, of = _plus_one_terms((system.outer_shape, system.inner_shape), z)
-    p = (oe[0] * z, oe[1].copy())
-    _renorm(*p)
-    return oe, of, p
+    return oe, of, _times_z(z, oe[0], oe[1].copy())
 
 
 def omega_big_scaled_array(system: MultiShapeSystem, z: np.ndarray):

@@ -1,18 +1,23 @@
 """Shape polynomials: root sampling on an inflated image of the unit circle,
 and overflow-safe evaluation of the node product and its companion map.
 
-For a shape with n roots r_k and leading map coefficient c, the node product
-is omega(z) = c**(-n) * prod(z - r_k) and the dynamic map is
-P(z) = z * (omega(z) + 1). Every root is a fixed point of P and the origin is
-attracting once omega is uniformly close to -1 inside the shape. Degrees run
-to several hundred, so all products are carried as mantissa * 2**exponent
-arrays. The node product is renormalized once per block of up to 64 roots,
-as many as keep the block's partial products within [2**-758, 2**256]; a
-call whose block ends lower goes back to blocks of 8. In that range scaling
-by a power of two commutes with rounding, so the result does not depend on
-the block length. There is one arithmetic path: the per-pixel array
-kernels, reached through a map's ``step``. A single point is a length-1
-array: a NaN log2 magnitude marks a point where a rational map is
+For a shape with n roots r_k and basepoint p, a point inside the curve, the
+node product is omega(z) = -prod(z - r_k) / prod(p - r_k) and the dynamic map
+is P(z) = z * (omega(z) + 1). The leading coefficient
+cap_pow = -1/prod(p - r_k) comes from the node-product kernel at p, so
+omega(p) = -1 up to rounding. Every root is a fixed point of P, and the
+origin is attracting once omega is uniformly close to -1 inside the shape.
+Degrees run to several hundred, so all products are carried as
+mantissa * 2**exponent arrays. The node product is renormalized once per
+block of up to 64 roots, as many as keep the block's partial products within
+[2**-758, 2**256]; a call whose block ends lower goes back to blocks of 8. In
+that range scaling by a power of two commutes with rounding, so the result
+does not depend on the block length. There is one arithmetic path: the
+per-pixel array kernels, reached through a map's ``step``. A single point is
+a length-1 array, and steps exactly as it would inside a batch: NumPy
+multiplies a length-1 array in place through its reduction loop, which rounds
+differently, so no product of a length-1 array writes into one of its own
+operands. A NaN log2 magnitude marks a point where a rational map is
 indeterminate, and an inf value with a finite log2 magnitude one too large
 for a double.
 
@@ -74,7 +79,7 @@ _BLOCK_EXP_MIN = -500
 @dataclass(frozen=True)
 class ScaledComplex:
     """Complex number as mantissa * 2**exponent with |mantissa| in [1/2, 1)
-    (or exactly zero): the form of a shape's capacity**-n."""
+    (or exactly zero): the form of a shape's leading coefficient."""
 
     mantissa: complex
     exponent: int
@@ -88,38 +93,27 @@ def _normalized(m: complex, e: int) -> ScaledComplex:
                          max(-EXP_CAP, min(EXP_CAP, e + sh)))
 
 
-def _inverse_power(base: complex, n: int) -> ScaledComplex:
-    """base**-n by binary exponentiation, renormalizing after every product
-    (exact in binary floating point), so huge n never overflows."""
-    acc = ScaledComplex(0.5 + 0j, 1)
-    b = _normalized(complex(base), 0)
-    while n:
-        if n & 1:
-            acc = _normalized(acc.mantissa * b.mantissa, acc.exponent + b.exponent)
-        b = _normalized(b.mantissa * b.mantissa, 2 * b.exponent)
-        n >>= 1
-    return _normalized(1.0 / acc.mantissa, -acc.exponent)
-
-
 # ---------------------------------------------------------------------------
 # shape polynomials
 
 
 @dataclass(frozen=True)
 class ShapePolynomial:
-    """n roots, inflation epsilon, frame shift t, leading coefficient.
+    """n roots, inflation epsilon, frame shift t, basepoint.
 
-    Roots live in the shifted frame (source curve minus t); the map has degree
-    n + 1 there, and a caller in the original frame shifts by t itself. Like the
-    two rational systems, a shape is its own per-pixel kernel (``step``) and
-    its own dump (``to_obj``/``from_obj`` under ``kind``).
+    Roots and basepoint live in the shifted frame (source curve minus t); the
+    map has degree n + 1 there, and a caller in the original frame shifts by t
+    itself. The basepoint is the shape's own exterior-map basepoint, a point
+    inside its curve where omega = -1. Like the two rational systems, a shape
+    is its own per-pixel kernel (``step``) and its own dump
+    (``to_obj``/``from_obj`` under ``kind``).
     """
 
     kind: ClassVar[str] = "shape_polynomial"
     n: int
     epsilon: float
     t: complex
-    capacity: complex
+    basepoint: complex
     roots: np.ndarray
 
     def __post_init__(self):
@@ -128,10 +122,13 @@ class ShapePolynomial:
             raise DuplicateRoots(f"n={self.n} but {len(self.roots)} roots")
         if self.epsilon <= 0:
             raise NoEpsilon("inflation must be positive")
-        if not abs(self.capacity) > 0:
-            raise MapDiverged("capacity must be nonzero")
         _check_distinct(self.roots)
-        object.__setattr__(self, "_cap_pow", _inverse_power(self.capacity, self.n))
+        p = np.array([self.basepoint])
+        w, e = _node_product(self, p, _block_length(self, p)) or _node_product(self, p, 8)
+        if not (w[0] != 0 and np.isfinite(w[0])):
+            raise MapDiverged(f"node product at basepoint {self.basepoint} is "
+                              f"{complex(w[0])} (a basepoint on a root)")
+        object.__setattr__(self, "_cap_pow", _normalized(-1.0 / complex(w[0]), -int(e[0])))
 
     @property
     def degree(self) -> int:
@@ -155,23 +152,23 @@ class ShapePolynomial:
             "n": self.n,
             "epsilon": self.epsilon,
             "t": [self.t.real, self.t.imag],
-            "capacity": [self.capacity.real, self.capacity.imag],
+            "basepoint": [self.basepoint.real, self.basepoint.imag],
             "roots": [[float(r.real), float(r.imag)] for r in self.roots],
         }
 
     @classmethod
     def from_obj(cls, obj: dict) -> "ShapePolynomial":
         """Rebuild a shape from its dump; the constructor re-verifies the root
-        and capacity invariants. Checks the kind itself, since the systems
+        and basepoint invariants. Checks the kind itself, since the systems
         nest shape dumps."""
         if obj["kind"] != cls.kind:
             raise ParseError(f"expected a {cls.kind} dump, got {obj['kind']!r}")
         epsilon, t = float(obj["epsilon"]), complex(*obj["t"])
-        capacity = complex(*obj["capacity"])
+        basepoint = complex(*obj["basepoint"])
         roots = np.array([complex(a, b) for a, b in obj["roots"]])
-        if not np.all(np.isfinite(np.concatenate(([epsilon, t, capacity], roots)))):
+        if not np.all(np.isfinite(np.concatenate(([epsilon, t, basepoint], roots)))):
             raise ParseError(f"{cls.kind} dump holds a non-finite number")
-        return cls(n=int(obj["n"]), epsilon=epsilon, t=t, capacity=capacity,
+        return cls(n=int(obj["n"]), epsilon=epsilon, t=t, basepoint=basepoint,
                    roots=roots)
 
 
@@ -210,11 +207,10 @@ def select_epsilon(m: ExteriorMap, annulus: AnnulusSpec) -> float:
 
 def sample_roots(m: ExteriorMap, epsilon: float, n: int, t: complex) -> ShapePolynomial:
     """Roots r_k = map((1+eps) * e^(2 pi i k / n)) + m.t, k = 1..n, and the
-    rescaled leading coefficient (1+eps) * capacity.
+    map's basepoint m.t as the shape's basepoint.
 
-    Adding the map's basepoint m.t puts the roots in the frame of the curve
-    the map was built on; the shape's own frame shift is t. The leading
-    coefficient is translation invariant.
+    Adding m.t puts the roots in the frame of the curve the map was built on,
+    where m.t lies inside the curve; the shape's own frame shift is t.
     """
     if n < MIN_ROOTS:
         raise DuplicateRoots(f"need at least {MIN_ROOTS} roots, got {n}")
@@ -222,8 +218,7 @@ def sample_roots(m: ExteriorMap, epsilon: float, n: int, t: complex) -> ShapePol
     w = (1.0 + epsilon) * np.exp(2j * np.pi * k / n)
     roots = evaluate_map(m, w) + m.t
     return ShapePolynomial(n=n, epsilon=float(epsilon), t=complex(t),
-                           capacity=(1.0 + epsilon) * m.capacity,
-                           roots=roots)
+                           basepoint=m.t, roots=roots)
 
 
 def make_circle_shape(radius: float = 1.0, epsilon: float = 0.0625,
@@ -233,8 +228,7 @@ def make_circle_shape(radius: float = 1.0, epsilon: float = 0.0625,
     c = (1.0 + epsilon) * radius
     k = np.arange(1, n + 1)
     return ShapePolynomial(n=n, epsilon=float(epsilon), t=complex(t),
-                           capacity=complex(c),
-                           roots=c * np.exp(2j * np.pi * k / n))
+                           basepoint=0j, roots=c * np.exp(2j * np.pi * k / n))
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +263,22 @@ def _node_product(shape: ShapePolynomial, z: np.ndarray, k: int):
     w = np.ones(z.shape, dtype=np.complex128)
     e = np.zeros(z.shape, dtype=np.int64)
     tmp = np.empty_like(w)
+    # a batch multiplies in place, which gives the bits of the out-of-place
+    # product and keeps a render tile's three work arrays in cache; a lone
+    # point multiplies into a second buffer (see the module docstring)
+    out = w if w.size > 1 else np.empty_like(w)
 
-    def renorm_in_range() -> bool:
+    def renorm_in_range(w) -> bool:
         sh = _renorm(w, e)
         return k == 8 or (sh.min(initial=0) >= _BLOCK_EXP_MIN and w.all())
 
     for j, r in enumerate(shape.roots):
         np.subtract(z, r, out=tmp)
-        w *= tmp
-        if j % k == k - 1 and not renorm_in_range():
+        np.multiply(w, tmp, out=out)
+        w, out = out, w
+        if j % k == k - 1 and not renorm_in_range(w):
             return None
-    if not renorm_in_range():
+    if not renorm_in_range(w):
         return None
     return w, e
 
@@ -290,7 +289,7 @@ def omega_scaled_array(shape: ShapePolynomial, z: np.ndarray):
     k = _block_length(shape, z)
     w, e = _node_product(shape, z, k) or _node_product(shape, z, 8)
     cp = shape.cap_pow
-    w *= cp.mantissa
+    w = w * cp.mantissa
     _renorm(w, e)
     e += cp.exponent
     # an exact zero (z on a root) keeps exponent 0, so that omega + 1 is 1
@@ -323,11 +322,16 @@ def p_step_array(shape: ShapePolynomial, z: np.ndarray):
     """One application of the dynamic map to an array of shifted-frame points.
     Returns (values, log2 magnitudes); values are materialized only where the
     exponent permits, with +/-inf placeholders elsewhere."""
-    w, e = omega_scaled_array(shape, z)
-    w, e = omega_plus_one_scaled_array(w, e)
-    w *= z
+    w, e = omega_plus_one_scaled_array(*omega_scaled_array(shape, z))
+    return materialize(*_times_z(z, w, e))
+
+
+def _times_z(z, w, e):
+    """z times a scaled array: the mantissas into a new array, the exponents
+    renormalized in place."""
+    w = w * z
     _renorm(w, e)
-    return materialize(w, e)
+    return w, e
 
 
 def modulus_floor(centres: np.ndarray, radius) -> np.ndarray:

@@ -14,9 +14,10 @@ inflation it tries. The fast versions must return the same bits.
 Dynamics: the scalar scaled-complex arithmetic that `juliafit.shapepoly` and
 `juliafit.rational` evaluated single points with before all evaluation went
 through the array kernels. It renormalizes after every product and works on
-scaled arguments, so orbits can be followed far past double range. The node
-product as it was before it was renormalized once per block of roots: after
-every 8th root. The block kernel must return the same bits.
+scaled arguments, so orbits can be followed far past double range; from it,
+a shape's leading coefficient -1/prod(p - r_k). The node product as it was
+before it was renormalized once per block of roots: after every 8th root. The
+block kernel must return the same bits.
 
 Render: the render as it was before it settled far-field pixels with the
 map's `step_floor`: `classify_orbits` on whole tiles, every pixel stepped. The
@@ -313,6 +314,15 @@ def _omega_scaled(shape: ShapePolynomial, z) -> ScaledComplex:
     return acc.mul(shape.cap_pow)
 
 
+def cap_pow(shape: ShapePolynomial) -> ScaledComplex:
+    """-1/prod(p - r_k) at the shape's basepoint p."""
+    acc = ScaledComplex.one()
+    for r in shape.roots:
+        acc = acc.mul_complex(complex(shape.basepoint) - complex(r))
+    inv = acc.reciprocal()
+    return ScaledComplex(-inv.mantissa, inv.exponent)
+
+
 def eval_omega(shape: ShapePolynomial, z, frame: str = "translated") -> ScaledComplex:
     """Node product at z, as a scaled complex (never overflows). In the
     original frame the argument is shifted by -t first."""
@@ -401,20 +411,27 @@ def eval_S(system: AnnulusSystem, z, frame: str = "translated"):
 # array node product
 
 
-def omega_scaled_array(shape: ShapePolynomial, z: np.ndarray):
-    """Node product over plain complex points (shifted frame), renormalized
-    after every 8th root. Returns (mantissa, exponent) arrays."""
+def node_product(shape: ShapePolynomial, z: np.ndarray):
+    """prod(z - r_k) over plain complex points (shifted frame), renormalized
+    after every 8th root. Returns (mantissa, exponent) arrays. Every product
+    goes to a new array, as in the kernel, so a length-1 array rounds as a
+    batch does."""
     w = np.ones(z.shape, dtype=np.complex128)
     e = np.zeros(z.shape, dtype=np.int64)
-    tmp = np.empty_like(w)
     for j, r in enumerate(shape.roots):
-        np.subtract(z, r, out=tmp)
-        w *= tmp
+        w = w * (z - r)
         if j % 8 == 7:
             _renorm(w, e)
     _renorm(w, e)
+    return w, e
+
+
+def omega_scaled_array(shape: ShapePolynomial, z: np.ndarray):
+    """The node product times the shape's leading coefficient, renormalized
+    after every 8th root. Returns (mantissa, exponent) arrays."""
+    w, e = node_product(shape, z)
     cp = shape.cap_pow
-    w *= cp.mantissa
+    w = w * cp.mantissa
     _renorm(w, e)
     e += cp.exponent
     # an exact zero (z on a root) keeps exponent 0, so that omega + 1 is 1

@@ -432,6 +432,8 @@ def _malformed_dump(case, built):
         return json.dumps(dict(shape, roots=[[math.nan, 0.5]] + shape["roots"][1:]))
     if case == "shape-with-nan-t":
         return json.dumps(dict(shape, t=[math.nan, 0.0]))
+    if case == "shape-with-infinite-basepoint":
+        return json.dumps(dict(shape, basepoint=[0.0, math.inf]))
     if case == "nested-shape-of-wrong-kind":
         return json.dumps({"kind": "multi_shape_system", "t": shape["t"],
                            "shapes": [dict(shape, kind="annulus_map_system")]})
@@ -465,6 +467,7 @@ def _malformed_dump(case, built):
     ("verify", "shape-with-nan-root"),
     ("render", "shape-with-nan-t"),
     ("verify", "shape-with-nan-t"),
+    ("render", "shape-with-infinite-basepoint"),
     ("render", "certificate-capture-above-escape"),
     ("verify", "certificate-capture-above-escape"),
     ("render", "certificate-infinite-escape"),
@@ -489,16 +492,27 @@ def test_malformed_dump_exits_parse(command, case, built_square, fixture_dir,
 def test_default_radii_with_a_root_at_the_origin_exit_parse(command, built_square,
                                                             fixture_dir, tmp_path, capsys):
     # without --certificate the capture radius is half the smallest root
-    # modulus, which a root at the frame origin makes 0
+    # modulus, which a root at the frame origin makes 0; the basepoint moves
+    # off the origin, where it would sit on that root
     shape = json.loads((built_square / "shape.json").read_text())
     bad = tmp_path / "shape.json"
-    bad.write_text(json.dumps(dict(shape, roots=[[0.0, 0.0]] + shape["roots"][1:])))
+    bad.write_text(json.dumps(dict(shape, basepoint=[0.1, 0.1],
+                                   roots=[[0.0, 0.0]] + shape["roots"][1:])))
     argv = [command, str(bad), "--grid", "32", "--out", str(tmp_path / "out")]
     if command == "verify":
         argv += ["--curve", str(fixture_dir / "square.txt"), "--delta", "0.3"]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error [PARSE_ERROR]" in err and "--certificate" in err
+
+
+def test_basepoint_on_a_root_exits_geometry(built_square, tmp_path, capsys):
+    # the leading coefficient -1/prod(p - r_k) does not exist there
+    shape = json.loads((built_square / "shape.json").read_text())
+    bad = tmp_path / "shape.json"
+    bad.write_text(json.dumps(dict(shape, basepoint=shape["roots"][3])))
+    assert main(["render", str(bad), "--grid", "32", "--out", str(tmp_path / "out")]) == 3
+    assert "error [MAP_DIVERGED]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,bad", [
@@ -542,18 +556,18 @@ def test_unusable_number_is_a_usage_error(command, bad, built_square, fixture_di
 #: run of test_cli_artifact_digest_regression; any change to an output, its
 #: configuration included, flips one of these
 CLI_DIGESTS = {
-    "build-square": "61b2264351979dcceb17daa2246ee5d8b043a22555266b54a49bdd433e0d401b",
+    "build-square": "626b49acff6f558aa741d34f9dcdb1f77b6bf7da6ba8cbcb983e01d6a59b1d79",
     "build-square-verify": "cb66de12f14ba64c209edadc359ddb84e62bb257ecba79bd11974fdb7e7bdcd7",
-    "build-blob": "68960c32445cbe16adb30944d0c4cb102e11757fbf5eb69a9f6c50fe88ef19c4",
+    "build-blob": "4950597d05208babdd20cea7ceaf1bc75f7917e844cef6e0779071027880a622",
     "build-blob-verify": "0f9057794270b1cfc23d03d879e2fc2f178fec16c5e3125e7953f64e7e5c3a95",
-    "build-circle": "102dad7ca05cabe07efc01ef8d73c253fe09f34212a1d22ee5ba17be4b351205",
+    "build-circle": "523c17dc7bb76d8b67cb48f0b86c21d512a6f2a7dcb1bc646a106481bcf03367",
     "build-circle-verify": "3c4f008c05b2404c1d4d7485e6c8601a0baad341235a5a7fb0cc8cbc0c859656",
-    "rational": "b8cd56b7201649c9d0fad50adebb8ed6ffc9e69ea7c15f04ba126a4bd050591c",
+    "rational": "874352292665c7696f2184859a186c7f40da80c6df72a03e2da1e8ab50022954",
     "rational-verify": "cce85632ed8a4fee031f28580b4c3e143e6933a7c6f7f7c38d541f1f779283c8",
-    "annulus": "85ddebf13f408acf4069387b46c7819b5f958b373b822eb607b9edc4f65db08c",
+    "annulus": "87badb6e0c925e2b837c85b884488eba36ab1b6edd5f4e87c81def45009ab82d",
     "annulus-verify": "97332bc062c9fb9aa2e7af84eab1733e62c0056f18b35495ea390bd62e05aa8e",
-    "build-square-render": "9f7d5a11e872583799f2ea06e0ea205df9c777489c633b4e65f1a8d63cd5c78d",
-    "build-square-render-bbox": "e095b9a4e8c5aa29953ac72be97537f2577f8e6051b0fe28c70098890515ec27",
+    "build-square-render": "34050ab7704d564672ab5d927d5a035522db8023a37c5a2035e940fe71872536",
+    "build-square-render-bbox": "8cf0c5a6041663dc52f77161ad3e836a47712106c20cb7c72d95961d928d2cc9",
     "rational-render": "317fbafd300bd4239989edf28f3655d1a7444f8ebea081bbef5c1d858d307794",
     "annulus-render": "e6b1946aadce30c3481a4df93263b80cb9e8f74b8f740bdfa198dfd51ad33d36",
 }

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +8,13 @@ from hypothesis import strategies as st
 import oracles
 from juliafit import conformal
 from juliafit.conformal import (
-    ExteriorMap,
     _chain_pullback,
+    _series_eval,
     build_exterior_map,
     evaluate_map,
     laurent_coefficients,
 )
-from juliafit.dumps import load_dump, save_dump
+from juliafit.dumps import save_dump
 from juliafit.errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
 from juliafit.shapes import FIXTURES, make_blob, make_circle, make_ellipse, make_square
 
@@ -25,13 +27,18 @@ def joukowski(w, a=1.5, b=0.5):
     return ((a + b) * w + (a - b) / w) / 2.0
 
 
+def capacity(m) -> complex:
+    """The map's leading Laurent coefficient, the curve's capacity."""
+    return laurent_coefficients(m)[0]
+
+
 # ---------------------------------------------------------------------------
 # construction on the reference shapes
 
 
 def test_circle_capacity_and_anchor(circle_map):
     m = circle_map
-    assert abs(m.capacity) == pytest.approx(1.0, rel=1e-5)
+    assert abs(capacity(m)) == pytest.approx(1.0, rel=1e-5)
     # anchor: w = 1 lands on the rightmost curve point
     assert evaluate_map(m, 1.0).real == pytest.approx(1.0, abs=1e-4)
     assert abs(evaluate_map(m, 1.0).imag) < 2e-3
@@ -40,13 +47,13 @@ def test_circle_capacity_and_anchor(circle_map):
 
 
 def test_circle_laurent_is_linear(circle_map):
-    lau = circle_map.laurent
+    lau = laurent_coefficients(circle_map)
     assert abs(lau[0]) == pytest.approx(1.0, rel=1e-5)
     assert np.all(np.abs(lau[1:]) < 1e-4)
 
 
 def test_ellipse_capacity_closed_form(ellipse_map):
-    assert abs(ellipse_map.capacity) == pytest.approx(1.0, rel=2e-4)
+    assert abs(capacity(ellipse_map)) == pytest.approx(1.0, rel=2e-4)
 
 
 def test_ellipse_boundary_matches_joukowski(ellipse_map):
@@ -54,13 +61,13 @@ def test_ellipse_boundary_matches_joukowski(ellipse_map):
     th = 2 * np.pi * np.arange(256) / 256
     got = evaluate_map(m, np.exp(1j * th))
     # compare up to the domain rotation fixed by the anchor gauge
-    rot = m.capacity / abs(m.capacity)
+    rot = capacity(m) / abs(capacity(m))
     want = joukowski(np.exp(1j * th) * rot)
     assert np.abs(got - want).max() < 2e-3 * make_ellipse().diameter
 
 
 def test_ellipse_laurent_matches_joukowski(ellipse_map):
-    lau = ellipse_map.laurent
+    lau = laurent_coefficients(ellipse_map)
     rot = lau[0] / abs(lau[0])
     assert abs(lau[0]) == pytest.approx(1.0, rel=2e-4)       # (a+b)/2
     assert abs(lau[1]) < 2e-3                                # no constant term
@@ -69,14 +76,14 @@ def test_ellipse_laurent_matches_joukowski(ellipse_map):
 
 
 def test_square_capacity_closed_form(square_map):
-    assert abs(square_map.capacity) == pytest.approx(SQUARE_CAPACITY, rel=1e-3)
+    assert abs(capacity(square_map)) == pytest.approx(SQUARE_CAPACITY, rel=1e-3)
 
 
 def test_capacity_scales_linearly():
     for s in (0.5, 2.0):
         m = build_exterior_map(make_blob(scale=s))
         base = build_exterior_map(make_blob(scale=1.0))
-        assert abs(m.capacity) == pytest.approx(s * abs(base.capacity), rel=1e-4)
+        assert abs(capacity(m)) == pytest.approx(s * abs(capacity(base)), rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +91,7 @@ def test_capacity_scales_linearly():
 
 
 def test_quality_reported(square_map):
-    q = square_map.quality
-    assert q.boundary_rmse >= 0
-    assert q.derivative_min > 0
-    assert q.derivative_max >= q.derivative_min
+    assert 0 <= square_map.boundary_rmse <= conformal.MAP_TOL_REL * make_square().diameter
 
 
 def test_boundary_fidelity(built_shapes):
@@ -114,12 +118,13 @@ def test_far_field_normalization(ellipse_map):
     # linear-term structure dominates; the slack term covers the relative
     # error of the extracted leading coefficient, which scales with |w|
     m = ellipse_map
-    tail = np.abs(m.laurent[2:]).sum()
+    lau = laurent_coefficients(m)
+    tail = np.abs(lau[2:]).sum()
     for r in (10.0, 100.0, 1e6):
         th = 2 * np.pi * np.arange(32) / 32
         w = r * np.exp(1j * th)
-        err = np.abs(evaluate_map(m, w) - (m.laurent[0] * w + m.laurent[1]))
-        assert err.max() <= 1.2 * tail / r + 2e-7 * abs(m.laurent[0]) * r
+        err = np.abs(evaluate_map(m, w) - (lau[0] * w + lau[1]))
+        assert err.max() <= 1.2 * tail / r + 2e-7 * abs(lau[0]) * r
 
 
 def test_out_of_domain_rejected(circle_map):
@@ -157,9 +162,7 @@ def test_laurent_reproduces_direct_at_two(square_map):
     th = 2 * np.pi * np.arange(128) / 128
     w = 2.0 * np.exp(1j * th)
     direct = evaluate_map(square_map, w)
-    from juliafit.conformal import _series_eval
-
-    approx = _series_eval(square_map.laurent, w)
+    approx = _series_eval(laurent_coefficients(square_map), w)
     assert np.abs(direct - approx).max() < 1e-6 * np.abs(direct).max()
 
 
@@ -168,25 +171,15 @@ def test_laurent_reproduces_direct_at_two(square_map):
 
 
 def test_save_load_round_trip(ellipse_map, tmp_path):
+    # the dump holds the basepoint and the boundary table, bit for bit; no
+    # command reads it back into a map
     p = tmp_path / "map.json"
     save_dump(ellipse_map, p)
-    m2 = load_dump(p, (ExteriorMap,))
-    assert m2.t == ellipse_map.t
-    assert m2.capacity == ellipse_map.capacity
-    assert np.array_equal(m2.laurent, ellipse_map.laurent)
-    assert np.array_equal(m2.boundary_samples, ellipse_map.boundary_samples)
-    save_dump(m2, tmp_path / "map2.json")
-    assert (tmp_path / "map.json").read_bytes() == (tmp_path / "map2.json").read_bytes()
-
-
-def test_loaded_map_evaluates(ellipse_map, tmp_path):
-    p = tmp_path / "map.json"
-    save_dump(ellipse_map, p)
-    m2 = load_dump(p, (ExteriorMap,))
-    th = 2 * np.pi * np.arange(64) / 64
-    for r in (1.0, 1.0625, 2.0):
-        w = r * np.exp(1j * th)
-        assert np.abs(evaluate_map(m2, w) - evaluate_map(ellipse_map, w)).max() < 1e-5
+    obj = json.loads(p.read_text())
+    assert sorted(obj) == ["boundary_samples", "kind", "t"]
+    assert complex(*obj["t"]) == ellipse_map.t
+    table = np.array([[complex(*w), complex(*z)] for w, z in obj["boundary_samples"]])
+    assert np.array_equal(table, ellipse_map.boundary_samples)
 
 
 # ---------------------------------------------------------------------------

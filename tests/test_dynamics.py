@@ -182,7 +182,7 @@ def test_iterate_escapes_in_one_step(circle64):
     # with an escape radius beyond 2c, the first map application jumps out:
     # |P(2c)| = 2^65 c
     k = circle64
-    z0 = 2 * circle64.capacity
+    z0 = 2.125 + 0j
     status, iterations = classify_one(k, z0, escape_radius=3.0, capture_radius=0.55)
     assert status is OrbitStatus.ESCAPED
     assert iterations == 1
@@ -194,7 +194,7 @@ def test_iterate_on_invariant_circle_small_budget(circle64, cert64):
     # points on |z| = c stay numerically on the invariant circle for a
     # modest budget (1-ulp drift needs ~10 doublings of degree 65 to surface)
     k = circle64
-    z0 = circle64.capacity * np.exp(0.31j)
+    z0 = 1.0625 * np.exp(0.31j)
     status, iterations = classify_one(k, z0, cert64.escape_radius,
                                       cert64.capture_radius, max_iter=6)
     assert status is OrbitStatus.UNDECIDED

@@ -1,5 +1,6 @@
-"""The maps' lower bound on a step over a disk (``step_floor``) and the
-render that settles far-field pixels with it."""
+"""The maps' lower bound on a step over a disk (``step_floor``), the render
+that settles far-field pixels with it, and the single-point step that the
+floor can leave behind."""
 
 import math
 
@@ -78,6 +79,32 @@ def test_floor_broadcasts_one_radius_per_centre(maps):
     assert kernel.step_floor(centres, radii).tolist() == each
 
 
+def bits(vals, log2m):
+    """The exact bits of a step: value words (signed zeros and NaN payloads
+    included) and log2 magnitudes."""
+    return (vals.view(np.float64).view(np.int64).tolist(),
+            log2m.view(np.int64).tolist())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(deadline=None, max_examples=25)
+@given(st.floats(-1.0, 0.7), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_a_point_steps_alone_as_inside_a_batch(maps, kind, log_reach, count, seed):
+    # points from deep inside the roots to five spans out, some of them roots
+    kernel, _ = maps[kind]
+    rng = np.random.default_rng(seed)
+    mid = kernel.roots.mean()
+    span = float(np.abs(kernel.roots - mid).max())
+    z = mid + span * 10.0 ** log_reach * np.sqrt(rng.uniform(0, 1, count)) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, count))
+    on = rng.uniform(0, 1, count) < 0.1
+    z[on] = kernel.roots[rng.integers(0, kernel.roots.size, count)[on]]
+    with np.errstate(all="ignore"):
+        batch = kernel.step(z)
+        for i in range(count):
+            assert bits(*kernel.step(z[i:i + 1])) == bits(batch[0][i:i + 1], batch[1][i:i + 1])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_render_matches_the_floorless_render(maps, kind, workers):
@@ -120,20 +147,12 @@ def test_floor_settles_without_stepping():
     assert k.stepped[0].tolist() == [1.1, 1.2]
     assert status.tolist() == [1, 1, 1, 1, 1, 0, 1]
     assert iters.tolist() == [1, 1, 1, 2, 2, 0, 0]
-
-
-def test_floor_never_leaves_one_point_where_there_were_more():
-    # a length-1 complex array is multiplied in place by another NumPy loop,
-    # so step 1 keeps a second point rather than step one alone
+    # the floor may leave a single point to step
     k = RecordingKernel()
-    z = np.array([3.0, 1.1, 3.5], dtype=complex)
-    floor = np.array([2.5, 1.0, 2.5])
-    status, iters = classify_orbits(k, z, 4.0, 0.5, 10, floor=floor)
-    assert k.stepped[0].tolist() == [3.0, 1.1]
-    assert status.tolist() == [1, 1, 1]
-    assert iters.tolist() == [1, 2, 1]
+    classify_orbits(k, z[[0, 3, 1]], 4.0, 0.5, 10, floor=floor[[0, 3, 1]])
+    assert k.stepped[0].tolist() == [1.1]
     # with no step to take, the floor settles nothing
     k = RecordingKernel()
     status, iters = classify_orbits(k, z, 4.0, 0.5, 0, floor=floor)
     assert k.stepped == []
-    assert status.tolist() == [2, 2, 2]
+    assert status.tolist() == [2, 2, 2, 2, 2, 0, 1]

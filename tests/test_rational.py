@@ -28,7 +28,7 @@ from juliafit.shapes import make_circle, make_square
 
 def circle_shape_at(center: complex, radius=1.0, eps=0.0625, n=64, t=0j):
     base = make_circle_shape(radius, eps, n)
-    return ShapePolynomial(n=n, epsilon=eps, t=t, capacity=base.capacity,
+    return ShapePolynomial(n=n, epsilon=eps, t=t, basepoint=complex(center),
                            roots=base.roots + center)
 
 
@@ -89,13 +89,13 @@ def test_r_fixes_origin(two_circle_system):
 
 def test_indeterminate_on_vanishing_locus():
     # rounded arithmetic almost never hits -1 exactly, so build a shape whose
-    # node product at 0 is exact: fourth roots of unity with capacity 1 give
-    # omega(0) = (-1)(-1j)(1)(1j) = -1 with no rounding at all
-    exact = ShapePolynomial(n=4, epsilon=0.1, t=0j, capacity=1.0 + 0j,
+    # node product at 0 is exact: fourth roots of unity about basepoint 0 give
+    # prod(0 - r_k) = (-1)(-1j)(1)(1j) = -1, so omega(0) = -1 with no rounding
+    exact = ShapePolynomial(n=4, epsilon=0.1, t=0j, basepoint=0j,
                             roots=np.array([1, 1j, -1, -1j], dtype=complex))
     other = circle_shape_at(5.0 + 0j, n=8)
     # pad the other shape down to n=4 as well
-    other4 = ShapePolynomial(n=4, epsilon=0.1, t=0j, capacity=other.capacity,
+    other4 = ShapePolynomial(n=4, epsilon=0.1, t=0j, basepoint=other.basepoint,
                              roots=other.roots[:4])
     system = MultiShapeSystem(shapes=(exact, other4))
     assert oracles.eval_omega(exact, 0j).add_complex(1.0).is_zero
@@ -152,7 +152,7 @@ def _with_root(shape, k, root):
     roots = shape.roots.copy()
     roots[k] = root
     return ShapePolynomial(n=shape.n, epsilon=shape.epsilon, t=shape.t,
-                           capacity=shape.capacity, roots=roots)
+                           basepoint=shape.basepoint, roots=roots)
 
 
 def test_multi_root_outside_its_outer_curve_fails(two_circle_system, two_circle_annuli):

@@ -25,6 +25,9 @@ from juliafit.shapepoly import (
 from juliafit.shapes import make_circle, make_ellipse
 from oracles import ScaledComplex, eval_P_scaled, scaled_power
 
+#: the circle64 shape's circle radius, (1 + epsilon) * 1
+C64 = 1.0625
+
 
 # ---------------------------------------------------------------------------
 # scaled arithmetic of the scalar reference (tests/oracles.py)
@@ -114,7 +117,7 @@ def step_at(shape, z) -> complex:
 
 
 def test_omega_matches_circle_closed_form(circle64):
-    c = circle64.capacity
+    c = C64
     rng = np.random.default_rng(42)
     z = (rng.uniform(-1, 1, 100) + 1j * rng.uniform(-1, 1, 100)) * 3 * abs(c)
     for zz in z:
@@ -128,7 +131,7 @@ def test_omega_at_zero_is_minus_one(circle64):
 
 
 def test_omega_at_twice_capacity(circle64):
-    got = omega_at(circle64, 2 * circle64.capacity)
+    got = omega_at(circle64, 2 * C64)
     assert got == pytest.approx(2.0 ** 64 - 1, rel=1e-12)
 
 
@@ -147,7 +150,7 @@ def test_p_at_origin(circle64):
 
 
 def test_p_circle_closed_form(circle64):
-    c = circle64.capacity
+    c = C64
     z = c * np.exp(0.7j)
     assert abs(step_at(circle64, z)) == pytest.approx(abs(c), rel=1e-12)
 
@@ -163,9 +166,9 @@ def test_escaped_large_sentinel(circle64):
 
 def test_scaled_orbit_composition(circle64):
     # closed form: log2|P(z)| = (n+1) log2|z| - n log2|c|
-    z = ScaledComplex.from_value(2 * circle64.capacity)
+    z = ScaledComplex.from_value(2 * C64)
     lz = z.log2_abs
-    lc = math.log2(abs(circle64.capacity))
+    lc = math.log2(C64)
     for _ in range(3):
         z = eval_P_scaled(circle64, z)
         want = 65 * lz - 64 * lc
@@ -199,16 +202,55 @@ def test_p_step_array_matches_eval(circle64):
         assert abs(vals[i] - want) <= 1e-12 * abs(want) + 1e-14 * abs(zz)
 
 
-@pytest.mark.parametrize("radius,n", [(1.0, 64), (0.1, 512), (7.5, 300), (1e-3, 100)])
+def assert_cap_pow_matches_scalar_reference(shape):
+    # the kernel's product and the scalar one differ by a few ulps per factor
+    want = oracles.cap_pow(shape)
+    got = shape.cap_pow
+    aligned = got.mantissa * 2.0 ** (got.exponent - want.exponent)
+    assert abs(aligned - want.mantissa) <= shape.n * 2.0 ** -50 * abs(want.mantissa)
+
+
+CIRCLES = [(1.0, 64), (0.1, 512), (7.5, 300), (1e-3, 100)]
+
+
+@pytest.mark.parametrize("radius,n", CIRCLES)
 def test_cap_pow_matches_reference_bit_for_bit(radius, n):
+    # -1 over the every-8 reference node product at the basepoint
     shape = make_circle_shape(radius, 0.0625, n)
-    want = scaled_power(shape.capacity, -n)
-    assert (shape.cap_pow.mantissa, shape.cap_pow.exponent) == (want.mantissa, want.exponent)
+    w, e = oracles.node_product(shape, np.array([shape.basepoint]))
+    want = ScaledComplex.from_value(-1.0 / complex(w[0]))
+    assert (shape.cap_pow.mantissa, shape.cap_pow.exponent) == (
+        want.mantissa, want.exponent - int(e[0]))
+
+
+@pytest.mark.parametrize("radius,n", CIRCLES)
+def test_cap_pow_matches_scalar_reference(radius, n):
+    # on a circle about its basepoint 0, -1/prod(0 - r_k) is (1.0625 radius)**-n
+    shape = make_circle_shape(radius, 0.0625, n)
+    assert_cap_pow_matches_scalar_reference(shape)
+    want = scaled_power(1.0625 * radius, -n)
+    aligned = shape.cap_pow.mantissa * 2.0 ** (shape.cap_pow.exponent - want.exponent)
+    assert aligned == pytest.approx(want.mantissa, rel=n * 2.0 ** -48)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(8, 600), st.integers(0, 2 ** 32 - 1), st.complex_numbers(max_magnitude=0.5))
+def test_cap_pow_matches_scalar_reference_off_centre(n, seed, basepoint):
+    shape = jittered_shape(n, seed, basepoint=basepoint)
+    assert_cap_pow_matches_scalar_reference(shape)
+
+
+def test_omega_is_minus_one_at_each_basepoint(built_shapes, fixture_systems):
+    shapes = [data["build"](n) for data in built_shapes.values() for n in (8, 64, 512)]
+    rational, annulus = fixture_systems["rational"][0], fixture_systems["annulus"][0]
+    shapes += [*rational.shapes, annulus.outer_shape, annulus.inner_shape]
+    for shape in shapes:
+        assert abs(omega_at(shape, shape.basepoint) + 1) <= shape.n * 2.0 ** -50
 
 
 def test_p_step_array_keeps_roots_fixed_past_the_cutoff():
-    # capacity**-n is about 2**1657 here: a root's exact-zero node product
-    # must still give omega + 1 == 1, not 0 * 2**1657
+    # cap_pow = 0.10625**-n is about 2**1657 here: a root's exact-zero node
+    # product must still give omega + 1 == 1, not 0 * 2**1657
     shape = make_circle_shape(0.1, 0.0625, 512)
     assert shape.cap_pow.exponent == 1657
     vals, log2m = p_step_array(shape, shape.roots)
@@ -224,7 +266,7 @@ def test_single_point_evaluation_matches_reference(radius, n):
     # original frame the caller shifts by t itself
     shape = make_circle_shape(radius, 0.0625, n, t=0.3 - 0.2j)
     rng = np.random.default_rng(17)
-    c = abs(shape.capacity)
+    c = 1.0625 * radius
     z = c * rng.uniform(0.97, 1.03, 40) * np.exp(2j * np.pi * rng.uniform(0, 1, 40))
     for zz in z:
         w, e = omega_scaled_array(shape, np.array([zz]))
@@ -247,14 +289,13 @@ def bits(w, e):
     return w.view(np.float64).view(np.int64).tolist(), e.tolist()
 
 
-def jittered_shape(n, seed, cluster=None):
+def jittered_shape(n, seed, cluster=None, basepoint=0j):
     """n distinct roots about a unit circle, or within `cluster` of 0.3."""
     rng = np.random.default_rng(seed)
     ring = np.exp(2j * np.pi * (np.arange(n) + rng.uniform(-0.3, 0.3, n)) / n)
     scale = rng.uniform(0.5, 1.5, n)
     roots = ring * scale if cluster is None else 0.3 + cluster * ring * scale
-    return ShapePolynomial(n=n, epsilon=0.0625, t=0j, capacity=complex(rng.uniform(0.5, 2.0)),
-                           roots=roots)
+    return ShapePolynomial(n=n, epsilon=0.0625, t=0j, basepoint=basepoint, roots=roots)
 
 
 def kernel_points(shape, count, seed, spread, on_roots=0.2):
@@ -405,14 +446,14 @@ def test_select_epsilon_screens_coarse_first(built_shapes, monkeypatch):
     assert sum(points) <= EPS_SAMPLES + tried * EPS_SAMPLES // EPS_COARSE
 
 
-#: sha256 over each built fixture map's Laurent series and boundary table,
-#: its inflation and its roots at n = 64; a chain-kernel change that moves a
-#: bit of the map or of the search changes it
+#: sha256 over each built fixture map's boundary table, its inflation and its
+#: roots at n = 64; a chain-kernel change that moves a bit of the map or of
+#: the search changes it
 FIXTURE_DIGESTS = {
-    "circle": "eb549f0e6ad994d65d4d9be7cc13fc1894295676b93d58fd05e3d61ef3b0f036",
-    "ellipse": "187e91e3b6651cc014bf3adc1199b81748e4a4c38592134d91b2674c24536032",
-    "square": "6eee02b6815f9fbab87860b0004cff48cb9c93e8c3ec7d5b645cbbbf1b26d8ac",
-    "blob": "737585fa2a27762eb753150d2f5f5ddceb83478459cb483a96ea4a013867c0c4",
+    "circle": "95e9a29212567d5c4e7a65c367f10326df5bd9a0986424f231976d0839d12482",
+    "ellipse": "a9845ab508b5fb7da7dbc41fc6dc9962aaf022ff5a417aee54ea78c4f34736a8",
+    "square": "1fef6fb4f39e1a2875626f19f631c4a15ec83acade3eb57ccbed7d348d8d34af",
+    "blob": "2f0d93e994245c5ac51643cf3018104da597658cb99eb992082c84ebbf7ee290",
 }
 
 
@@ -421,7 +462,7 @@ def test_fixture_map_digest_regression(built_shapes):
     for name, data in built_shapes.items():
         m = data["map"]
         h = hashlib.sha256()
-        for part in (m.laurent, m.boundary_samples, np.float64(data["epsilon"]),
+        for part in (m.boundary_samples, np.float64(data["epsilon"]),
                      data["build"](64).roots):
             h.update(part.tobytes())
         got[name] = h.hexdigest()
@@ -431,7 +472,10 @@ def test_fixture_map_digest_regression(built_shapes):
 def test_sample_roots_circle(circle_map):
     s = sample_roots(circle_map, 0.0625, 64, t=0j)
     assert np.allclose(np.abs(s.roots), 1.0625, atol=2e-4)
-    assert abs(s.capacity) == pytest.approx(1.0625, rel=1e-4)
+    assert s.basepoint == circle_map.t
+    # |cap_pow| = 1/prod|p - r_k| is 1.0625**-64 up to the roots' spread
+    log2_cap = math.log2(abs(s.cap_pow.mantissa)) + s.cap_pow.exponent
+    assert log2_cap == pytest.approx(-64 * math.log2(1.0625), abs=0.01)
     assert s.degree == 65
 
 
@@ -459,7 +503,7 @@ def test_sample_roots_minimum_count(circle_map):
 def test_duplicate_roots_rejected():
     roots = np.array([1.0 + 0j, 1.0 + 0j, 2.0 + 0j, 3j, 4j, 5j, 6j, 7j])
     with pytest.raises(DuplicateRoots):
-        ShapePolynomial(n=8, epsilon=0.1, t=0j, capacity=1.0, roots=roots)
+        ShapePolynomial(n=8, epsilon=0.1, t=0j, basepoint=0j, roots=roots)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +517,8 @@ def test_shape_dump_round_trip(tmp_path, circle64):
     assert s2.n == circle64.n
     assert s2.epsilon == circle64.epsilon
     assert s2.t == circle64.t
-    assert s2.capacity == circle64.capacity
+    assert s2.basepoint == circle64.basepoint
+    assert s2.cap_pow == circle64.cap_pow
     assert np.array_equal(s2.roots, circle64.roots)
 
 
