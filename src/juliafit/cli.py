@@ -374,7 +374,8 @@ def _add_render(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--max-iter", type=_number(int, 1), default=200, dest="max_iter",
                     help="iteration budget per pixel (default 200)")
     ap.add_argument("--workers", type=_number(int, 1), default=None,
-                    help="render worker processes (default: up to 4)")
+                    help="render worker processes (default: one for a small render, "
+                         "else up to 4)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,17 +2,23 @@
 
 ``classify_orbits`` is the one orbit classifier: the render runs it on each
 tile of pixel centers, and nothing else iterates a map. The render also
-passes each pixel a floor, a lower bound on log2|step| from the map's
-``step_floor``; a pixel whose floor clears log2(escape_radius) by FLOOR_SLACK
-is marked escaped at step 1 without being stepped. Stepping it would have
-marked it the same way, so no byte of a field changes: the floor bounds the
-exact value, and the slack covers both the rounding of the floor and the
-relative error of the computed step (about n 2**-52 for n roots). However few
-pixels the floor leaves to step, each steps exactly as it would among all of
-them (see ``shapepoly``), so from step 2 on the same pixels are active with
-the same values. The one exception would be a rational map whose computed
-harmonic sum cancels to exactly zero, both components, at a far-field pixel
-center: its step reports an indeterminate point there.
+passes each pixel two bounds from its map: a floor, a lower bound on
+log2|step| from ``step_floor``, and a ceiling, an upper bound on the computed
+log2|step| from ``step_ceiling``. A pixel whose floor clears
+log2(escape_radius) by FLOOR_SLACK is marked escaped at step 1 without being
+stepped, and one whose ceiling stays below log2(capture_radius) by
+FLOOR_SLACK is marked captured at step 1 the same way. Stepping it would
+have marked it the same way, so no byte of a field changes: the floor bounds
+the exact value and the ceiling the computed one, and the slack covers the
+rounding of the bounds and, for the floor, the relative error of the
+computed step (about n 2**-52 for n roots). However few pixels the bounds
+leave to step, each steps exactly as it would among all of them (see
+``shapepoly``), so from step 2 on the same pixels are active with the same
+values. The one exception would be a rational map whose step reports an
+indeterminate point at a settled pixel center: a multi-shape map where its
+computed harmonic sum cancels to exactly zero, both components, at a
+far-field center, or where one computed omega_j + 1 is exactly zero at an
+interior one.
 
 A certificate witnesses the trapping that justifies finite-iteration
 classification. For a shape polynomial P(z) = z (omega(z) + 1) against its
@@ -50,13 +56,14 @@ from .shapepoly import ShapePolynomial, p_step_array
 
 #: fewest boundary samples per curve that a certificate takes
 MIN_SAMPLES = 256
-#: log2 margin by which a floor must clear log2(escape_radius) to settle a
-#: point at step 1. It covers the rounding of the floor, whose n log2 terms
-#: are each good to a few 2**-52 of their size and whose sum adds at most
-#: n 2**-53 times the sum of their sizes (2**-21 for n up to 2**12 and terms
-#: up to 2**8 in size, distances between 2**-256 and 2**256), and the
-#: relative error of the computed step, about n 2**-52, which moves log2|step|
-#: by less than 2**-40 at n = 512.
+#: log2 margin by which a floor must clear log2(escape_radius), or a ceiling
+#: stay below log2(capture_radius), to settle a point at step 1. It covers
+#: the rounding of the floor, whose n log2 terms are each good to a few
+#: 2**-52 of their size and whose sum adds at most n 2**-53 times the sum of
+#: their sizes (2**-21 for n up to 2**12 and terms up to 2**8 in size,
+#: distances between 2**-256 and 2**256), the relative rounding of the
+#: ceiling's sums of n positive terms, and the relative error of the computed
+#: step, about n 2**-52, which moves log2|step| by less than 2**-40 at n = 512.
 FLOOR_SLACK = 2.0 ** -20
 
 
@@ -68,7 +75,8 @@ class OrbitStatus(enum.IntEnum):
 
 def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
                     capture_radius: float, max_iter: int = 200,
-                    floor: np.ndarray | None = None):
+                    floor: np.ndarray | None = None,
+                    ceiling: np.ndarray | None = None):
     """The one orbit classifier: iterate ``kernel.step`` from every point of
     the 1-D array z (in the kernel's shifted frame) until the orbit magnitude
     leaves [capture_radius, escape_radius] or the budget runs out.
@@ -80,7 +88,11 @@ def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
 
     ``floor``, if given, holds a lower bound on log2|step(z)| per point; a
     point still undecided after step 0 whose floor exceeds log2(escape_radius)
-    + FLOOR_SLACK escapes at step 1 without being stepped (see the module
+    + FLOOR_SLACK escapes at step 1 without being stepped. ``ceiling``, if
+    given, holds an upper bound on the computed log2|step(z)| per point; a
+    point still undecided after step 0 whose ceiling is below
+    log2(capture_radius) - FLOOR_SLACK is captured at step 1 without being
+    stepped. Neither settles anything when max_iter is 0 (see the module
     docstring).
     """
     log_cap = math.log2(capture_radius)
@@ -97,11 +109,17 @@ def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
     iters[cap0 | esc0] = 0
 
     active = np.flatnonzero(~(cap0 | esc0))
+
+    def settle(done, code):
+        nonlocal active
+        status[active[done]] = int(code)
+        iters[active[done]] = 1
+        active = active[~done]
+
     if floor is not None and max_iter >= 1:
-        far = floor[active] > log_esc + FLOOR_SLACK
-        status[active[far]] = int(OrbitStatus.ESCAPED)
-        iters[active[far]] = 1
-        active = active[~far]
+        settle(floor[active] > log_esc + FLOOR_SLACK, OrbitStatus.ESCAPED)
+    if ceiling is not None and max_iter >= 1:
+        settle(ceiling[active] < log_cap - FLOOR_SLACK, OrbitStatus.INTERIOR_CAPTURED)
     cur = z[active]
     for m in range(1, max_iter + 1):
         if active.size == 0:

@@ -14,7 +14,8 @@ degree search and the certificate writer of ``dynamics``:
 
 Like ``ShapePolynomial``, each system has a ``kind``, its frame shift ``t``,
 all its ``roots``, a per-pixel ``step``, a lower bound ``step_floor`` on
-log2|step| over a disk, built from its shapes' bounds on |omega_s + 1|, and
+log2|step| over a disk and an upper bound ``step_ceiling`` on the computed
+one, both built from its shapes' bounds on |omega_s + 1|, and
 ``to_obj``/``from_obj``, so the commands render, save and load all three
 kinds alike. ``step`` is the only way to evaluate a system; a single point is
 a length-1 array and steps exactly as it would inside a batch. Each shape is
@@ -75,12 +76,16 @@ from .curves import (
 from .dynamics import EscapeCertificate, require_samples
 from .errors import BadBasepoint, GeometryRejected
 from .shapepoly import (
+    OMEGA_ULPS,
+    STEP_ROUNDING,
     ShapePolynomial,
     _renorm,
     _times_z,
     log2_one_minus_exp2,
     materialize,
+    modulus_ceiling,
     modulus_floor,
+    omega_plus_one_ceiling,
     omega_plus_one_floor,
     omega_plus_one_scaled_array,
     omega_scaled_array,
@@ -135,6 +140,24 @@ class MultiShapeSystem:
         recips = [-omega_plus_one_floor(s, centres, radius) for s in self.shapes]
         return modulus_floor(centres, radius) - np.logaddexp2.reduce(recips)
 
+    def step_ceiling(self, centres: np.ndarray, radius) -> np.ndarray:
+        """Upper bound on the computed log2|R| over each disk: near shape j,
+        |sum_i 1/(omega_i + 1)| >= 2**-C_j - sum_{i != j} 2**-F_i with C_j the
+        ceiling and F_i the floors on |omega_i + 1|, each sum term allowed a
+        relative error of m * ``OMEGA_ULPS``; the least over j, +inf where no
+        such difference is positive."""
+        tol = self.m * OMEGA_ULPS
+        zero = np.zeros(np.shape(centres))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            recips = [np.exp2(-omega_plus_one_floor(s, centres, radius))
+                      for s in self.shapes]
+            gaps = [(1.0 - tol) * np.exp2(-omega_plus_one_ceiling(s, centres, radius))
+                    - (1.0 + tol) * sum((r for i, r in enumerate(recips) if i != j), zero)
+                    for j, s in enumerate(self.shapes)]
+            gap = np.fmax.reduce(gaps)
+            return (modulus_ceiling(centres, radius) + STEP_ROUNDING
+                    + np.where(gap > 0, -np.log2(gap), np.inf))
+
     def to_obj(self) -> dict:
         return {"kind": self.kind, "t": [self.t.real, self.t.imag],
                 "shapes": [s.to_obj() for s in self.shapes]}
@@ -187,6 +210,14 @@ class AnnulusSystem:
         p = self.outer_shape.step_floor(centres, radius)
         recip = -omega_plus_one_floor(self.inner_shape, centres, radius)
         return p + log2_one_minus_exp2(recip - p)
+
+    def step_ceiling(self, centres: np.ndarray, radius) -> np.ndarray:
+        """Upper bound on the computed log2|S| over each disk:
+        |S| <= |P_E| + 1/|omega_F + 1|, with |P_E| bounded above and
+        |omega_F + 1| below by their shapes."""
+        recip = -omega_plus_one_floor(self.inner_shape, centres, radius)
+        return (np.logaddexp2(self.outer_shape.step_ceiling(centres, radius), recip)
+                + STEP_ROUNDING)
 
     def to_obj(self) -> dict:
         return {

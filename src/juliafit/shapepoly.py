@@ -27,10 +27,27 @@ product: for w within rho of c, |w - r_k| >= |c - r_k| - rho, so
 |P(w)| >= |w| (|omega(w)| - 1) >= (|c| - rho) (2**L - 1). The bound is summed
 over every root and is -inf unless every |c - r_k| > rho, |c| > rho and
 L > 0. Every distance is taken a few ulps short, so rounding cannot lift
-the bound above the exact one. The render settles a far-field pixel without
-stepping it when the bound clears the escape radius by
-``dynamics.FLOOR_SLACK``, which covers the rounding of the bound's sum and of
-the step; see ``dynamics`` for why that cannot change a byte.
+the bound above the exact one, and 2**L loses the relative error delta =
+n * OMEGA_ULPS that a computed omega may carry.
+
+``step_ceiling`` bounds a step from above over a disk with one node product,
+at the centre. For w = c + h, |h| <= rho, write a_k = 1/(c - r_k),
+x_k = rho |a_k| and S_m = sum_k a_k**m. Then log(omega(w)/omega(c)) =
+sum_k log(1 + h a_k) has modulus at most T = rho |S_1| + rho**2 |S_2| / 2 +
+sum_k x_k**3 / (3 (1 - x_k)), so |omega(w) + 1| <= |omega(c) + 1| +
+|omega(c)| expm1(T) and |P(w)| <= (|c| + rho) times that. The bound is +inf
+unless every x_k < 1/2, that is unless no root lies within 2 rho, and
+bounds each 1 - x_k in the tail below by 1 - max x_k. Inside the curve
+omega(c) is close to -1 and S_1, S_2 nearly cancel, so the ceiling of a
+small disk there is far below the capture radius. Rounding is added where it does not scale with the
+bound: the computed S_m lose at most delta sum_k |a_k|**m, omega computed at
+c and at w is off by at most delta |omega|, which adds
+3 delta |omega(c)| (1 + expm1(T)), and the step's last roundings, relative
+and a few ulps each, add STEP_ROUNDING to the log2. The render settles a
+far-field pixel without stepping it when the floor clears the escape radius
+by ``dynamics.FLOOR_SLACK``, and an interior pixel when the ceiling stays
+below the capture radius by as much; the slack covers the rounding of the
+bounds' own sums. See ``dynamics`` for why neither can change a byte.
 """
 
 from __future__ import annotations
@@ -70,6 +87,13 @@ MIN_ROOTS = 8
 _BLOCK_MAX = 64
 _BLOCK_LOG2_MAX = 256
 _BLOCK_EXP_MIN = -500
+#: relative error of a computed omega allowed per root: each root costs a
+#: subtraction and a complex product, under 4 ulps together, and this allows 32
+OMEGA_ULPS = 2.0 ** -48
+#: log2 margin by which an upper bound on a step covers the relative rounding
+#: of the step's last operations (omega + 1, the sums and reciprocals of the
+#: rational maps, the product with z), a few ulps each
+STEP_ROUNDING = 2.0 ** -40
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +169,12 @@ class ShapePolynomial:
         """Lower bound on log2|P(w)| for every w within ``radius`` of each
         centre (shifted frame), -inf where none is known."""
         return modulus_floor(centres, radius) + omega_plus_one_floor(self, centres, radius)
+
+    def step_ceiling(self, centres: np.ndarray, radius) -> np.ndarray:
+        """Upper bound on the computed log2|P(w)| for every w within
+        ``radius`` of each centre (shifted frame), +inf where none is known."""
+        return (modulus_ceiling(centres, radius)
+                + omega_plus_one_ceiling(self, centres, radius) + STEP_ROUNDING)
 
     def to_obj(self) -> dict:
         return {
@@ -341,10 +371,17 @@ def modulus_floor(centres: np.ndarray, radius) -> np.ndarray:
         return np.log2(np.maximum(np.abs(centres) * (1.0 - 2.0 ** -50) - radius, 0.0))
 
 
+def modulus_ceiling(centres: np.ndarray, radius) -> np.ndarray:
+    """log2 of the largest |w| over each disk, log2(|c| + radius), with |c|
+    taken 2**-50 high for its rounding."""
+    return np.log2(np.abs(centres) * (1.0 + 2.0 ** -50) + radius)
+
+
 def omega_plus_one_floor(shape: ShapePolynomial, centres: np.ndarray, radius) -> np.ndarray:
-    """log2 of a lower bound on |omega(w) + 1| over each disk, log2(2**L - 1)
-    with L the module docstring's bound on log2|omega|; -inf where a root
-    lies in the disk or L <= 0."""
+    """log2 of a lower bound on the computed |omega(w) + 1| over each disk,
+    log2(2**L (1 - delta) - 1) with L the module docstring's bound on
+    log2|omega| and delta the relative error of a computed omega; -inf where
+    a root lies in the disk or that is not positive."""
     # |c - r_k| is computed to within 3 ulps of |c| + |r_k|; widening the
     # radius by that much keeps every computed gap below the true one
     reach = np.abs(centres) + float(np.abs(shape.roots).max())
@@ -353,8 +390,39 @@ def omega_plus_one_floor(shape: ShapePolynomial, centres: np.ndarray, radius) ->
     cp = shape.cap_pow
     with np.errstate(divide="ignore"):
         big_l = (math.log2(abs(cp.mantissa)) + cp.exponent
+                 + math.log2(1.0 - shape.n * OMEGA_ULPS)
                  + np.log2(np.maximum(gap, 0.0)).sum(axis=-1))
     return big_l + log2_one_minus_exp2(-big_l)
+
+
+def omega_plus_one_ceiling(shape: ShapePolynomial, centres: np.ndarray,
+                           radius) -> np.ndarray:
+    """log2 of an upper bound on the computed |omega(w) + 1| over each disk,
+    from omega and omega + 1 computed at the centre (see the module
+    docstring); +inf where a root lies within twice the radius."""
+    r = np.broadcast_to(radius, centres.shape)
+    delta = shape.n * OMEGA_ULPS
+    ones = np.ones(shape.n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # x + iy = c - r_k, then times q = |a_k|**2 it is conj(a_k)
+        x = centres.real[..., None] - shape.roots.real
+        y = centres.imag[..., None] - shape.roots.imag
+        q = 1.0 / (x * x + y * y)
+        m = np.sqrt(q)
+        x *= q
+        y *= q
+        # a computed |S_m| is off by at most delta sum |a_k|**m
+        s1 = np.hypot(x @ ones, y @ ones) + delta * (m @ ones)
+        s2 = np.hypot((x * x - y * y) @ ones, 2.0 * ((x * y) @ ones)) + delta * (q @ ones)
+        x_max = r * m.max(axis=-1, initial=0.0)
+        tail = r ** 3 * ((q * m) @ ones) / (3.0 * (1.0 - x_max))
+        t = r * s1 + 0.5 * r * r * s2 + tail
+        w, e = omega_scaled_array(shape, centres)
+        log_omega = materialize(w, e)[1]
+        log_plus_one = materialize(*omega_plus_one_scaled_array(w, e))[1]
+        spread = np.log2(3.0 * delta + (1.0 + 3.0 * delta) * np.expm1(t))
+        bound = np.logaddexp2(log_plus_one, log_omega + spread)
+    return np.where(x_max < 0.5, bound, np.inf)
 
 
 def log2_one_minus_exp2(x: np.ndarray) -> np.ndarray:

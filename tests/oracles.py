@@ -20,8 +20,9 @@ before it was renormalized once per block of roots: after every 8th root. The
 block kernel must return the same bits.
 
 Render: the render as it was before it settled far-field pixels with the
-map's `step_floor`: `classify_orbits` on whole tiles, every pixel stepped. The
-render with the floor must give the same bytes.
+map's `step_floor` and interior pixels with its `step_ceiling`:
+`classify_orbits` on whole tiles, every pixel stepped. The render with both
+bounds must give the same bytes.
 
 Dumps: the field writer as it was before it wrote the base64 arrays to the
 file itself, a single `json.dump`. The fast writer must write the same bytes.
@@ -446,7 +447,7 @@ def omega_scaled_array(shape: ShapePolynomial, z: np.ndarray):
 def render_floorless(kernel, bbox, width: int, height: int, escape_radius: float,
                      capture_radius: float, max_iter: int, tile_rows: int = 16):
     """(status, iterations) of every pixel center of the bbox grid, each tile
-    of tile_rows rows classified without a floor."""
+    of tile_rows rows classified without a floor or a ceiling."""
     lo, hi = bbox
     dx = (hi.real - lo.real) / width
     dy = (hi.imag - lo.imag) / height

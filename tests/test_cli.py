@@ -326,7 +326,7 @@ def test_every_map_kind_has_the_map_interface(fixture_systems):
     for m in maps:
         assert isinstance(m.kind, str) and m.to_obj()["kind"] == m.kind
         assert isinstance(m.t, complex) and m.roots.dtype == np.complex128
-        for name in ("step", "step_floor", "to_obj", "from_obj"):
+        for name in ("step", "step_floor", "step_ceiling", "to_obj", "from_obj"):
             assert callable(getattr(m, name))
 
 

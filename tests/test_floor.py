@@ -1,6 +1,6 @@
-"""The maps' lower bound on a step over a disk (``step_floor``), the render
-that settles far-field pixels with it, and the single-point step that the
-floor can leave behind."""
+"""The maps' lower and upper bounds on a step over a disk (``step_floor`` and
+``step_ceiling``), the render that settles far-field and interior pixels with
+them, and the single-point step that the bounds can leave behind."""
 
 import math
 
@@ -12,9 +12,13 @@ from hypothesis import strategies as st
 import oracles
 from juliafit.dynamics import FLOOR_SLACK, OrbitStatus, classify_orbits
 from juliafit.render import render
-from juliafit.shapepoly import make_circle_shape
+from juliafit.rational import AnnulusSystem, MultiShapeSystem
+from juliafit.shapepoly import make_circle_shape, omega_plus_one_ceiling
 
 KINDS = ["circle64", "blob512", "rational", "annulus"]
+#: least share of the step-1 captures of a 512 x 512 blob512 render that the
+#: ceiling must settle without a step
+CEILING_SHARE = 0.5
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +75,64 @@ def test_floor_is_finite_and_close_in_the_far_field(maps, kind):
     assert np.all(lm - floor < 0.05 * kernel.roots.size)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@settings(deadline=None, max_examples=60)
+@given(st.floats(0.0, 2 * math.pi), st.floats(-2.0, 0.3), st.floats(0.0, 0.7),
+       st.integers(0, 2 ** 32 - 1))
+def test_ceiling_bounds_every_step_in_the_disk(maps, kind, angle, log_reach, share, seed):
+    # centres from near the frame origin, inside the roots, to twice their
+    # span out; radii up to 0.7 times the distance to the nearest root, so
+    # some disks have a root within twice the radius
+    kernel, _ = maps[kind]
+    mid = kernel.roots.mean()
+    span = float(np.abs(kernel.roots - mid).max())
+    centre = span * 10.0 ** log_reach * np.exp(1j * angle)
+    radius = share * float(np.abs(centre - kernel.roots).min())
+    ceiling = float(kernel.step_ceiling(np.array([centre]), radius)[0])
+    if np.any(np.abs(centre - kernel.roots) < radius):
+        assert ceiling == math.inf
+    _, lm = kernel.step(disk_points(centre, radius, seed))
+    assert np.all(lm <= ceiling)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(deadline=None, max_examples=20)
+@given(st.integers(0, 2 ** 16), st.floats(0.0, 2 * math.pi), st.floats(1e-6, 0.1),
+       st.floats(0.501, 3.0))
+def test_ceiling_is_infinite_where_a_root_lies_within_twice_the_radius(
+        maps, kind, index, angle, gap, share):
+    # a shape's bound on |omega + 1| gives up within twice the radius of one
+    # of its roots, and so does the ceiling of a shape polynomial; a rational
+    # map's ceiling gives up where a root lies in the disk itself
+    kernel, _ = maps[kind]
+    for shape in shapes_of(kernel):
+        root = shape.roots[index % shape.n]
+        centre = np.array([root + gap * np.exp(1j * angle)])
+        radius = share * gap
+        assert omega_plus_one_ceiling(shape, centre, radius)[0] == math.inf
+        if kernel is shape or share > 1.0:
+            assert kernel.step_ceiling(centre, radius)[0] == math.inf
+
+
+def shapes_of(kernel):
+    if isinstance(kernel, MultiShapeSystem):
+        return kernel.shapes
+    if isinstance(kernel, AnnulusSystem):
+        return (kernel.outer_shape, kernel.inner_shape)
+    return (kernel,)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ceiling_captures_small_disks_about_the_frame_origin(maps, kind):
+    # the frame origin lies in the captured region of every map kind
+    kernel, (_, capture) = maps[kind]
+    centres = 0.2 * capture * np.exp(2j * np.pi * np.arange(8) / 8)
+    ceiling = kernel.step_ceiling(centres, 0.05 * capture)
+    _, lm = kernel.step(centres)
+    assert np.all(lm <= ceiling)
+    assert np.all(ceiling < math.log2(capture) - FLOOR_SLACK)
+
+
 def test_floor_broadcasts_one_radius_per_centre(maps):
     kernel, _ = maps["blob512"]
     centres = np.array([3 + 1j, -2 - 4j, 0.1j])
@@ -120,8 +182,52 @@ def test_render_matches_the_floorless_render(maps, kind, workers):
                                              capture, 60)
     assert field.status.tobytes() == status.tobytes()
     assert field.iterations.tobytes() == iters.tobytes()
-    settled = (field.iterations == 1) & (field.status == int(OrbitStatus.ESCAPED))
-    assert settled.any()
+    for code in (OrbitStatus.ESCAPED, OrbitStatus.INTERIOR_CAPTURED):
+        assert ((field.iterations == 1) & (field.status == int(code))).any()
+
+
+class CountingKernel:
+    """A map that counts the points it steps, with its ceiling or none."""
+
+    def __init__(self, kernel, ceiling: bool):
+        self.kernel, self.ceiling = kernel, ceiling
+        self.t, self.roots = kernel.t, kernel.roots
+        self.stepped = 0
+
+    def step(self, z):
+        self.stepped += z.size
+        return self.kernel.step(z)
+
+    def step_floor(self, centres, radius):
+        return self.kernel.step_floor(centres, radius)
+
+    def step_ceiling(self, centres, radius):
+        if self.ceiling:
+            return self.kernel.step_ceiling(centres, radius)
+        return np.full(centres.shape, math.inf)
+
+
+def test_ceiling_settles_most_step_one_captures_on_blob512(maps):
+    # a ceiling that stops settling pixels fails here, although the bytes of
+    # the render would not change
+    kernel, (escape, capture) = maps["blob512"]
+    orig = kernel.roots + kernel.t
+    bbox = (complex(orig.real.min(), orig.imag.min()) - 0.2,
+            complex(orig.real.max(), orig.imag.max()) + 0.2)
+    fields, stepped = [], []
+    for ceiling in (False, True):
+        k = CountingKernel(kernel, ceiling)
+        fields.append(render(k, bbox, 512, 512, escape_radius=escape,
+                             capture_radius=capture, max_iter=60, workers=1))
+        stepped.append(k.stepped)
+    assert fields[0].status.tobytes() == fields[1].status.tobytes()
+    assert fields[0].iterations.tobytes() == fields[1].iterations.tobytes()
+    # each pixel the ceiling settles saves exactly the one step that would
+    # have captured it
+    settled = stepped[0] - stepped[1]
+    at_one = np.count_nonzero((fields[1].iterations == 1)
+                              & (fields[1].status == int(OrbitStatus.INTERIOR_CAPTURED)))
+    assert settled > CEILING_SHARE * at_one
 
 
 class RecordingKernel:
@@ -156,3 +262,33 @@ def test_floor_settles_without_stepping():
     status, iters = classify_orbits(k, z, 4.0, 0.5, 0, floor=floor)
     assert k.stepped == []
     assert status.tolist() == [2, 2, 2, 2, 2, 0, 1]
+
+
+def test_ceiling_captures_without_stepping():
+    k = RecordingKernel()
+    z = np.array([1.1, 1.2, 1.3, 0.1, 9.0], dtype=complex)
+    below = -1.0 - 2 * FLOOR_SLACK
+    ceiling = np.array([below, -1.0 - 0.5 * FLOOR_SLACK, 5.0, -np.inf, -np.inf])
+    status, iters = classify_orbits(k, z, 4.0, 0.5, 10, ceiling=ceiling)
+    # 0.1 and 9.0 are decided at step 0; the ceiling of 1.1 clears log2(0.5)
+    # by twice the slack, and that of 1.2 by only half of it
+    assert k.stepped[0].tolist() == [1.2, 1.3]
+    assert status.tolist() == [0, 1, 1, 0, 1]
+    assert iters.tolist() == [1, 2, 2, 0, 0]
+    # with no step to take, the ceiling settles nothing
+    k = RecordingKernel()
+    status, iters = classify_orbits(k, z, 4.0, 0.5, 0, ceiling=ceiling)
+    assert k.stepped == []
+    assert status.tolist() == [2, 2, 2, 0, 1]
+    assert iters.tolist() == [0, 0, 0, 0, 0]
+
+
+def test_floor_and_ceiling_settle_together():
+    k = RecordingKernel()
+    z = np.array([3.0, 1.1, 1.2], dtype=complex)
+    status, iters = classify_orbits(
+        k, z, 4.0, 0.5, 10, floor=np.array([3.0, -np.inf, -np.inf]),
+        ceiling=np.array([np.inf, -3.0, np.inf]))
+    assert k.stepped[0].tolist() == [1.2]
+    assert status.tolist() == [1, 0, 1]
+    assert iters.tolist() == [1, 1, 2]

@@ -35,6 +35,9 @@ class ConstantKernel:
     def step_floor(self, centres, radius):
         return np.full(centres.shape, -math.inf)
 
+    def step_ceiling(self, centres, radius):
+        return np.full(centres.shape, math.inf)
+
 
 @pytest.fixture(scope="module")
 def circle_field():
