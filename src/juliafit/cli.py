@@ -21,7 +21,8 @@ configuration records input paths (``input``/``inputs``, ``--certificate``,
 build, rational and annulus certify their map from --samples (at least 256)
 boundary samples per band curve, by maximum modulus (see ``dynamics`` and
 ``rational``); no command draws at random, so --seed, which every command
-takes and the configuration records, selects nothing.
+takes and the configuration records, selects nothing. The dumped map holds
+its shapes; the bands follow from the inputs and the recorded configuration.
 
 Exit codes: 0 ok, 2 parse, 3 geometry, 4 certification fail,
 5 verification fail, 6 io.
@@ -316,10 +317,8 @@ def cmd_annulus(args) -> int:
     _say(f"maps ready: outer inflation {eps_out}, inner inflation {eps_in}")
 
     system, cert = dynamics.find_min_degree(
-        lambda n: rational.AnnulusSystem(
-            outer_shape=build_out(n), inner_shape=build_in(n),
-            outer_band=e_t, inner_band=f_t, xi=xi),
-        lambda sy: rational.certify_S(sy, args.samples),
+        lambda n: rational.AnnulusSystem(outer_shape=build_out(n), inner_shape=build_in(n)),
+        lambda sy: rational.certify_S(sy, e_t, f_t, args.samples),
         _schedule(args))
     _say_margins("certified at", cert.n_certified, cert.margins())
     return _finish(args, cfg, system, cert, [outer, inner], delta)

@@ -336,8 +336,6 @@ def load_curve(source) -> JordanCurve:
             pts = np.array(rows, dtype=np.complex128)
     except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse curve file: {exc}") from exc
-    if len(pts) < MIN_POINTS:
-        raise TooFewPoints(f"need at least {MIN_POINTS} points, got {len(pts)}")
     return JordanCurve.from_points(pts)
 
 

@@ -2,7 +2,8 @@
 and one reader for every dump a command takes as input. A dumped type has a
 ``kind`` class attribute, which its dump records, and rebuilds itself with
 ``from_obj``; the three constructions also have ``to_obj``. ``ExteriorMap``
-has only ``to_obj``: no command reads a map back.
+has only ``to_obj``: no command reads a map back. A construction's dump holds
+its shapes, not the bands of its certificate (extra keys are ignored).
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ inside it. Then 1/P is analytic on U and at infinity, which gives |P| > beta
 on U, and w/P on |w| >= beta gives |P(w)| >= q |w| with q > 1: every orbit
 from U escapes. The extrema come from dense boundary samples, not interval
 arithmetic, and the dump records the certificate as sampled.
+A map holds only its shapes; each certificate takes the bands it checks.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ import numpy as np
 
 from .curves import AnnulusSpec, distance_to_polyline
 from .dumps import write_json
-from .errors import NoDegreeFound, SamplingFailure
-from .shapepoly import ShapePolynomial, p_step_array
+from .errors import GeometryRejected, NoDegreeFound, SamplingFailure
+from .shapepoly import ShapePolynomial, _harmonic, _plus_one_terms, _times_z, materialize
 
 
 #: fewest boundary samples per curve that a certificate takes
@@ -184,9 +185,64 @@ class EscapeCertificate:
         return cls(**{f.name: obj[f.name] for f in fields(cls)})
 
 
-def require_samples(count: int) -> None:
-    if count < MIN_SAMPLES:
+def sample_bands(shapes, annuli, inner, outer, combine, samples_per_region: int):
+    """Sampled extrema shared by all three certificates. On each curve of
+    ``inner`` and ``outer``, omega_s + 1 of every shape is evaluated once at
+    the boundary samples z, and ``combine(z, terms)`` lists the map, then any
+    other scaled array a certificate needs. Returns the fields of (A) and
+    (B1), with d_inner the distance from the origin to the nearest inner
+    curve and beta the largest |z| on the outer ones, of (R) and of (Z) for
+    shape s on the outer curve of annuli[s], which must be one of the
+    curves; and, keyed by ``id(curve)``, the log2 magnitudes of the terms
+    and then of what ``combine`` lists."""
+    if samples_per_region < MIN_SAMPLES:
         raise SamplingFailure(f"need at least {MIN_SAMPLES} samples per region")
+    d_inner = min(float(distance_to_polyline([0j], c.points)[0]) for c in inner)
+    beta = max(float(np.abs(c.points).max()) for c in outer)
+    logs = {}
+    for curve in [*inner, *outer]:
+        z = curve.boundary_samples(samples_per_region)
+        terms = _plus_one_terms(shapes, z)
+        # read the terms first: combine may renormalize their exponents in place
+        row = [materialize(*t)[1] for t in terms]
+        logs[id(curve)] = row + [materialize(*v)[1] for v in combine(z, terms)]
+    m = len(shapes)
+    log_in = np.concatenate([logs[id(c)][m] for c in inner])
+    log_out = np.concatenate([logs[id(c)][m] for c in outer])
+    log_zeros = np.concatenate([logs[id(a.outer)][s] for s, a in enumerate(annuli)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        inside_max = float(np.exp2(log_in.max()))
+        outside_min = float(np.exp2(log_out.min()))
+        zeros_min = float(np.exp2(log_zeros.min()))
+    roots_outside = sum(int(np.count_nonzero(~a.outer.contains(s.roots)))
+                        for s, a in zip(shapes, annuli))
+    passed = (inside_max < d_inner and outside_min > beta and roots_outside == 0
+              and zeros_min > 1.0)
+    return dict(
+        d_inner=d_inner, beta=beta, n_certified=shapes[0].n, inside_max=inside_max,
+        outside_min=outside_min, roots_outside=roots_outside,
+        sample_counts={"inner": int(len(log_in)), "outer": int(len(log_out))},
+        passed=passed, zeros_min=zeros_min), logs
+
+
+def certify_shapes(shapes, annuli, samples_per_region: int) -> dict:
+    """The certificate fields of R = z Omega (see ``rational``) for
+    ``shapes`` against their ``annuli``. One shape gives R = P, the map of
+    ``certify``: (P) is then vacuous and (Z) follows from (B1)."""
+    if len(annuli) != len(shapes):
+        raise GeometryRejected("one annulus per shape required")
+    fields, logs = sample_bands(
+        shapes, annuli, [a.inner for a in annuli], [a.outer for a in annuli],
+        lambda z, terms: [_times_z(z, *_harmonic(terms))], samples_per_region)
+    m = len(shapes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        poles = np.concatenate([
+            sum((np.exp2(row[j] - row[i]) for i in range(m) if i != j),
+                np.zeros_like(row[j]))
+            for j, row in enumerate(logs[id(a.inner)] for a in annuli)])
+    poles_max = float(poles.max())
+    return dict(fields, poles_max=poles_max,
+                passed=fields["passed"] and poles_max < 1.0)
 
 
 def certify(shape: ShapePolynomial, annulus: AnnulusSpec,
@@ -196,30 +252,13 @@ def certify(shape: ShapePolynomial, annulus: AnnulusSpec,
 
     PASS means (A), (R) and (B1) of the module docstring hold, each curve
     taken at ``samples_per_region`` boundary samples: orbits that enter
-    B(0, d_inner) stay there, and orbits that leave B(0, beta) escape.
+    B(0, d_inner) stay there, and orbits that leave B(0, beta) escape: the
+    one-shape case of ``certify_shapes``.
     """
-    require_samples(samples_per_region)
-    inner, outer = annulus.inner, annulus.outer
-    if not inner.contains([0j])[0]:
+    if not annulus.inner.contains([0j])[0]:
         raise SamplingFailure("origin is not inside the annulus")
-    d_inner = float(distance_to_polyline([0j], inner.points)[0])
-    beta = float(np.abs(outer.points).max())
-
-    inner_pts = inner.boundary_samples(samples_per_region)
-    outer_pts = outer.boundary_samples(samples_per_region)
-    _, log_in = p_step_array(shape, inner_pts)
-    _, log_out = p_step_array(shape, outer_pts)
-    with np.errstate(over="ignore"):
-        inside_max = float(np.exp2(log_in.max()))
-        outside_min = float(np.exp2(log_out.min()))
-    roots_outside = int(np.count_nonzero(~outer.contains(shape.roots)))
-
-    passed = inside_max < d_inner and outside_min > beta and roots_outside == 0
-    return EscapeCertificate(
-        d_inner=d_inner, beta=beta, n_certified=shape.n, inside_max=inside_max,
-        outside_min=outside_min, roots_outside=roots_outside,
-        sample_counts={"inner": int(len(inner_pts)), "outer": int(len(outer_pts))},
-        passed=passed)
+    return EscapeCertificate.from_obj(
+        certify_shapes((shape,), (annulus,), samples_per_region))
 
 
 def find_min_degree(build, certify, n_schedule):

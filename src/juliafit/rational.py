@@ -22,16 +22,17 @@ a length-1 array and steps exactly as it would inside a batch. Each shape is
 normalized at its own basepoint, a point inside its own curve, so that
 omega_s = -1 there (see ``shapepoly``).
 
-Both certificates extend the one of ``dynamics`` (see its docstring): they
-check sampled extrema on the band curves, and a NaN sample fails its
-condition. Every shape s, with outer curve O_s, must meet
+A system holds only its shapes, and its certificate takes the bands. Both
+certificates extend the one of ``dynamics`` (see its docstring): they check
+sampled extrema on the band curves, and a NaN sample fails its condition.
+Every shape s, with outer curve O_s, must meet
 
 - (R) its roots lie inside O_s, and
 - (Z) min |omega_s + 1| > 1 on O_s: by the symmetric Rouche theorem
   omega_s + 1, like omega_s, then has all n zeros inside O_s.
 
-``certify_multi`` takes rho = dist(0, I_h), I_h the one inner curve holding
-the origin, and beta = max |z| over all outer curves:
+``certify_multi(system, annuli)`` takes rho = dist(0, I_h), I_h the one
+inner curve holding the origin, and beta = max |z| over all outer curves:
 
 - (P) sum_{i != j} |omega_j + 1| / |omega_i + 1| < 1 on every inner curve
   I_j. The other shapes' zeros lie outside O_j, so g = 1 + sum_{i != j}
@@ -43,8 +44,8 @@ the origin, and beta = max |z| over all outer curves:
   is analytic outside the outer curves and vanishes at infinity, so |R| >
   beta there, and orbits from outside B(0, beta) escape as in ``dynamics``.
 
-``certify_S`` takes r = min(dist(0, E.inner), dist(0, F.outer)), so that
-B(0, r) lies in M, and beta = max |z| on E.outer:
+``certify_S(system, E, F)`` takes r = min(dist(0, E.inner), dist(0, F.outer)),
+so that B(0, r) lies in M, and beta = max |z| on E.outer:
 
 - (A) max |S| < r on E.inner and F.outer. The poles of S, the zeros of
   omega_F + 1, lie inside F.outer, so S maps M into B(0, r).
@@ -67,19 +68,20 @@ import numpy as np
 
 from .curves import (
     AnnulusSpec,
-    JordanCurve,
     curve_gap,  # noqa: F401 (traced as rational.curve_gap by perfbench)
-    distance_to_polyline,
     enclosed,
     relation,
 )
-from .dynamics import EscapeCertificate, require_samples
+from .dynamics import EscapeCertificate, certify_shapes, sample_bands
 from .errors import BadBasepoint, GeometryRejected
 from .shapepoly import (
     OMEGA_ULPS,
     STEP_ROUNDING,
     ShapePolynomial,
-    _renorm,
+    _harmonic,
+    _plus_one_terms,
+    _recip_scaled,
+    _scaled_add,
     _times_z,
     log2_one_minus_exp2,
     materialize,
@@ -87,8 +89,6 @@ from .shapepoly import (
     modulus_floor,
     omega_plus_one_ceiling,
     omega_plus_one_floor,
-    omega_plus_one_scaled_array,
-    omega_scaled_array,
 )
 
 
@@ -174,22 +174,16 @@ class AnnulusSystem:
     outer_shape drives the expanding polynomial of the outer curve's band E;
     inner_shape supplies the node product of the inner curve's band F. Both
     live in a common shifted frame whose origin sits in the middle region M.
+    The bands are not part of the map: ``certify_S`` takes them.
     """
 
     kind: ClassVar[str] = "annulus_map_system"
     outer_shape: ShapePolynomial
     inner_shape: ShapePolynomial
-    outer_band: AnnulusSpec
-    inner_band: AnnulusSpec
-    xi: float
 
     def __post_init__(self):
         if self.inner_shape.t != self.outer_shape.t:
             raise GeometryRejected("both shapes must share the same frame shift")
-        if self.xi <= 0:
-            raise GeometryRejected("curves of the annulus must be disjoint")
-        if relation(self.outer_band.inner, self.inner_band.outer) != "contains":
-            raise GeometryRejected("inner band must lie inside the outer band, off it")
 
     @property
     def t(self) -> complex:
@@ -200,8 +194,8 @@ class AnnulusSystem:
         return np.concatenate([self.outer_shape.roots, self.inner_shape.roots])
 
     def step(self, z: np.ndarray):
-        _, of, p = _annulus_terms(self, z)
-        return materialize(*_scaled_add(*p, *_recip_scaled(*of)))
+        terms = _plus_one_terms((self.outer_shape, self.inner_shape), z)
+        return materialize(*_annulus_values(z, terms)[0])
 
     def step_floor(self, centres: np.ndarray, radius) -> np.ndarray:
         """Lower bound on log2|S| over each disk (see ``ShapePolynomial``):
@@ -224,31 +218,12 @@ class AnnulusSystem:
             "kind": self.kind,
             "outer_shape": self.outer_shape.to_obj(),
             "inner_shape": self.inner_shape.to_obj(),
-            "outer_band": _band_obj(self.outer_band),
-            "inner_band": _band_obj(self.inner_band),
-            "xi": self.xi,
         }
 
     @classmethod
     def from_obj(cls, obj: dict) -> "AnnulusSystem":
         return cls(outer_shape=ShapePolynomial.from_obj(obj["outer_shape"]),
-                   inner_shape=ShapePolynomial.from_obj(obj["inner_shape"]),
-                   outer_band=_band_from_obj(obj["outer_band"]),
-                   inner_band=_band_from_obj(obj["inner_band"]),
-                   xi=float(obj["xi"]))
-
-
-def _band_obj(band: AnnulusSpec) -> dict:
-    pts = lambda c: [[float(z.real), float(z.imag)] for z in c.points]
-    return {"outer": pts(band.outer), "inner": pts(band.inner),
-            "width_hint": band.width_hint}
-
-
-def _band_from_obj(obj: dict) -> AnnulusSpec:
-    mk = lambda rows: JordanCurve.from_points(
-        np.array([complex(a, b) for a, b in rows]))
-    return AnnulusSpec(outer=mk(obj["outer"]), inner=mk(obj["inner"]),
-                       width_hint=float(obj["width_hint"]))
+                   inner_shape=ShapePolynomial.from_obj(obj["inner_shape"]))
 
 
 def validate_mutually_exterior(annuli: list[AnnulusSpec]) -> None:
@@ -261,61 +236,19 @@ def validate_mutually_exterior(annuli: list[AnnulusSpec]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# scaled-array helpers
+# combinations
 
 
-def _scaled_add(w1, e1, w2, e2):
-    """Elementwise sum of two scaled arrays, renormalized to the larger
-    exponent (terms more than ~2000 binades down vanish exactly)."""
-    z1 = w1 == 0
-    z2 = w2 == 0
-    e1 = np.where(z1, np.int64(-(2 ** 62)), e1)
-    e2 = np.where(z2, np.int64(-(2 ** 62)), e2)
-    hi = np.maximum(e1, e2)
-    d1 = np.clip(e1 - hi, -2000, 0).astype(np.int32)
-    d2 = np.clip(e2 - hi, -2000, 0).astype(np.int32)
-    w = (np.ldexp(w1.real, d1) + 1j * np.ldexp(w1.imag, d1)
-         + np.ldexp(w2.real, d2) + 1j * np.ldexp(w2.imag, d2))
-    e = np.where(w == 0, np.int64(0), hi)
-    _renorm(w, e)
-    return w, e
-
-
-def _recip_scaled(w, e):
-    """Elementwise reciprocal; exact zeros turn into NaN mantissas (the
-    indeterminate marker that downstream classification treats as boundary)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rw = np.where(w == 0, np.nan + 0j, 1.0 / w)
-    re_ = -e
-    _renorm(rw, re_)
-    return rw, re_
-
-
-def _plus_one_terms(shapes, z: np.ndarray) -> list:
-    """omega_s + 1 of every shape at z, as scaled arrays."""
-    return [omega_plus_one_scaled_array(*omega_scaled_array(s, z)) for s in shapes]
-
-
-def _annulus_terms(system: AnnulusSystem, z: np.ndarray):
-    """omega_E + 1, omega_F + 1 and P_E = z (omega_E + 1) at z, scaled."""
-    oe, of = _plus_one_terms((system.outer_shape, system.inner_shape), z)
-    return oe, of, _times_z(z, oe[0], oe[1].copy())
+def _annulus_values(z: np.ndarray, terms: list) -> list:
+    """Scaled S and P_E = z (omega_E + 1) from the terms omega_E + 1, omega_F + 1."""
+    oe, of = terms
+    p = _times_z(z, oe[0], oe[1].copy())
+    return [_scaled_add(*p, *_recip_scaled(*of)), p]
 
 
 def omega_big_scaled_array(system: MultiShapeSystem, z: np.ndarray):
     """The harmonic combination Omega as a scaled array."""
     return _harmonic(_plus_one_terms(system.shapes, z))
-
-
-def _harmonic(terms: list):
-    """(sum 1/t)^-1 over the scaled terms t; a single term is returned itself
-    (exact degeneration to the polynomial)."""
-    if len(terms) == 1:
-        return terms[0]
-    acc_w, acc_e = _recip_scaled(*terms[0])
-    for w, e in terms[1:]:
-        acc_w, acc_e = _scaled_add(acc_w, acc_e, *_recip_scaled(w, e))
-    return _recip_scaled(acc_w, acc_e)
 
 
 # ---------------------------------------------------------------------------
@@ -340,51 +273,18 @@ class MultiCertificate(EscapeCertificate):
 def certify_multi(system: MultiShapeSystem, annuli: list[AnnulusSpec],
                   samples_per_region: int = 4096) -> MultiCertificate:
     """Sampled certificate of (R), (Z), (P), (A) and (B1) of the module
-    docstring, each curve taken at ``samples_per_region`` boundary samples.
+    docstring, each curve taken at ``samples_per_region`` boundary samples
+    (see ``dynamics.certify_shapes``).
 
     The annuli must already have passed ``validate_mutually_exterior``; the
     degree search calls this once per degree, so it does not check again.
     """
-    require_samples(samples_per_region)
-    if len(annuli) != system.m:
-        raise GeometryRejected("one annulus per shape required")
-    holders = [a.inner for a in annuli if a.inner.contains([0j])[0]]
-    if len(holders) != 1:
+    holders = sum(bool(a.inner.contains([0j])[0]) for a in annuli)
+    if holders != 1:
         raise BadBasepoint(
-            f"frame origin lies inside {len(holders)} inner regions, need exactly 1")
-    rho = float(distance_to_polyline([0j], holders[0].points)[0])
-    beta = max(float(np.abs(a.outer.points).max()) for a in annuli)
-
-    def on(curve):
-        """log2 |omega_s + 1| of every shape and log2 |R| on the curve."""
-        z = curve.boundary_samples(samples_per_region)
-        terms = _plus_one_terms(system.shapes, z)
-        logs = [materialize(*t)[1] for t in terms]
-        return logs, materialize(*_times_z(z, *_harmonic(terms)))[1]
-
-    inner = [on(a.inner) for a in annuli]
-    outer = [on(a.outer) for a in annuli]
-    log_in = np.concatenate([lr for _, lr in inner])
-    log_out = np.concatenate([lr for _, lr in outer])
-    log_zeros = np.concatenate([logs[j] for j, (logs, _) in enumerate(outer)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        poles = np.concatenate([
-            sum((np.exp2(logs[j] - logs[i]) for i in range(system.m) if i != j),
-                np.zeros_like(logs[j]))
-            for j, (logs, _) in enumerate(inner)])
-        inside_max = float(np.exp2(log_in.max()))
-        outside_min = float(np.exp2(log_out.min()))
-        zeros_min = float(np.exp2(log_zeros.min()))
-    poles_max = float(poles.max())
-    roots_outside = sum(int(np.count_nonzero(~a.outer.contains(s.roots)))
-                        for s, a in zip(system.shapes, annuli))
-    passed = (inside_max < rho and outside_min > beta and roots_outside == 0
-              and zeros_min > 1.0 and poles_max < 1.0)
-    return MultiCertificate(
-        d_inner=rho, beta=beta, n_certified=system.n, inside_max=inside_max,
-        outside_min=outside_min, roots_outside=roots_outside,
-        sample_counts={"inner": int(len(log_in)), "outer": int(len(log_out))},
-        passed=passed, zeros_min=zeros_min, poles_max=poles_max)
+            f"frame origin lies inside {holders} inner regions, need exactly 1")
+    return MultiCertificate.from_obj(
+        certify_shapes(system.shapes, annuli, samples_per_region))
 
 
 @dataclass(frozen=True)
@@ -403,40 +303,26 @@ class SCertificate(EscapeCertificate):
                     q_inner=1.0 - self.q_inner_max, q_outer=self.q_outer_min - 1.0)
 
 
-def certify_S(system: AnnulusSystem, samples_per_region: int = 4096) -> SCertificate:
+def certify_S(system: AnnulusSystem, E: AnnulusSpec, F: AnnulusSpec,
+              samples_per_region: int = 4096) -> SCertificate:
     """Sampled certificate of (R), (Z), (A), (Q) and (B1) of the module
-    docstring, each curve taken at ``samples_per_region`` boundary samples:
-    "inner" samples on E.inner and F.outer, "outer" on F.inner and E.outer."""
-    require_samples(samples_per_region)
-    E, F = system.outer_band, system.inner_band
+    docstring for the bands E of the outer curve and F of the inner one, each
+    curve taken at ``samples_per_region`` boundary samples: "inner" samples
+    on E.inner and F.outer, "outer" on F.inner and E.outer. F must lie inside
+    E.inner, off it."""
+    if relation(E.inner, F.outer) != "contains":
+        raise GeometryRejected("inner band must lie inside the outer band, off it")
     if not enclosed([0j], (E.inner, F.outer))[0]:
         raise BadBasepoint("frame origin must lie in the middle region "
                            "(inside the outer band, outside the inner band)")
-    r = min(float(distance_to_polyline([0j], c.points)[0]) for c in (E.inner, F.outer))
-    beta = float(np.abs(E.outer.points).max())
-
-    def on(curve):
-        """log2 of |omega_E + 1|, |omega_F + 1|, |P_E| and |S| on the curve."""
-        oe, of, p = _annulus_terms(system, curve.boundary_samples(samples_per_region))
-        s = _scaled_add(*p, *_recip_scaled(*of))
-        return [materialize(*t)[1] for t in (oe, of, p, s)]
-
-    e_in, f_out, f_in, e_out = (on(c) for c in (E.inner, F.outer, F.inner, E.outer))
-    log_in = np.concatenate([e_in[3], f_out[3]])
-    log_out = np.concatenate([f_in[3], e_out[3]])
+    fields, logs = sample_bands(
+        (system.outer_shape, system.inner_shape), (E, F), (E.inner, F.outer),
+        (F.inner, E.outer), _annulus_values, samples_per_region)
+    # per curve: log2 of |omega_E + 1|, |omega_F + 1|, |S| and |P_E|
+    f_in, e_out = logs[id(F.inner)], logs[id(E.outer)]
     with np.errstate(over="ignore", invalid="ignore"):
-        inside_max = float(np.exp2(log_in.max()))
-        outside_min = float(np.exp2(log_out.min()))
-        zeros_min = float(np.exp2(np.concatenate([e_out[0], f_out[1]]).min()))
-        q_inner_max = float(np.exp2((f_in[2] + f_in[1]).max()))
-        q_outer_min = float(np.exp2((e_out[2] + e_out[1]).min()))
-    roots_outside = (int(np.count_nonzero(~E.outer.contains(system.outer_shape.roots)))
-                     + int(np.count_nonzero(~F.outer.contains(system.inner_shape.roots))))
-    passed = (inside_max < r and outside_min > beta and roots_outside == 0
-              and zeros_min > 1.0 and q_inner_max < 1.0 and q_outer_min > 1.0)
-    return SCertificate(
-        d_inner=r, beta=beta, n_certified=system.outer_shape.n,
-        inside_max=inside_max, outside_min=outside_min, roots_outside=roots_outside,
-        sample_counts={"inner": int(len(log_in)), "outer": int(len(log_out))},
-        passed=passed, zeros_min=zeros_min, q_inner_max=q_inner_max,
-        q_outer_min=q_outer_min)
+        q_inner_max = float(np.exp2((f_in[3] + f_in[1]).max()))
+        q_outer_min = float(np.exp2((e_out[3] + e_out[1]).min()))
+    return SCertificate.from_obj(dict(
+        fields, q_inner_max=q_inner_max, q_outer_min=q_outer_min,
+        passed=fields["passed"] and q_inner_max < 1.0 and q_outer_min > 1.0))

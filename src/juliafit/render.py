@@ -96,11 +96,7 @@ class EscapeField:
         return math.hypot(dx, dy)
 
     def pixel_centers(self) -> np.ndarray:
-        lo, hi = self.bbox
-        dx, dy = self.pixel_size
-        xs = lo.real + (np.arange(self.width) + 0.5) * dx
-        ys = hi.imag - (np.arange(self.height) + 0.5) * dy
-        return xs[None, :] + 1j * ys[:, None]
+        return pixel_centres(self.bbox, self.width, self.height, np.arange(self.height))
 
     @property
     def captured_mask(self) -> np.ndarray:
@@ -150,6 +146,14 @@ def _dilate4(mask: np.ndarray) -> np.ndarray:
 # rendering
 
 
+def pixel_centres(bbox, width: int, height: int, rows: np.ndarray) -> np.ndarray:
+    """Centres of the given rows (0 at the top) of a width x height grid over bbox."""
+    lo, hi = bbox
+    xs = lo.real + (np.arange(width) + 0.5) * ((hi.real - lo.real) / width)
+    ys = hi.imag - (rows + 0.5) * ((hi.imag - lo.imag) / height)
+    return xs[None, :] + 1j * ys[:, None]
+
+
 def _block_bounds(kernel, z: np.ndarray, escape_radius, capture_radius):
     """Per pixel of the (rows, width) tile z, the kernel's ``step_floor`` and
     ``step_ceiling`` over the disk about the pixel's block of BLOCK x BLOCK
@@ -187,12 +191,7 @@ def _block_bounds(kernel, z: np.ndarray, escape_radius, capture_radius):
 
 def _render_tile(kernel, bbox, width, height, row0, nrows,
                  escape_radius, capture_radius, max_iter):
-    lo, hi = bbox
-    dx = (hi.real - lo.real) / width
-    dy = (hi.imag - lo.imag) / height
-    xs = lo.real + (np.arange(width) + 0.5) * dx
-    ys = hi.imag - (np.arange(row0, row0 + nrows) + 0.5) * dy
-    z = (xs[None, :] + 1j * ys[:, None]) - kernel.t
+    z = pixel_centres(bbox, width, height, np.arange(row0, row0 + nrows)) - kernel.t
     floor, ceiling = _block_bounds(kernel, z, escape_radius, capture_radius)
     status, iters = classify_orbits(kernel, z.reshape(-1), escape_radius,
                                     capture_radius, max_iter,

@@ -147,8 +147,7 @@ class ShapePolynomial:
         if self.epsilon <= 0:
             raise NoEpsilon("inflation must be positive")
         _check_distinct(self.roots)
-        p = np.array([self.basepoint])
-        w, e = _node_product(self, p, _block_length(self, p)) or _node_product(self, p, 8)
+        w, e = _node_product_either(self, np.array([self.basepoint]))
         if not (w[0] != 0 and np.isfinite(w[0])):
             raise MapDiverged(f"node product at basepoint {self.basepoint} is "
                               f"{complex(w[0])} (a basepoint on a root)")
@@ -313,11 +312,15 @@ def _node_product(shape: ShapePolynomial, z: np.ndarray, k: int):
     return w, e
 
 
+def _node_product_either(shape: ShapePolynomial, z: np.ndarray):
+    """The node product in blocks of ``_block_length``, else in blocks of 8."""
+    return _node_product(shape, z, _block_length(shape, z)) or _node_product(shape, z, 8)
+
+
 def omega_scaled_array(shape: ShapePolynomial, z: np.ndarray):
     """Vectorized node product over plain complex points (shifted frame).
     Returns (mantissa, exponent) arrays."""
-    k = _block_length(shape, z)
-    w, e = _node_product(shape, z, k) or _node_product(shape, z, 8)
+    w, e = _node_product_either(shape, z)
     cp = shape.cap_pow
     w = w * cp.mantissa
     _renorm(w, e)
@@ -362,6 +365,49 @@ def _times_z(z, w, e):
     w = w * z
     _renorm(w, e)
     return w, e
+
+
+def _scaled_add(w1, e1, w2, e2):
+    """Elementwise sum of two scaled arrays, renormalized to the larger
+    exponent (terms more than ~2000 binades down vanish exactly)."""
+    z1 = w1 == 0
+    z2 = w2 == 0
+    e1 = np.where(z1, np.int64(-(2 ** 62)), e1)
+    e2 = np.where(z2, np.int64(-(2 ** 62)), e2)
+    hi = np.maximum(e1, e2)
+    d1 = np.clip(e1 - hi, -2000, 0).astype(np.int32)
+    d2 = np.clip(e2 - hi, -2000, 0).astype(np.int32)
+    w = (np.ldexp(w1.real, d1) + 1j * np.ldexp(w1.imag, d1)
+         + np.ldexp(w2.real, d2) + 1j * np.ldexp(w2.imag, d2))
+    e = np.where(w == 0, np.int64(0), hi)
+    _renorm(w, e)
+    return w, e
+
+
+def _recip_scaled(w, e):
+    """Elementwise reciprocal; exact zeros turn into NaN mantissas (the
+    indeterminate marker that downstream classification treats as boundary)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rw = np.where(w == 0, np.nan + 0j, 1.0 / w)
+    re_ = -e
+    _renorm(rw, re_)
+    return rw, re_
+
+
+def _plus_one_terms(shapes, z: np.ndarray) -> list:
+    """omega_s + 1 of every shape at z, as scaled arrays."""
+    return [omega_plus_one_scaled_array(*omega_scaled_array(s, z)) for s in shapes]
+
+
+def _harmonic(terms: list):
+    """(sum 1/t)^-1 over the scaled terms t; a single term is returned itself
+    (exact degeneration to the polynomial)."""
+    if len(terms) == 1:
+        return terms[0]
+    acc_w, acc_e = _recip_scaled(*terms[0])
+    for w, e in terms[1:]:
+        acc_w, acc_e = _scaled_add(acc_w, acc_e, *_recip_scaled(w, e))
+    return _recip_scaled(acc_w, acc_e)
 
 
 def modulus_floor(centres: np.ndarray, radius) -> np.ndarray:

@@ -403,6 +403,48 @@ def test_annulus_dump_with_shapes_in_two_frames_exits_geometry(
     assert "error [GEOMETRY_REJECTED]" in capsys.readouterr().err
 
 
+def test_annulus_dump_with_bands_renders_and_verifies_alike(built_annulus, fixture_dir,
+                                                            tmp_path):
+    # an annulus dump may also hold the bands E and F and the curve gap xi;
+    # all three follow from the certificate's config and the input curves,
+    # and a dump that carries them renders and verifies byte for byte like
+    # one that does not
+    from juliafit import curves
+    from juliafit.dumps import load_dump
+    from juliafit.rational import AnnulusSystem, SCertificate, certify_S
+
+    cert = json.loads((built_annulus / "certificate.json").read_text())
+    cfg = cert["config"]
+    t = complex(*cfg["t_used"])
+    outer, inner = (curves.load_curve(f) for f in _pair_args("annulus", fixture_dir))
+    bands = [curves.offset_annulus(c, cfg["eps_geom_used"]).translated(-t)
+             for c in (outer, inner)]
+    assert cfg["xi"] == curves.curve_gap(outer, inner)
+    system = load_dump(built_annulus / "system.json", (AnnulusSystem,))
+    assert certify_S(system, *bands, cfg["samples"]) == SCertificate.from_obj(cert)
+
+    pts = lambda c: [[float(z.real), float(z.imag)] for z in c.points]
+    obj = json.loads((built_annulus / "system.json").read_text())
+    obj.update({f"{side}_band": {"outer": pts(b.outer), "inner": pts(b.inner),
+                                 "width_hint": b.width_hint}
+                for side, b in zip(("outer", "inner"), bands)}, xi=cfg["xi"])
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / "system.json").write_text(json.dumps(obj, indent=1) + "\n")
+    certificate = ["--certificate", str(built_annulus / "certificate.json"), "--grid", "32"]
+    verify = ["--delta", "0.3"] + [a for f in _pair_args("annulus", fixture_dir)
+                                   for a in ("--curve", f)]
+    for name, dump in (("new", built_annulus / "system.json"),
+                       ("old", tmp_path / "old" / "system.json")):
+        for command, extra in (("render", []), ("verify", verify)):
+            assert main([command, str(dump), *certificate, *extra,
+                         "--out", str(tmp_path / name / command)]) == 0
+    for command, files in (("render", ("field.json", "image.pgm")),
+                           ("verify", ("report.json",))):
+        for f in files:
+            assert ((tmp_path / "old" / command / f).read_bytes()
+                    == (tmp_path / "new" / command / f).read_bytes()), (command, f)
+
+
 def test_rational_validates_annuli_once(fixture_dir, tmp_path, monkeypatch):
     from juliafit import rational
 
@@ -564,7 +606,7 @@ CLI_DIGESTS = {
     "build-circle-verify": "3c4f008c05b2404c1d4d7485e6c8601a0baad341235a5a7fb0cc8cbc0c859656",
     "rational": "874352292665c7696f2184859a186c7f40da80c6df72a03e2da1e8ab50022954",
     "rational-verify": "cce85632ed8a4fee031f28580b4c3e143e6933a7c6f7f7c38d541f1f779283c8",
-    "annulus": "87badb6e0c925e2b837c85b884488eba36ab1b6edd5f4e87c81def45009ab82d",
+    "annulus": "435aaac1cdaedb2944bf4dea1798a574afaa666675f4d876754f145af95c4004",
     "annulus-verify": "97332bc062c9fb9aa2e7af84eab1733e62c0056f18b35495ea390bd62e05aa8e",
     "build-square-render": "34050ab7704d564672ab5d927d5a035522db8023a37c5a2035e940fe71872536",
     "build-square-render-bbox": "8cf0c5a6041663dc52f77161ad3e836a47712106c20cb7c72d95961d928d2cc9",

@@ -89,6 +89,14 @@ def test_certify_requires_origin_inside(circle64):
         certify(circle64, ann, 512)
 
 
+def test_certify_requires_origin_inside_the_inner_curve(circle64):
+    # the origin lies in the band, inside the outer curve but not the inner
+    ann = AnnulusSpec(outer=make_circle(1.1), inner=make_circle(0.3, center=0.7),
+                      width_hint=0.2)
+    with pytest.raises(SamplingFailure, match="origin is not inside"):
+        certify(circle64, ann, 512)
+
+
 @pytest.fixture(scope="module")
 def blob_certified(built_shapes):
     data = built_shapes["blob"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from juliafit import rational
+from juliafit import shapepoly
 from juliafit.curves import AnnulusSpec, enclosed, sample_interior
 from juliafit.dumps import load_dump, save_dump
 from juliafit.dynamics import MIN_SAMPLES, certify, find_min_degree, save_certificate
@@ -182,6 +182,13 @@ def test_one_shape_multi_certificate_agrees_with_certify(n, built_shapes):
     assert {k: got.margins()[k] for k in want.margins()} == want.margins()
 
 
+def test_multi_origin_in_no_inner_curve_rejected(two_circle_system):
+    anns = [AnnulusSpec(make_circle(1.1, 2.0), make_circle(0.9, 2.0), 0.2),
+            AnnulusSpec(make_circle(1.1, 5.0), make_circle(0.9, 5.0), 0.2)]
+    with pytest.raises(BadBasepoint, match="inside 0 inner regions"):
+        certify_multi(two_circle_system, anns, 512)
+
+
 def test_overlapping_annuli_rejected():
     anns = [AnnulusSpec(make_circle(1.1), make_circle(0.9), 0.2),
             AnnulusSpec(make_circle(1.1, 1.0), make_circle(0.9, 1.0), 0.2)]
@@ -263,15 +270,17 @@ def test_multi_certificate_soundness_fresh_points(n, certified, two_circle_annul
 # annulus map
 
 
+#: the bands E and F of two circles about -1.5, in the frame shifted by 1.5
+ROUND_BANDS = (AnnulusSpec(make_circle(2.05, -1.5), make_circle(1.95, -1.5), 0.1),
+               AnnulusSpec(make_circle(1.05, -1.5), make_circle(0.95, -1.5), 0.1))
+
+
 def round_annulus(n):
     t = 1.5
     ctr = -t
     outer_shape = circle_shape_at(ctr, radius=2.0, eps=2.0 ** -6, n=n, t=t)
     inner_shape = circle_shape_at(ctr, radius=1.0, eps=2.0 ** -5, n=n, t=t)
-    e_band = AnnulusSpec(make_circle(2.05, ctr), make_circle(1.95, ctr), 0.1)
-    f_band = AnnulusSpec(make_circle(1.05, ctr), make_circle(0.95, ctr), 0.1)
-    return AnnulusSystem(outer_shape=outer_shape, inner_shape=inner_shape,
-                         outer_band=e_band, inner_band=f_band, xi=1.0)
+    return AnnulusSystem(outer_shape=outer_shape, inner_shape=inner_shape)
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +289,7 @@ def round_annulus_system():
 
 
 def test_certify_round_annulus(round_annulus_system):
-    cert = certify_S(round_annulus_system, 1024)
+    cert = certify_S(round_annulus_system, *ROUND_BANDS, 1024)
     assert cert.passed
     # the middle region is 0.5 < |z + 1.5| < 1.95 seen from -1.5, so r is
     # the distance 0.45 to the inner band's outer circle
@@ -296,9 +305,8 @@ def test_certify_round_annulus(round_annulus_system):
 def test_annulus_root_outside_its_outer_curve_fails(round_annulus_system):
     s = round_annulus_system
     moved = _with_root(s.inner_shape, 0, -1.5 + 1.2j)
-    cert = certify_S(AnnulusSystem(outer_shape=s.outer_shape, inner_shape=moved,
-                                   outer_band=s.outer_band, inner_band=s.inner_band,
-                                   xi=s.xi), 1024)
+    cert = certify_S(AnnulusSystem(outer_shape=s.outer_shape, inner_shape=moved),
+                     *ROUND_BANDS, 1024)
     assert not cert.passed
     assert cert.roots_outside == 1
     assert cert.margins()["roots"] == -1
@@ -308,7 +316,8 @@ def test_round_annulus_search_reports_best_attempt():
     # 256 roots certify (test above); 16 and 64 fail, and n = 64 has the
     # larger worst margin (about -2.6 against -2.9 on the escape bound)
     with pytest.raises(NoDegreeFound) as exc:
-        find_min_degree(round_annulus, lambda s: certify_S(s, 1024), [16, 64])
+        find_min_degree(round_annulus, lambda s: certify_S(s, *ROUND_BANDS, 1024),
+                        [16, 64])
     assert exc.value.best["n_certified"] == 64
     assert exc.value.best["passed"] is False
 
@@ -318,13 +327,13 @@ def test_annulus_certificate_soundness_fresh_points(n, certified):
     # as above for the annulus map: the middle region is captured, and points
     # inside the inner band's inner curve or outside the outer curves escape;
     # at 64 roots some points outside the outer curves land inside B(0, beta)
-    certify_at = lambda s: certify_S(s, 1024)
+    certify_at = lambda s: certify_S(s, *ROUND_BANDS, 1024)
     system, cert = find_min_degree(round_annulus, certify_at, [16, 32, 64, 128, 256])
     assert cert.n_certified == 256
     if not certified:
         system = round_annulus(n)
         assert not certify_at(system).passed
-    E, F = system.outer_band, system.inner_band
+    E, F = ROUND_BANDS
     rng = np.random.default_rng(999)
     if certified:
         _, log2m = system.step(sample_interior(E.inner, 4000, rng, exclude=F.outer))
@@ -343,7 +352,7 @@ def test_every_certificate_dump_has_its_verdict(kind, circle_annulus, two_circle
     elif kind == "multi":
         cert = certify_multi(two_circle_system, two_circle_annuli, 1024)
     else:
-        cert = certify_S(round_annulus_system, 1024)
+        cert = certify_S(round_annulus_system, *ROUND_BANDS, 1024)
     path = tmp_path / "certificate.json"
     save_certificate(cert, path)
     obj = json.loads(path.read_text())
@@ -364,11 +373,11 @@ def test_certificates_need_min_samples(kind, circle_annulus, two_circle_system,
         elif kind == "multi":
             certify_multi(two_circle_system, two_circle_annuli, MIN_SAMPLES - 1)
         else:
-            certify_S(round_annulus_system, MIN_SAMPLES - 1)
+            certify_S(round_annulus_system, *ROUND_BANDS, MIN_SAMPLES - 1)
 
 
 def test_annulus_orbit_of_origin_stays_bounded(round_annulus_system):
-    cert = certify_S(round_annulus_system, 1024)
+    cert = certify_S(round_annulus_system, *ROUND_BANDS, 1024)
     z = 0j
     for _ in range(100):
         z = step_at(round_annulus_system, z)
@@ -378,7 +387,7 @@ def test_annulus_orbit_of_origin_stays_bounded(round_annulus_system):
 def test_annulus_inner_disk_blows_up(round_annulus_system):
     # reciprocal term dominates inside the inner curve
     v = step_at(round_annulus_system, -1.5 + 0j)
-    assert abs(v) > certify_S(round_annulus_system, 512).escape_radius
+    assert abs(v) > certify_S(round_annulus_system, *ROUND_BANDS, 512).escape_radius
 
 
 def test_annulus_outer_growth(round_annulus_system):
@@ -395,10 +404,9 @@ def test_annulus_basepoint_must_be_in_middle():
     inner_shape = circle_shape_at(ctr, 1.0, 2.0 ** -5, 64)
     e_band = AnnulusSpec(make_circle(2.05, ctr), make_circle(1.95, ctr), 0.1)
     f_band = AnnulusSpec(make_circle(1.05, ctr), make_circle(0.95, ctr), 0.1)
-    system = AnnulusSystem(outer_shape=outer_shape, inner_shape=inner_shape,
-                           outer_band=e_band, inner_band=f_band, xi=1.0)
+    system = AnnulusSystem(outer_shape=outer_shape, inner_shape=inner_shape)
     with pytest.raises(BadBasepoint):
-        certify_S(system, 512)
+        certify_S(system, e_band, f_band, 512)
 
 
 def test_curve_gap():
@@ -448,7 +456,7 @@ def test_system_steps_match_every_8_reference(system, two_circle_system,
     for pts in (z, z[:1]):
         got = k.step(pts)
         with monkeypatch.context() as m:
-            m.setattr(rational, "omega_scaled_array", oracles.omega_scaled_array)
+            m.setattr(shapepoly, "omega_scaled_array", oracles.omega_scaled_array)
             want = k.step(pts)
         for a, b in zip(got, want):
             assert a.view(np.float64).view(np.int64).tolist() == \
@@ -465,13 +473,13 @@ def test_system_dump_round_trip(two_circle_system, tmp_path):
 
 
 def test_annulus_dump_round_trip(round_annulus_system, tmp_path):
+    # the dump holds the two shapes and no bands
     p = tmp_path / "ann.json"
     save_dump(round_annulus_system, p)
+    assert list(json.loads(p.read_text())) == ["kind", "outer_shape", "inner_shape"]
     s2 = load_dump(p, (AnnulusSystem,))
-    assert s2.xi == round_annulus_system.xi
     assert np.array_equal(s2.outer_shape.roots, round_annulus_system.outer_shape.roots)
-    assert np.array_equal(s2.inner_band.outer.points,
-                          round_annulus_system.inner_band.outer.points)
+    assert np.array_equal(s2.inner_shape.roots, round_annulus_system.inner_shape.roots)
 
 
 def test_load_dump_rejects_other_kinds(two_circle_system, tmp_path):
@@ -499,10 +507,10 @@ def test_annulus_bands_crossing_at_vertices_rejected(squares_touching_at_vertice
     a, b = squares_touching_at_vertices
     outer_band = AnnulusSpec(make_square(3.0, -1.0 - 1.0j), a, 0.1)
     inner_band = AnnulusSpec(b, make_circle(0.1, 1.0 + 1.0j), 0.1)
-    with pytest.raises(GeometryRejected):
-        AnnulusSystem(outer_shape=circle_shape_at(0j, 2.0),
-                      inner_shape=circle_shape_at(0j, 0.5),
-                      outer_band=outer_band, inner_band=inner_band, xi=0.5)
+    system = AnnulusSystem(outer_shape=circle_shape_at(0j, 2.0),
+                           inner_shape=circle_shape_at(0j, 0.5))
+    with pytest.raises(GeometryRejected, match="inside the outer band"):
+        certify_S(system, outer_band, inner_band, 512)
 
 
 def test_annulus_bands_apart_rejected():
@@ -510,7 +518,7 @@ def test_annulus_bands_apart_rejected():
     # the outer one instead of inside it
     outer_band = AnnulusSpec(make_circle(2.05), make_circle(1.95), 0.1)
     inner_band = AnnulusSpec(make_circle(1.05, 5.0), make_circle(0.95, 5.0), 0.1)
+    system = AnnulusSystem(outer_shape=circle_shape_at(0j, 2.0),
+                           inner_shape=circle_shape_at(5.0, 1.0))
     with pytest.raises(GeometryRejected, match="inside the outer band"):
-        AnnulusSystem(outer_shape=circle_shape_at(0j, 2.0),
-                      inner_shape=circle_shape_at(5.0, 1.0),
-                      outer_band=outer_band, inner_band=inner_band, xi=2.0)
+        certify_S(system, outer_band, inner_band, 512)
