@@ -134,8 +134,7 @@ def _render(args, system, bbox, radii):
     escape_radius, capture_radius = radii
     return render_grid(
         system, bbox, args.grid, args.grid, escape_radius=escape_radius,
-        capture_radius=capture_radius, max_iter=args.max_iter,
-        workers=args.workers)
+        capture_radius=capture_radius, max_iter=args.max_iter)
 
 
 def _say_margins(what: str, n: int, margins: dict) -> None:
@@ -372,9 +371,6 @@ def _add_render(ap: argparse.ArgumentParser) -> None:
                     help="render grid size (default 512)")
     ap.add_argument("--max-iter", type=_number(int, 1), default=200, dest="max_iter",
                     help="iteration budget per pixel (default 200)")
-    ap.add_argument("--workers", type=_number(int, 1), default=None,
-                    help="render worker processes (default: one for a small render, "
-                         "else up to 4)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -421,11 +421,8 @@ class AnnulusSpec:
 
     outer: JordanCurve
     inner: JordanCurve
-    width_hint: float
 
     def __post_init__(self):
-        if self.width_hint <= 0:
-            raise OffsetCollapse("annulus width must be positive")
         if relation(self.outer, self.inner) != "contains":
             raise OffsetCollapse("inner curve must lie inside the outer one, off it")
 
@@ -444,7 +441,6 @@ class AnnulusSpec:
         band = object.__new__(AnnulusSpec)
         object.__setattr__(band, "outer", self.outer.translated(dz))
         object.__setattr__(band, "inner", self.inner.translated(dz))
-        object.__setattr__(band, "width_hint", self.width_hint)
         return band
 
 
@@ -468,7 +464,7 @@ def offset_annulus(curve: JordanCurve, eps_geom: float) -> AnnulusSpec:
             raise OffsetCollapse(f"offset at {eps_geom} not repairable: {exc}") from exc
     outer, inner = curves
     try:
-        ann = AnnulusSpec(outer=outer, inner=inner, width_hint=2.0 * eps_geom)
+        ann = AnnulusSpec(outer=outer, inner=inner)
     except OffsetCollapse as exc:
         raise OffsetCollapse(f"offset at {eps_geom} produced invalid annulus: {exc}") from exc
     # a-posteriori check that eps_geom was small enough for the geometry

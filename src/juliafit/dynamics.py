@@ -51,7 +51,7 @@ import numpy as np
 
 from .curves import AnnulusSpec, distance_to_polyline
 from .dumps import write_json
-from .errors import GeometryRejected, NoDegreeFound, SamplingFailure
+from .errors import BadBasepoint, GeometryRejected, NoDegreeFound, SamplingFailure
 from .shapepoly import ShapePolynomial, _harmonic, _plus_one_terms, _times_z, materialize
 
 
@@ -203,9 +203,7 @@ def sample_bands(shapes, annuli, inner, outer, combine, samples_per_region: int)
     for curve in [*inner, *outer]:
         z = curve.boundary_samples(samples_per_region)
         terms = _plus_one_terms(shapes, z)
-        # read the terms first: combine may renormalize their exponents in place
-        row = [materialize(*t)[1] for t in terms]
-        logs[id(curve)] = row + [materialize(*v)[1] for v in combine(z, terms)]
+        logs[id(curve)] = [materialize(*v)[1] for v in [*terms, *combine(z, terms)]]
     m = len(shapes)
     log_in = np.concatenate([logs[id(c)][m] for c in inner])
     log_out = np.concatenate([logs[id(c)][m] for c in outer])
@@ -227,10 +225,15 @@ def sample_bands(shapes, annuli, inner, outer, combine, samples_per_region: int)
 
 def certify_shapes(shapes, annuli, samples_per_region: int) -> dict:
     """The certificate fields of R = z Omega (see ``rational``) for
-    ``shapes`` against their ``annuli``. One shape gives R = P, the map of
+    ``shapes`` against their ``annuli``, exactly one of whose inner curves
+    must hold the frame origin. One shape gives R = P, the map of
     ``certify``: (P) is then vacuous and (Z) follows from (B1)."""
     if len(annuli) != len(shapes):
         raise GeometryRejected("one annulus per shape required")
+    holders = sum(bool(a.inner.contains([0j])[0]) for a in annuli)
+    if holders != 1:
+        raise BadBasepoint(
+            f"frame origin lies inside {holders} inner regions, need exactly 1")
     fields, logs = sample_bands(
         shapes, annuli, [a.inner for a in annuli], [a.outer for a in annuli],
         lambda z, terms: [_times_z(z, *_harmonic(terms))], samples_per_region)
@@ -255,8 +258,6 @@ def certify(shape: ShapePolynomial, annulus: AnnulusSpec,
     B(0, d_inner) stay there, and orbits that leave B(0, beta) escape: the
     one-shape case of ``certify_shapes``.
     """
-    if not annulus.inner.contains([0j])[0]:
-        raise SamplingFailure("origin is not inside the annulus")
     return EscapeCertificate.from_obj(
         certify_shapes((shape,), (annulus,), samples_per_region))
 

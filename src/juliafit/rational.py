@@ -131,7 +131,7 @@ class MultiShapeSystem:
         return np.concatenate([s.roots for s in self.shapes])
 
     def step(self, z: np.ndarray):
-        return materialize(*_times_z(z, *omega_big_scaled_array(self, z)))
+        return materialize(*_times_z(z, *_harmonic(_plus_one_terms(self.shapes, z))))
 
     def step_floor(self, centres: np.ndarray, radius) -> np.ndarray:
         """Lower bound on log2|R| over each disk (see ``ShapePolynomial``):
@@ -242,13 +242,8 @@ def validate_mutually_exterior(annuli: list[AnnulusSpec]) -> None:
 def _annulus_values(z: np.ndarray, terms: list) -> list:
     """Scaled S and P_E = z (omega_E + 1) from the terms omega_E + 1, omega_F + 1."""
     oe, of = terms
-    p = _times_z(z, oe[0], oe[1].copy())
+    p = _times_z(z, *oe)
     return [_scaled_add(*p, *_recip_scaled(*of)), p]
-
-
-def omega_big_scaled_array(system: MultiShapeSystem, z: np.ndarray):
-    """The harmonic combination Omega as a scaled array."""
-    return _harmonic(_plus_one_terms(system.shapes, z))
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +274,6 @@ def certify_multi(system: MultiShapeSystem, annuli: list[AnnulusSpec],
     The annuli must already have passed ``validate_mutually_exterior``; the
     degree search calls this once per degree, so it does not check again.
     """
-    holders = sum(bool(a.inner.contains([0j])[0]) for a in annuli)
-    if holders != 1:
-        raise BadBasepoint(
-            f"frame origin lies inside {holders} inner regions, need exactly 1")
     return MultiCertificate.from_obj(
         certify_shapes(system.shapes, annuli, samples_per_region))
 

@@ -199,22 +199,17 @@ def _render_tile(kernel, bbox, width, height, row0, nrows,
     return status.reshape(nrows, width), iters.reshape(nrows, width)
 
 
-def _tile_task(args):
-    return _render_tile(*args)
-
-
 def render(kernel, bbox, width: int, height: int, *, escape_radius: float,
-           capture_radius: float, max_iter: int = 200,
-           workers: int | None = None) -> EscapeField:
+           capture_radius: float, max_iter: int = 200) -> EscapeField:
     """Classify every pixel center of the bbox grid by iterating the kernel.
 
     The bbox lives in the original frame; the kernel's frame shift ``kernel.t``
     is subtracted from pixel centers before iteration, so maps built in a
     shifted frame render fields in original coordinates. Deterministic for
     fixed parameters: tiles are computed independently and reassembled in
-    order, so the worker count cannot change the output. With ``workers``
-    unset, a render of fewer than SERIAL_WORK pixels times roots runs in this
-    process, and a larger one in a pool of up to 4 processes.
+    order, so the worker count cannot change the output. A render of fewer
+    than SERIAL_WORK pixels times roots runs in this process, and a larger
+    one of more than one tile in a pool of up to 4 processes.
     """
     if width < MIN_GRID or height < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID} x {MIN_GRID}")
@@ -225,16 +220,15 @@ def render(kernel, bbox, width: int, height: int, *, escape_radius: float,
     rows = [(r, min(TILE_ROWS, height - r)) for r in range(0, height, TILE_ROWS)]
     tasks = [(kernel, bbox, width, height, r0, nr, escape_radius,
               capture_radius, max_iter) for r0, nr in rows]
-    if workers is None:
-        small = width * height * len(kernel.roots) < SERIAL_WORK
-        workers = 1 if small else min(4, os.cpu_count() or 1)
+    small = width * height * len(kernel.roots) < SERIAL_WORK
+    workers = 1 if small else min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         import multiprocessing as mp
         ctx = mp.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            parts = list(pool.map(_tile_task, tasks))
+            parts = list(pool.map(_render_tile, *zip(*tasks)))
     else:
-        parts = [_tile_task(t) for t in tasks]
+        parts = [_render_tile(*t) for t in tasks]
     status = np.vstack([p[0] for p in parts])
     iters = np.vstack([p[1] for p in parts])
     return EscapeField(bbox=bbox, width=width, height=height, status=status,
@@ -288,39 +282,31 @@ def _check_bbox(field: EscapeField, curves, delta: float) -> None:
                 f"render bbox must contain the {delta}-neighborhood of the curve")
 
 
-def _verify(field: EscapeField, inside_mask: np.ndarray, curve_samples: np.ndarray,
-            delta: float) -> HausdorffReport:
-    dx, dy = field.pixel_size
-    k_mask = field.captured_mask | field.undecided_mask
-    l_mask = field.escaped_mask
-    d_k = _mask_hausdorff(inside_mask, k_mask, dx, dy)
-    d_l = _mask_hausdorff(~inside_mask, l_mask, dx, dy)
-    jb_mask = field.boundary_mask()
-    centers = field.pixel_centers()
-    d_j = hausdorff_distance(curve_samples, centers[jb_mask]) if jb_mask.any() else math.inf
-    tol = delta + field.pixel_diag
-    passed = bool(d_k < tol and d_j < tol and d_l < tol)
-    return HausdorffReport(d_K=d_k, d_J=d_j, d_L=d_l, delta=delta,
-                           pixel_diag=field.pixel_diag, passed=passed)
-
-
 def verify_hausdorff(field: EscapeField, curves, delta: float) -> HausdorffReport:
-    """Compare the rendered sets with the region of one or more curves that
+    """Compare the rendered sets with the region of a list of curves that
     do not meet: captured vs. ``enclosed`` (the points inside an odd number
     of the curves), escaped vs. the rest clipped to the bbox, boundary pixels
     vs. the curves themselves. Passes when all three distances stay below
     delta plus one pixel diagonal."""
-    if isinstance(curves, JordanCurve):
-        curves = [curves]
     if not curves:
         raise EmptySet("need at least one target curve")
     if any(relation(a, b) == "meet" for i, a in enumerate(curves) for b in curves[i + 1:]):
         raise GeometryRejected("target curves cross or touch")
     _check_bbox(field, curves, delta)
     centers = field.pixel_centers()
-    inside = enclosed(centers, curves)
+    inside = enclosed(centers, curves).reshape(centers.shape)
     samples = np.concatenate([c.boundary_samples(CURVE_SAMPLES) for c in curves])
-    return _verify(field, inside.reshape(centers.shape), samples, delta)
+    dx, dy = field.pixel_size
+    k_mask = field.captured_mask | field.undecided_mask
+    l_mask = field.escaped_mask
+    d_k = _mask_hausdorff(inside, k_mask, dx, dy)
+    d_l = _mask_hausdorff(~inside, l_mask, dx, dy)
+    jb_mask = field.boundary_mask()
+    d_j = hausdorff_distance(samples, centers[jb_mask]) if jb_mask.any() else math.inf
+    tol = delta + field.pixel_diag
+    passed = bool(d_k < tol and d_j < tol and d_l < tol)
+    return HausdorffReport(d_K=d_k, d_J=d_j, d_L=d_l, delta=delta,
+                           pixel_diag=field.pixel_diag, passed=passed)
 
 
 def verify_hausdorff_annulus(field: EscapeField, outer: JordanCurve,

@@ -62,9 +62,6 @@ from .conformal import ExteriorMap, evaluate_map
 from .curves import AnnulusSpec
 from .errors import DuplicateRoots, MapDiverged, NoEpsilon, ParseError
 
-#: exponent saturation; reaching it means the value is astronomically large
-#: (or small) and its magnitude class can never change back
-EXP_CAP = 2 ** 30
 #: |exponent| below which values are materialized as ordinary complex numbers
 #: (any cutoff >= 54 yields bit-identical results; 128 leaves headroom)
 _MID = 128
@@ -109,14 +106,6 @@ class ScaledComplex:
     exponent: int
 
 
-def _normalized(m: complex, e: int) -> ScaledComplex:
-    if m == 0:
-        return ScaledComplex(0j, 0)
-    _, sh = math.frexp(abs(m))
-    return ScaledComplex(complex(math.ldexp(m.real, -sh), math.ldexp(m.imag, -sh)),
-                         max(-EXP_CAP, min(EXP_CAP, e + sh)))
-
-
 # ---------------------------------------------------------------------------
 # shape polynomials
 
@@ -151,7 +140,9 @@ class ShapePolynomial:
         if not (w[0] != 0 and np.isfinite(w[0])):
             raise MapDiverged(f"node product at basepoint {self.basepoint} is "
                               f"{complex(w[0])} (a basepoint on a root)")
-        object.__setattr__(self, "_cap_pow", _normalized(-1.0 / complex(w[0]), -int(e[0])))
+        cw, ce = np.array([-1.0 / complex(w[0])]), -e
+        _renorm(cw, ce)
+        object.__setattr__(self, "_cap_pow", ScaledComplex(complex(cw[0]), int(ce[0])))
 
     @property
     def degree(self) -> int:
@@ -360,9 +351,8 @@ def p_step_array(shape: ShapePolynomial, z: np.ndarray):
 
 
 def _times_z(z, w, e):
-    """z times a scaled array: the mantissas into a new array, the exponents
-    renormalized in place."""
-    w = w * z
+    """z times a scaled array, as new arrays."""
+    w, e = w * z, e.copy()
     _renorm(w, e)
     return w, e
 

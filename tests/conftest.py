@@ -59,8 +59,7 @@ def diamond_on_square():
 
 @pytest.fixture(scope="session")
 def circle_annulus():
-    return AnnulusSpec(outer=make_circle(1.1), inner=make_circle(0.9),
-                       width_hint=0.2)
+    return AnnulusSpec(outer=make_circle(1.1), inner=make_circle(0.9))
 
 
 @pytest.fixture(scope="session")

@@ -45,11 +45,12 @@ from juliafit.rational import AnnulusSystem, MultiShapeSystem
 from juliafit.shapepoly import (
     EPS_HALVINGS,
     EPS_SAMPLES,
-    EXP_CAP,
     ShapePolynomial,
     _renorm,
 )
 
+#: exponent saturation of the scalar reference arithmetic
+EXP_CAP = 2 ** 30
 _CHUNK = 4096
 
 

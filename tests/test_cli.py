@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 
 import juliafit
 from juliafit import cli, shapepoly
-from juliafit.cli import main
+from juliafit.cli import build_parser, main
 from juliafit.shapes import make_figure_eight, make_square, write_curve_file
 
 
@@ -426,7 +427,7 @@ def test_annulus_dump_with_bands_renders_and_verifies_alike(built_annulus, fixtu
     pts = lambda c: [[float(z.real), float(z.imag)] for z in c.points]
     obj = json.loads((built_annulus / "system.json").read_text())
     obj.update({f"{side}_band": {"outer": pts(b.outer), "inner": pts(b.inner),
-                                 "width_hint": b.width_hint}
+                                 "width_hint": 2.0 * cfg["eps_geom_used"]}
                 for side, b in zip(("outer", "inner"), bands)}, xi=cfg["xi"])
     (tmp_path / "old").mkdir()
     (tmp_path / "old" / "system.json").write_text(json.dumps(obj, indent=1) + "\n")
@@ -566,7 +567,7 @@ def test_basepoint_on_a_root_exits_geometry(built_square, tmp_path, capsys):
     ("build", ["--resample", "4"]),
     ("render", ["--grid", "8"]),
     ("render", ["--max-iter", "-3"]),
-    ("render", ["--workers", "0"]),
+    ("render", ["--workers", "2"]),  # no such option: the render picks its processes
     ("render", ["--margin", "-1"]),
     ("verify", ["--delta", "-1"]),
     ("rational", ["--delta", "0"]),
@@ -594,24 +595,41 @@ def test_unusable_number_is_a_usage_error(command, bad, built_square, fixture_di
     assert "usage:" in capsys.readouterr().err
 
 
+def test_option_surface():
+    # every option of every command, so that a knob added or removed shows here
+    common = ["-h", "--help", "--out", "--seed"]
+    build = ["--samples", "--n", "--n-max", "--epsilon", "--eps-geom", "--resample"]
+    render = ["--grid", "--max-iter"]
+    want = {"build": common + build,
+            "render": common + render + ["--certificate", "--bbox", "--margin"],
+            "verify": common + render + ["--curve", "--delta", "--certificate"],
+            "rational": common + build + render + ["--delta"],
+            "annulus": common + build + render + ["--delta", "--basepoint"]}
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(s for a in p._actions for s in a.option_strings)
+           for name, p in sub.choices.items()}
+    assert got == {name: sorted(options) for name, options in want.items()}
+
+
 #: sha256 over the name and bytes of every artifact and the stderr of each
 #: run of test_cli_artifact_digest_regression; any change to an output, its
 #: configuration included, flips one of these
 CLI_DIGESTS = {
     "build-square": "626b49acff6f558aa741d34f9dcdb1f77b6bf7da6ba8cbcb983e01d6a59b1d79",
-    "build-square-verify": "cb66de12f14ba64c209edadc359ddb84e62bb257ecba79bd11974fdb7e7bdcd7",
+    "build-square-verify": "dd5c1e97430d3fe8bf2ada81865cf79bae18179a774a8c2320e4a22021afc5dc",
     "build-blob": "4950597d05208babdd20cea7ceaf1bc75f7917e844cef6e0779071027880a622",
-    "build-blob-verify": "0f9057794270b1cfc23d03d879e2fc2f178fec16c5e3125e7953f64e7e5c3a95",
+    "build-blob-verify": "e42a50978483d9b8db9f61ae567b249a7a37000dfbdeaf24c0a511b42bea8033",
     "build-circle": "523c17dc7bb76d8b67cb48f0b86c21d512a6f2a7dcb1bc646a106481bcf03367",
-    "build-circle-verify": "3c4f008c05b2404c1d4d7485e6c8601a0baad341235a5a7fb0cc8cbc0c859656",
-    "rational": "874352292665c7696f2184859a186c7f40da80c6df72a03e2da1e8ab50022954",
-    "rational-verify": "cce85632ed8a4fee031f28580b4c3e143e6933a7c6f7f7c38d541f1f779283c8",
-    "annulus": "435aaac1cdaedb2944bf4dea1798a574afaa666675f4d876754f145af95c4004",
-    "annulus-verify": "97332bc062c9fb9aa2e7af84eab1733e62c0056f18b35495ea390bd62e05aa8e",
-    "build-square-render": "34050ab7704d564672ab5d927d5a035522db8023a37c5a2035e940fe71872536",
-    "build-square-render-bbox": "8cf0c5a6041663dc52f77161ad3e836a47712106c20cb7c72d95961d928d2cc9",
-    "rational-render": "317fbafd300bd4239989edf28f3655d1a7444f8ebea081bbef5c1d858d307794",
-    "annulus-render": "e6b1946aadce30c3481a4df93263b80cb9e8f74b8f740bdfa198dfd51ad33d36",
+    "build-circle-verify": "9100f5221ea16d12f74a2ef1c300bb56a968d46f4e3bf5c9872d6ee1a3d4516f",
+    "rational": "d0652de7b5743512a2848a53de260997da7aaf5ca78bcc9a047606ee1510592a",
+    "rational-verify": "bf9cfb4453fe718f205650385de25ba3261820ea98484dacac5f57cdd01f6328",
+    "annulus": "b9760b015d2c4b15ed7982bde8865b44eaa30279a3402d399b689e20ab55c83f",
+    "annulus-verify": "1b2962b3f6514d071e9e2768d2d8d57567b947d77aec24710b56eba814a4e478",
+    "build-square-render": "4c3599d0ae1922cd99e011db54d82ba127638b0efb60489e6740c9ae4152cc11",
+    "build-square-render-bbox": "40f8b22633d4cc8f8ae71fecb590901236ca53528b1ff9c1f93e4dba58b96d5c",
+    "rational-render": "dd066e9b4a3451d0c360985cde2ce9ee10b29dcec2dfcfec248b6b825b8e2847",
+    "annulus-render": "7379739940e621e78f1bd1f7b04705cccc9fbb619ef4f6d5a4e349ed8685feb2",
 }
 
 

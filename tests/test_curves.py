@@ -153,7 +153,6 @@ def test_offset_circle_closed_form():
     ann = offset_annulus(make_circle(1.0), 0.1)
     assert np.allclose(np.abs(ann.outer.points), 1.1, atol=2e-4)
     assert np.allclose(np.abs(ann.inner.points), 0.9, atol=2e-4)
-    assert ann.width_hint == pytest.approx(0.2)
 
 
 def test_offset_square_winding_oracle():
@@ -251,8 +250,7 @@ def test_hausdorff_zero_iff_equal(x):
 
 def test_annulus_requires_nesting():
     with pytest.raises(OffsetCollapse):
-        AnnulusSpec(outer=make_circle(1.0), inner=make_circle(1.0, center=5.0),
-                    width_hint=0.1)
+        AnnulusSpec(outer=make_circle(1.0), inner=make_circle(1.0, center=5.0))
 
 
 def test_annulus_rejects_inner_curve_touching_outer(diamond_on_square):
@@ -260,11 +258,11 @@ def test_annulus_rejects_inner_curve_touching_outer(diamond_on_square):
     assert len(diamond.points) == 16 and 0.5 + 0j in diamond.points
     assert curve_gap(square, diamond) == 0.0
     with pytest.raises(OffsetCollapse):
-        AnnulusSpec(outer=square, inner=diamond, width_hint=0.1)
+        AnnulusSpec(outer=square, inner=diamond)
 
 
 def test_annulus_classify_partition():
-    ann = AnnulusSpec(outer=make_circle(1.1), inner=make_circle(0.9), width_hint=0.2)
+    ann = AnnulusSpec(outer=make_circle(1.1), inner=make_circle(0.9))
     z = [0j, 1.0 + 0j, 2.0 + 0j]
     assert ann.inner.contains(z).tolist() == [True, False, False]
     assert enclosed(z, (ann.outer, ann.inner)).tolist() == [False, True, False]
@@ -275,8 +273,7 @@ def test_annulus_classify_partition():
 def test_translated_band_equals_the_validated_one(dz, monkeypatch):
     blob = make_blob()
     band = offset_annulus(blob, 0.05 * blob.diameter)
-    want = AnnulusSpec(band.outer.translated(dz), band.inner.translated(dz),
-                       band.width_hint)
+    want = AnnulusSpec(band.outer.translated(dz), band.inner.translated(dz))
     calls = []
     monkeypatch.setattr("juliafit.curves.relation", lambda *a: calls.append(a))
     moved = band.translated(dz)
@@ -284,7 +281,6 @@ def test_translated_band_equals_the_validated_one(dz, monkeypatch):
     assert type(moved) is AnnulusSpec
     assert np.array_equal(moved.outer.points, want.outer.points)
     assert np.array_equal(moved.inner.points, want.inner.points)
-    assert moved.width_hint == want.width_hint
 
 
 # ---------------------------------------------------------------------------

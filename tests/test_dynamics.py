@@ -13,7 +13,7 @@ from juliafit.dynamics import (
     find_min_degree,
     save_certificate,
 )
-from juliafit.errors import NoDegreeFound, SamplingFailure
+from juliafit.errors import BadBasepoint, NoDegreeFound
 from juliafit.shapepoly import make_circle_shape, p_step_array
 from juliafit.shapes import make_circle, make_ellipse
 
@@ -33,8 +33,7 @@ def ellipse_annulus():
     """An outer ellipse with semi-axes 2 and 1.1 around the unit circle
     shape: beta = 2, while |P(z)| = |z|**(n+1) / 1.0625**n is least on the
     minor axis, so (B1) needs 1.1**(n+1) / 1.0625**n > 2, that is n >= 18."""
-    return AnnulusSpec(outer=make_ellipse(2.0, 1.1), inner=make_circle(0.9),
-                       width_hint=0.2)
+    return AnnulusSpec(outer=make_ellipse(2.0, 1.1), inner=make_circle(0.9))
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +73,7 @@ def test_certify_small_degree_fails(ellipse_annulus):
 
 def test_certify_roots_outside_outer_curve_fail(circle64):
     # the roots sit on |z| = 1.0625, outside an outer circle of radius 1.05
-    ann = AnnulusSpec(outer=make_circle(1.05), inner=make_circle(0.9),
-                      width_hint=0.15)
+    ann = AnnulusSpec(outer=make_circle(1.05), inner=make_circle(0.9))
     cert = certify(circle64, ann, 1024)
     assert not cert.passed
     assert cert.roots_outside == 64
@@ -84,16 +82,15 @@ def test_certify_roots_outside_outer_curve_fail(circle64):
 
 def test_certify_requires_origin_inside(circle64):
     ann = AnnulusSpec(outer=make_circle(1.1, center=5.0),
-                      inner=make_circle(0.9, center=5.0), width_hint=0.2)
-    with pytest.raises(SamplingFailure):
+                      inner=make_circle(0.9, center=5.0))
+    with pytest.raises(BadBasepoint):
         certify(circle64, ann, 512)
 
 
 def test_certify_requires_origin_inside_the_inner_curve(circle64):
     # the origin lies in the band, inside the outer curve but not the inner
-    ann = AnnulusSpec(outer=make_circle(1.1), inner=make_circle(0.3, center=0.7),
-                      width_hint=0.2)
-    with pytest.raises(SamplingFailure, match="origin is not inside"):
+    ann = AnnulusSpec(outer=make_circle(1.1), inner=make_circle(0.3, center=0.7))
+    with pytest.raises(BadBasepoint, match="inside 0 inner regions"):
         certify(circle64, ann, 512)
 
 

@@ -2,6 +2,7 @@
 ``step_ceiling``), the render that settles far-field and interior pixels with
 them, and the single-point step that the bounds can leave behind."""
 
+import importlib
 import math
 
 import numpy as np
@@ -168,16 +169,19 @@ def test_a_point_steps_alone_as_inside_a_batch(maps, kind, log_reach, count, see
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("workers", [1, 2])
-def test_render_matches_the_floorless_render(maps, kind, workers):
-    # 200 columns leave a last block of 8, 72 rows a last tile of 8
+@pytest.mark.parametrize("processes", [1, 2])
+def test_render_matches_the_floorless_render(maps, kind, processes, monkeypatch):
+    # 200 columns leave a last block of 8, 72 rows a last tile of 8; with
+    # SERIAL_WORK at 0 the two tiles go to the pool of up to 4 processes
+    if processes > 1:
+        monkeypatch.setattr(importlib.import_module("juliafit.render"), "SERIAL_WORK", 0)
     kernel, (escape, capture) = maps[kind]
     orig = kernel.roots + kernel.t
     pad = 0.3 * max(np.ptp(orig.real), np.ptp(orig.imag))
     bbox = (complex(orig.real.min() - pad, orig.imag.min() - pad),
             complex(orig.real.max() + pad, orig.imag.max() + pad))
     field = render(kernel, bbox, 200, 72, escape_radius=escape,
-                   capture_radius=capture, max_iter=60, workers=workers)
+                   capture_radius=capture, max_iter=60)
     status, iters = oracles.render_floorless(kernel, bbox, 200, 72, escape,
                                              capture, 60)
     assert field.status.tobytes() == status.tobytes()
@@ -207,9 +211,11 @@ class CountingKernel:
         return np.full(centres.shape, math.inf)
 
 
-def test_ceiling_settles_most_step_one_captures_on_blob512(maps):
+def test_ceiling_settles_most_step_one_captures_on_blob512(maps, monkeypatch):
     # a ceiling that stops settling pixels fails here, although the bytes of
-    # the render would not change
+    # the render would not change; the render stays in this process, where
+    # the kernel counts its steps
+    monkeypatch.setattr(importlib.import_module("juliafit.render"), "SERIAL_WORK", math.inf)
     kernel, (escape, capture) = maps["blob512"]
     orig = kernel.roots + kernel.t
     bbox = (complex(orig.real.min(), orig.imag.min()) - 0.2,
@@ -218,7 +224,7 @@ def test_ceiling_settles_most_step_one_captures_on_blob512(maps):
     for ceiling in (False, True):
         k = CountingKernel(kernel, ceiling)
         fields.append(render(k, bbox, 512, 512, escape_radius=escape,
-                             capture_radius=capture, max_iter=60, workers=1))
+                             capture_radius=capture, max_iter=60))
         stepped.append(k.stepped)
     assert fields[0].status.tobytes() == fields[1].status.tobytes()
     assert fields[0].iterations.tobytes() == fields[1].iterations.tobytes()

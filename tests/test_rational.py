@@ -18,11 +18,12 @@ from juliafit.rational import (
     certify_S,
     certify_multi,
     curve_gap,
-    omega_big_scaled_array,
     validate_mutually_exterior,
 )
 from juliafit.render import EscapeField
-from juliafit.shapepoly import ShapePolynomial, make_circle_shape, materialize
+from juliafit.shapepoly import (
+    ShapePolynomial, _harmonic, _plus_one_terms, make_circle_shape, materialize,
+)
 from juliafit.shapes import make_circle, make_square
 
 
@@ -40,7 +41,8 @@ def step_at(system, z) -> complex:
 
 def big_omega_at(system, z):
     """(value, log2 magnitude) of the harmonic combination at one point."""
-    vals, log2m = materialize(*omega_big_scaled_array(system, np.array([complex(z)])))
+    vals, log2m = materialize(*_harmonic(_plus_one_terms(system.shapes,
+                                                          np.array([complex(z)]))))
     return complex(vals[0]), float(log2m[0])
 
 
@@ -52,8 +54,8 @@ def two_circle_system():
 
 @pytest.fixture(scope="module")
 def two_circle_annuli():
-    return [AnnulusSpec(make_circle(1.1), make_circle(0.9), 0.2),
-            AnnulusSpec(make_circle(1.1, 5.0), make_circle(0.9, 5.0), 0.2)]
+    return [AnnulusSpec(make_circle(1.1), make_circle(0.9)),
+            AnnulusSpec(make_circle(1.1, 5.0), make_circle(0.9, 5.0))]
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +185,22 @@ def test_one_shape_multi_certificate_agrees_with_certify(n, built_shapes):
 
 
 def test_multi_origin_in_no_inner_curve_rejected(two_circle_system):
-    anns = [AnnulusSpec(make_circle(1.1, 2.0), make_circle(0.9, 2.0), 0.2),
-            AnnulusSpec(make_circle(1.1, 5.0), make_circle(0.9, 5.0), 0.2)]
+    anns = [AnnulusSpec(make_circle(1.1, 2.0), make_circle(0.9, 2.0)),
+            AnnulusSpec(make_circle(1.1, 5.0), make_circle(0.9, 5.0))]
     with pytest.raises(BadBasepoint, match="inside 0 inner regions"):
         certify_multi(two_circle_system, anns, 512)
 
 
 def test_overlapping_annuli_rejected():
-    anns = [AnnulusSpec(make_circle(1.1), make_circle(0.9), 0.2),
-            AnnulusSpec(make_circle(1.1, 1.0), make_circle(0.9, 1.0), 0.2)]
+    anns = [AnnulusSpec(make_circle(1.1), make_circle(0.9)),
+            AnnulusSpec(make_circle(1.1, 1.0), make_circle(0.9, 1.0))]
     with pytest.raises(GeometryRejected):
         validate_mutually_exterior(anns)
 
 
 def test_nested_annuli_rejected():
-    anns = [AnnulusSpec(make_circle(5.0), make_circle(4.5), 0.2),
-            AnnulusSpec(make_circle(1.1), make_circle(0.9), 0.2)]
+    anns = [AnnulusSpec(make_circle(5.0), make_circle(4.5)),
+            AnnulusSpec(make_circle(1.1), make_circle(0.9))]
     with pytest.raises(GeometryRejected):
         validate_mutually_exterior(anns)
 
@@ -271,8 +273,8 @@ def test_multi_certificate_soundness_fresh_points(n, certified, two_circle_annul
 
 
 #: the bands E and F of two circles about -1.5, in the frame shifted by 1.5
-ROUND_BANDS = (AnnulusSpec(make_circle(2.05, -1.5), make_circle(1.95, -1.5), 0.1),
-               AnnulusSpec(make_circle(1.05, -1.5), make_circle(0.95, -1.5), 0.1))
+ROUND_BANDS = (AnnulusSpec(make_circle(2.05, -1.5), make_circle(1.95, -1.5)),
+               AnnulusSpec(make_circle(1.05, -1.5), make_circle(0.95, -1.5)))
 
 
 def round_annulus(n):
@@ -402,8 +404,8 @@ def test_annulus_basepoint_must_be_in_middle():
     ctr = -0.0j
     outer_shape = circle_shape_at(ctr, 2.0, 2.0 ** -6, 64)
     inner_shape = circle_shape_at(ctr, 1.0, 2.0 ** -5, 64)
-    e_band = AnnulusSpec(make_circle(2.05, ctr), make_circle(1.95, ctr), 0.1)
-    f_band = AnnulusSpec(make_circle(1.05, ctr), make_circle(0.95, ctr), 0.1)
+    e_band = AnnulusSpec(make_circle(2.05, ctr), make_circle(1.95, ctr))
+    f_band = AnnulusSpec(make_circle(1.05, ctr), make_circle(0.95, ctr))
     system = AnnulusSystem(outer_shape=outer_shape, inner_shape=inner_shape)
     with pytest.raises(BadBasepoint):
         certify_S(system, e_band, f_band, 512)
@@ -497,16 +499,16 @@ def test_load_dump_rejects_other_kinds(two_circle_system, tmp_path):
 def test_annuli_crossing_at_vertices_rejected(squares_touching_at_vertices):
     a, b = squares_touching_at_vertices
     assert curve_gap(a, b) == 0.0
-    anns = [AnnulusSpec(a, make_circle(0.1, 0.5 + 0.5j), 0.1),
-            AnnulusSpec(b, make_circle(0.1, 1.0 + 1.0j), 0.1)]
+    anns = [AnnulusSpec(a, make_circle(0.1, 0.5 + 0.5j)),
+            AnnulusSpec(b, make_circle(0.1, 1.0 + 1.0j))]
     with pytest.raises(GeometryRejected):
         validate_mutually_exterior(anns)
 
 
 def test_annulus_bands_crossing_at_vertices_rejected(squares_touching_at_vertices):
     a, b = squares_touching_at_vertices
-    outer_band = AnnulusSpec(make_square(3.0, -1.0 - 1.0j), a, 0.1)
-    inner_band = AnnulusSpec(b, make_circle(0.1, 1.0 + 1.0j), 0.1)
+    outer_band = AnnulusSpec(make_square(3.0, -1.0 - 1.0j), a)
+    inner_band = AnnulusSpec(b, make_circle(0.1, 1.0 + 1.0j))
     system = AnnulusSystem(outer_shape=circle_shape_at(0j, 2.0),
                            inner_shape=circle_shape_at(0j, 0.5))
     with pytest.raises(GeometryRejected, match="inside the outer band"):
@@ -516,8 +518,8 @@ def test_annulus_bands_crossing_at_vertices_rejected(squares_touching_at_vertice
 def test_annulus_bands_apart_rejected():
     # neither band meets the other, but the inner curve's band lies beside
     # the outer one instead of inside it
-    outer_band = AnnulusSpec(make_circle(2.05), make_circle(1.95), 0.1)
-    inner_band = AnnulusSpec(make_circle(1.05, 5.0), make_circle(0.95, 5.0), 0.1)
+    outer_band = AnnulusSpec(make_circle(2.05), make_circle(1.95))
+    inner_band = AnnulusSpec(make_circle(1.05, 5.0), make_circle(0.95, 5.0))
     system = AnnulusSystem(outer_shape=circle_shape_at(0j, 2.0),
                            inner_shape=circle_shape_at(5.0, 1.0))
     with pytest.raises(GeometryRejected, match="inside the outer band"):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 
@@ -28,6 +29,7 @@ BBOX = (-1.3 - 1.3j, 1.3 + 1.3j)
 
 class ConstantKernel:
     t = 0j
+    roots = np.zeros(1)
 
     def step(self, z):
         return np.zeros_like(z), np.full(z.shape, -math.inf)
@@ -43,7 +45,7 @@ class ConstantKernel:
 def circle_field():
     k = make_circle_shape(1.0, 0.0625, 64)
     return render(k, BBOX, 256, 256, escape_radius=1.155, capture_radius=0.55,
-                  max_iter=200, workers=1)
+                  max_iter=200)
 
 
 def synthetic_field(status, iterations=None, bbox=(0j, 1 + 1j)):
@@ -61,7 +63,7 @@ def synthetic_field(status, iterations=None, bbox=(0j, 1 + 1j)):
 
 def test_constant_map_all_captured():
     f = render(ConstantKernel(), BBOX, 16, 16, escape_radius=2.0,
-               capture_radius=0.5, max_iter=10, workers=1)
+               capture_radius=0.5, max_iter=10)
     assert np.all(f.status == int(OrbitStatus.INTERIOR_CAPTURED))
 
 
@@ -83,11 +85,14 @@ def test_circle_boundary_ring(circle_field):
     assert hausdorff_distance(bp, ring) <= circle_field.pixel_diag
 
 
-def test_determinism_across_worker_counts():
+def test_determinism_across_worker_counts(monkeypatch):
+    # a render this small runs in one process; with SERIAL_WORK at 0 its
+    # tiles go to the pool of up to 4 processes
     k = make_circle_shape(1.0, 0.0625, 64)
     kw = dict(escape_radius=1.155, capture_radius=0.55, max_iter=60)
-    f1 = render(k, BBOX, 128, 128, workers=1, **kw)
-    f2 = render(k, BBOX, 128, 128, workers=2, **kw)
+    f1 = render(k, BBOX, 128, 128, **kw)
+    monkeypatch.setattr(importlib.import_module("juliafit.render"), "SERIAL_WORK", 0)
+    f2 = render(k, BBOX, 128, 128, **kw)
     assert f1.status.tobytes() == f2.status.tobytes()
     assert f1.iterations.tobytes() == f2.iterations.tobytes()
 
@@ -111,7 +116,7 @@ def test_partition_of_grid(circle_field):
 def test_resolution_refinement():
     k = make_circle_shape(1.0, 0.0625, 64)
     ring = make_circle(1.0625, n=2048).points
-    kw = dict(escape_radius=1.155, capture_radius=0.55, max_iter=60, workers=1)
+    kw = dict(escape_radius=1.155, capture_radius=0.55, max_iter=60)
     d = {}
     for n in (128, 256):
         f = render(k, BBOX, n, n, **kw)
@@ -149,7 +154,7 @@ def test_undecided_counts_as_boundary():
 
 
 def test_verify_circle_passes(circle_field):
-    rep = verify_hausdorff(circle_field, make_circle(1.0), 0.15)
+    rep = verify_hausdorff(circle_field, [make_circle(1.0)], 0.15)
     assert rep.passed
     assert rep.d_J <= 0.0625 + 2 * circle_field.pixel_diag
 
@@ -157,13 +162,13 @@ def test_verify_circle_passes(circle_field):
 def test_verify_zero_delta_fails(circle_field):
     # pixel quantization alone cannot meet a zero tolerance against the
     # shifted target circle
-    rep = verify_hausdorff(circle_field, make_circle(1.0), 0.0)
+    rep = verify_hausdorff(circle_field, [make_circle(1.0)], 0.0)
     assert not rep.passed
 
 
 def test_verify_bbox_too_small(circle_field):
     with pytest.raises(BboxTooSmall):
-        verify_hausdorff(circle_field, make_circle(1.0), 5.0)
+        verify_hausdorff(circle_field, [make_circle(1.0)], 5.0)
 
 
 def test_verify_annulus_variant():
@@ -270,6 +275,6 @@ def test_circle_render_checksum_regression():
     # classification flips this hash
     k = make_circle_shape(1.0, 0.0625, 64)
     f = render(k, BBOX, 64, 64, escape_radius=1.155, capture_radius=0.55,
-               max_iter=60, workers=1)
+               max_iter=60)
     digest = hashlib.sha256(f.status.tobytes() + f.iterations.tobytes()).hexdigest()
     assert digest == "b3e031cd1b3c8e4288731bfc00fed4e55be13cdab386b7372c90ff264fd07bbf"

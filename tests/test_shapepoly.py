@@ -390,14 +390,14 @@ def test_select_epsilon_circle(circle_map, circle_annulus):
 def test_select_epsilon_generous_ellipse(ellipse_map):
     outer = make_ellipse(1.7, 0.7)
     inner = make_ellipse(1.3, 0.3)
-    ann = AnnulusSpec(outer=outer, inner=inner, width_hint=0.4)
+    ann = AnnulusSpec(outer=outer, inner=inner)
     eps = select_epsilon(ellipse_map, ann.translated(-ellipse_map.t))
     assert eps >= 2.0 ** -3
 
 
 def test_select_epsilon_hairline_annulus(circle_map):
-    ann = AnnulusSpec(outer=make_circle(1.0 + 1e-9), inner=make_circle(1.0 - 1e-9),
-                      width_hint=2e-9).translated(-circle_map.t)
+    ann = AnnulusSpec(outer=make_circle(1.0 + 1e-9),
+                      inner=make_circle(1.0 - 1e-9)).translated(-circle_map.t)
     for search in (select_epsilon, oracles.select_epsilon):
         with pytest.raises(NoEpsilon):
             search(circle_map, ann)
