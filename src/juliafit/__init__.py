@@ -17,14 +17,14 @@ from .shapepoly import (
 )
 from .dynamics import EscapeCertificate, OrbitStatus, certify, classify_orbits, find_min_degree
 from .rational import AnnulusSystem, MultiShapeSystem, certify_S, certify_multi
-from .render import EscapeField, boundary_pixels, render, verify_hausdorff, write_image
+from .render import EscapeField, render, verify_hausdorff, write_image
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnnulusSpec", "AnnulusSystem", "EscapeCertificate", "EscapeField",
     "ExteriorMap", "JordanCurve", "MultiShapeSystem", "OrbitStatus",
-    "ScaledComplex", "ShapePolynomial", "boundary_pixels",
+    "ScaledComplex", "ShapePolynomial",
     "build_exterior_map", "certify", "certify_S", "certify_multi",
     "classify_orbits", "evaluate_map", "find_min_degree",
     "hausdorff_distance", "laurent_coefficients", "load_curve",

@@ -4,6 +4,11 @@ Commands: build (curve -> polynomial + certificate), render (dump -> image +
 field), verify (field or dump vs. curves -> report), rational (several curves
 -> combined rational map), annulus (curve pair -> annulus map).
 
+build writes ``shape.json`` and ``certificate.json``; rational and annulus
+write ``system.json`` and ``certificate.json``, then render and verify their
+map. The three share ``_fit``: an exterior map per curve, kept in memory, its
+inflation, and the degree search.
+
 render and verify take a dump of any of the three maps (``shape.json`` from
 build, ``system.json`` from rational and annulus); verify also takes a
 ``field.json``. A malformed dump exits 2.
@@ -112,22 +117,33 @@ def _pipeline_bbox(curve_list, delta: float):
 
 
 # ---------------------------------------------------------------------------
-# shape building helpers
+# fitting and output helpers
 
 
-def _build_one_shape(curve_t: curves.JordanCurve, band_t: curves.AnnulusSpec,
-                     args, t_dyn: complex):
-    """Exterior map + inflation for one translated curve; returns a builder
-    n -> ShapePolynomial in the working frame."""
-    p = curve_t.centroid
-    m = conformal.build_exterior_map(curve_t, p, resample=args.resample)
-    band_local = band_t.translated(-p)
-    eps = shapepoly.select_epsilon(m, band_local) if args.epsilon is None else args.epsilon
-
-    def build(n: int) -> shapepoly.ShapePolynomial:
-        return shapepoly.sample_roots(m, eps, n, t=t_dyn)
-
-    return m, eps, build
+def _fit(args, curve_list, bands, t: complex, assemble, certify):
+    """Fit one map to the curves, the shared core of build, rational and
+    annulus. Shifts the curves and their bands by t, builds each curve's
+    exterior map about its shifted centroid with its inflation (or
+    --epsilon), then searches the degree schedule for the least n at which
+    ``certify(assemble(*shapes), shifted bands, samples)`` passes, the shapes
+    taken in the order of the curves. Prints one "map ready" line per curve
+    and the certified line; returns the certified map, its certificate and
+    the inflations."""
+    bands_t = [b.translated(-t) for b in bands]
+    maps = []
+    for curve, band in zip(curve_list, bands_t):
+        curve_t = curve.translated(-t)
+        p = curve_t.centroid
+        m = conformal.build_exterior_map(curve_t, p, resample=args.resample)
+        eps = (shapepoly.select_epsilon(m, band.translated(-p)) if args.epsilon is None
+               else args.epsilon)
+        _say(f"map ready: boundary rmse {m.boundary_rmse:.3g}, inflation {eps}")
+        maps.append((m, eps))
+    system, cert = dynamics.find_min_degree(
+        lambda n: assemble(*(shapepoly.sample_roots(m, eps, n, t=t) for m, eps in maps)),
+        lambda candidate: certify(candidate, bands_t, args.samples), _schedule(args))
+    _say_margins("certified at", cert.n_certified, cert.margins())
+    return system, cert, [eps for _, eps in maps]
 
 
 def _render(args, system, bbox, radii):
@@ -173,23 +189,15 @@ def _finish(args, cfg, system, cert, curve_list, delta: float) -> int:
 def cmd_build(args) -> int:
     curve = curves.load_curve(args.input)
     eps_geom = args.eps_geom if args.eps_geom is not None else 0.05 * curve.diameter
-    ann = curves.offset_annulus(curve, eps_geom)
-    t = curve.centroid
-    curve_t = curve.translated(-t)
-    ann_t = ann.translated(-t)
     cfg = _config(args, "build")
     cfg["eps_geom_used"] = eps_geom
-
-    m, eps, build = _build_one_shape(curve_t, ann_t, args, t)
+    shape, cert, (eps,) = _fit(
+        args, [curve], [curves.offset_annulus(curve, eps_geom)], curve.centroid,
+        lambda shape: shape,
+        lambda shape, bands, samples: dynamics.certify(shape, *bands, samples))
     cfg["epsilon_used"] = eps
-    _say(f"map ready: boundary rmse {m.boundary_rmse:.3g}, inflation {eps}")
-    shape, cert = dynamics.find_min_degree(
-        build, lambda s: dynamics.certify(s, ann_t, args.samples),
-        _schedule(args))
-    _say_margins("certified at", cert.n_certified, cert.margins())
     save_dump(shape, _outpath(args, "shape.json"))
     dynamics.save_certificate(cert, _outpath(args, "certificate.json"), config=cfg)
-    save_dump(m, _outpath(args, "map.json"))
     return EXIT_OK
 
 
@@ -261,18 +269,9 @@ def cmd_rational(args) -> int:
     cfg.update(eps_geom_used=eps_geom, delta_used=delta,
                t_used=[t.real, t.imag])
 
-    anns_t = [a.translated(-t) for a in anns]
-    builders = []
-    for c, a_t in zip(curve_list, anns_t):
-        m, eps, build = _build_one_shape(c.translated(-t), a_t, args, t)
-        _say(f"shape map ready: boundary rmse {m.boundary_rmse:.3g}, inflation {eps}")
-        builders.append(build)
-
-    system, cert = dynamics.find_min_degree(
-        lambda n: rational.MultiShapeSystem(shapes=tuple(bd(n) for bd in builders)),
-        lambda sy: rational.certify_multi(sy, anns_t, args.samples),
-        _schedule(args))
-    _say_margins("certified at", cert.n_certified, cert.margins())
+    system, cert, _ = _fit(args, curve_list, anns, t,
+                           lambda *shapes: rational.MultiShapeSystem(shapes=shapes),
+                           rational.certify_multi)
     return _finish(args, cfg, system, cert, curve_list, delta)
 
 
@@ -301,25 +300,16 @@ def cmd_annulus(args) -> int:
     delta = args.delta if args.delta is not None else 0.2 * outer.diameter
     delta1 = min(delta, xi) / 3.0
     eps_geom = args.eps_geom if args.eps_geom is not None else delta1 / 2.0
-    band_e = curves.offset_annulus(outer, eps_geom)
-    band_f = curves.offset_annulus(inner, eps_geom)
+    bands = [curves.offset_annulus(c, eps_geom) for c in (outer, inner)]
 
     t = complex(*args.basepoint) if args.basepoint else _default_basepoint(outer, inner)
     cfg = _config(args, "annulus")
     cfg.update(eps_geom_used=eps_geom, delta_used=delta, xi=xi,
                t_used=[t.real, t.imag])
 
-    e_t = band_e.translated(-t)
-    f_t = band_f.translated(-t)
-    m_out, eps_out, build_out = _build_one_shape(outer.translated(-t), e_t, args, t)
-    m_in, eps_in, build_in = _build_one_shape(inner.translated(-t), f_t, args, t)
-    _say(f"maps ready: outer inflation {eps_out}, inner inflation {eps_in}")
-
-    system, cert = dynamics.find_min_degree(
-        lambda n: rational.AnnulusSystem(outer_shape=build_out(n), inner_shape=build_in(n)),
-        lambda sy: rational.certify_S(sy, e_t, f_t, args.samples),
-        _schedule(args))
-    _say_margins("certified at", cert.n_certified, cert.margins())
+    system, cert, _ = _fit(
+        args, [outer, inner], bands, t, rational.AnnulusSystem,
+        lambda system, bands, samples: rational.certify_S(system, *bands, samples))
     return _finish(args, cfg, system, cert, [outer, inner], delta)
 
 

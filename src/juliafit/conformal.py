@@ -8,7 +8,8 @@ of elementary slit-closing maps (one per boundary vertex), and conjugate the
 whole chain back. The resulting map evaluates anywhere on or outside the unit
 circle. Its Laurent data, whose leading coefficient is the curve's
 logarithmic capacity, is computed on demand by ``laurent_coefficients``; no
-part of the pipeline needs it.
+part of the pipeline needs it. A built map is an in-memory value: no command
+writes it out or reads it back.
 
 All evaluation points live in the shifted frame (curve minus t).
 """
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
 #: relative agreement demanded of the Laurent series between its two
 #: extractions
 REL_TOL_MAP = 1e-6
-#: unit-circle samples in the boundary table of a built map
+#: unit-circle points on which a built map's boundary fit is measured
 BOUNDARY_TABLE = 1024
 #: negative powers kept in a Laurent series by default
 LAURENT_ORDER = 64
@@ -59,21 +59,12 @@ class _Chain:
 @dataclass(frozen=True)
 class ExteriorMap:
     """Exterior map of a curve about its basepoint t, evaluated through its
-    slit-map chain. The dump records t and the boundary table; no command
-    reads it back."""
+    slit-map chain; boundary_rmse is the rms distance from the images of the
+    BOUNDARY_TABLE unit-circle points to the curve."""
 
-    kind: ClassVar[str] = "exterior_map"
     t: complex
-    boundary_samples: np.ndarray   # shape (B, 2): unit-circle point, image
     boundary_rmse: float
     chain: _Chain
-
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "t": _c2pair(self.t),
-            "boundary_samples": [[_c2pair(w), _c2pair(z)] for w, z in self.boundary_samples],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +217,7 @@ def laurent_coefficients(m: ExteriorMap, order: int = LAURENT_ORDER,
     |w| = rho_sample, cross-checked against a second extraction at twice the
     radius (the two truncated series must agree in the far field): c1 (the
     capacity) multiplies w, c0 is the constant term, c_-k divides w**k."""
-    if order > len(m.boundary_samples) // 2:
+    if order > BOUNDARY_TABLE // 2:
         raise Aliasing("order exceeds half the boundary table size")
 
     def extract(rho: float) -> np.ndarray:
@@ -299,9 +290,4 @@ def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
     if np.any(winding_numbers(_chain_eval(chain, ring), work) != 0):
         raise MapDiverged("points just outside the disk map inside the curve")
 
-    return ExteriorMap(t=complex(t), boundary_samples=np.column_stack((wb, zb)),
-                       boundary_rmse=rmse, chain=chain)
-
-
-def _c2pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+    return ExteriorMap(t=complex(t), boundary_rmse=rmse, chain=chain)

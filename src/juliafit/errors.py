@@ -86,9 +86,5 @@ class GeometryRejected(JuliafitError):
 
 # --- rendering / verification ---
 
-class MonochromeField(JuliafitError):
-    code = "MONOCHROME_FIELD"
-
-
 class BboxTooSmall(JuliafitError):
     code = "BBOX_TOO_SMALL"

@@ -45,7 +45,7 @@ from scipy.ndimage import distance_transform_edt
 
 from .curves import JordanCurve, enclosed, hausdorff_distance, relation
 from .dynamics import OrbitStatus, classify_orbits
-from .errors import BboxTooSmall, EmptySet, GeometryRejected, MonochromeField
+from .errors import BboxTooSmall, EmptySet, GeometryRejected, ParseError
 
 #: rows per tile. At 2048 x 2048 with 512 roots, on 2 CPUs, tiles of 16, 32,
 #: 64 and 128 rows rendered in 0.75, 0.53, 0.41 and 0.38 s pooled; against
@@ -119,13 +119,20 @@ class EscapeField:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "EscapeField":
-        """Rebuild a field from the dump ``save_field`` writes."""
+        """Rebuild a field from the dump ``save_field`` writes. A grid side
+        below MIN_GRID, or a bbox that is not finite with x0 < x1 and
+        y0 < y1, raises ParseError."""
         w, h = int(obj["width"]), int(obj["height"])
+        (x0, y0), (x1, y1) = obj["bbox"]
+        if w < MIN_GRID or h < MIN_GRID:
+            raise ParseError(f"field grid must be at least {MIN_GRID} x {MIN_GRID}, "
+                             f"got {w} x {h}")
+        if not (all(map(math.isfinite, (x0, y0, x1, y1))) and x0 < x1 and y0 < y1):
+            raise ParseError("field bbox needs finite x0 < x1 and y0 < y1")
         status = np.frombuffer(base64.b64decode(obj["status_b64"]),
                                dtype=np.uint8).reshape(h, w).copy()
         iters = np.frombuffer(base64.b64decode(obj["iterations_b64"]),
                               dtype="<u4").astype(np.uint32).reshape(h, w)
-        (x0, y0), (x1, y1) = obj["bbox"]
         return cls(bbox=(complex(x0, y0), complex(x1, y1)), width=w, height=h,
                    status=status, iterations=iters,
                    escape_radius=float(obj["escape_radius"]),
@@ -236,14 +243,6 @@ def render(kernel, bbox, width: int, height: int, *, escape_radius: float,
                        capture_radius=capture_radius, max_iter=max_iter)
 
 
-def boundary_pixels(field: EscapeField) -> np.ndarray:
-    """Centers of boundary pixels (status transitions plus undecided)."""
-    mask = field.boundary_mask()
-    if not mask.any():
-        raise MonochromeField("field has a single orbit class everywhere")
-    return field.pixel_centers()[mask]
-
-
 # ---------------------------------------------------------------------------
 # Hausdorff verification
 
@@ -330,18 +329,6 @@ def write_image(field: EscapeField, path) -> None:
     header = f"P5\n{field.width} {field.height}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header + img.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5"):
-        raise OSError(f"not a binary graymap: {path}")
-    parts = data.split(b"\n", 3)
-    w, h = map(int, parts[1].split())
-    if parts[2] != b"255":
-        raise OSError("expected 8-bit graymap")
-    return np.frombuffer(parts[3][: w * h], dtype=np.uint8).reshape(h, w)
 
 
 def save_field(field: EscapeField, path, config: dict | None = None) -> None:

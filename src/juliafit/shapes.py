@@ -41,13 +41,6 @@ def make_blob(scale: float = 1.0, center: complex = 0j, n: int = 512) -> JordanC
     return JordanCurve.from_points(center + scale * r * np.exp(1j * th))
 
 
-def make_figure_eight(n: int = 64) -> np.ndarray:
-    """Self-intersecting polyline (for negative tests); returns raw points.
-    The phase offset keeps the crossing interior to two segments."""
-    t = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    return np.sin(t) + 1j * np.sin(2 * t) / 2.0
-
-
 FIXTURES = {
     "circle": lambda: make_circle(),
     "ellipse": lambda: make_ellipse(),

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 import juliafit
-from juliafit import cli, shapepoly
+from helpers import make_figure_eight
+from juliafit import cli, conformal, shapepoly
 from juliafit.cli import build_parser, main
-from juliafit.shapes import make_figure_eight, make_square, write_curve_file
+from juliafit.shapes import make_square, write_curve_file
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +27,8 @@ def built_square(fixture_dir, tmp_path_factory):
 
 
 def test_build_square_artifacts(built_square):
-    for name in ("shape.json", "certificate.json", "map.json"):
-        assert (built_square / name).exists()
+    # the exterior map stays in memory
+    assert sorted(p.name for p in built_square.iterdir()) == ["certificate.json", "shape.json"]
     cert = json.loads((built_square / "certificate.json").read_text())
     assert cert["passed"] is True
     assert cert["kind"] == "escape_certificate"
@@ -463,9 +464,44 @@ def test_rational_validates_annuli_once(fixture_dir, tmp_path, monkeypatch):
     assert calls == [2]
 
 
-def _malformed_dump(case, built):
+@pytest.mark.parametrize("command,curves", [("build", 1), ("rational", 2), ("annulus", 2)])
+def test_one_exterior_map_per_curve(command, curves, fixture_dir, tmp_path, monkeypatch,
+                                    capsys):
+    calls = []
+    real = conformal.build_exterior_map
+
+    def counting(curve, *args, **kwargs):
+        calls.append(curve)
+        return real(curve, *args, **kwargs)
+
+    monkeypatch.setattr(conformal, "build_exterior_map", counting)
+    if command == "build":
+        argv = ["build", str(fixture_dir / "circle.txt"), "--n", "64"]
+    else:
+        argv = [command, *_pair_args(command, fixture_dir), "--delta", "0.3",
+                "--n", "256", "--epsilon", "0.015625", "--grid", "64"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert len(calls) == curves
+    assert sum(line.startswith("map ready: boundary rmse ") for line in lines) == curves
+
+
+@pytest.fixture(scope="module")
+def square_field(built_square, tmp_path_factory):
+    """The field dump of the built square over a window that holds the
+    0.3-neighbourhood of the square."""
+    out = tmp_path_factory.mktemp("square_field")
+    assert main(["render", str(built_square / "shape.json"),
+                 "--certificate", str(built_square / "certificate.json"),
+                 "--grid", "32", "--bbox", "-0.6", "-0.6", "1.6", "1.6",
+                 "--out", str(out)]) == 0
+    return json.loads((out / "field.json").read_text())
+
+
+def _malformed_dump(case, built, field):
     """Text of a dump that is broken in the way `case` names, made from the
-    valid shape dump and certificate in `built`."""
+    valid shape dump and certificate in `built` or the valid field dump
+    `field`."""
     shape = json.loads((built / "shape.json").read_text())
     if case == "not-json":
         return "{ not json"
@@ -485,6 +521,12 @@ def _malformed_dump(case, built):
                            "height": 16, "escape_radius": 2.0,
                            "capture_radius": 0.5, "max_iter": 10,
                            "status_b64": "", "iterations_b64": ""})
+    if case == "field-with-nan-bbox":
+        return json.dumps(dict(field, bbox=[[-0.6, math.nan], [1.6, 1.6]]))
+    if case == "field-with-inverted-bbox":
+        return json.dumps(dict(field, bbox=[[1.6, -0.6], [-0.6, 1.6]]))
+    if case == "field-with-negative-height":
+        return json.dumps(dict(field, height=-1))
     if case == "certificate-without-radii":
         return json.dumps({"kind": "escape_certificate", "passed": True})
     if case == "certificate-capture-above-escape":
@@ -515,11 +557,14 @@ def _malformed_dump(case, built):
     ("verify", "certificate-capture-above-escape"),
     ("render", "certificate-infinite-escape"),
     ("verify", "certificate-infinite-escape"),
+    ("verify", "field-with-nan-bbox"),
+    ("verify", "field-with-inverted-bbox"),
+    ("verify", "field-with-negative-height"),
 ])
-def test_malformed_dump_exits_parse(command, case, built_square, fixture_dir,
-                                    tmp_path, capsys):
+def test_malformed_dump_exits_parse(command, case, built_square, square_field,
+                                    fixture_dir, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(_malformed_dump(case, built_square))
+    bad.write_text(_malformed_dump(case, built_square, square_field))
     dump, cert = bad, built_square / "certificate.json"
     if case.startswith("certificate-"):
         dump, cert = built_square / "shape.json", bad
@@ -614,17 +659,18 @@ def test_option_surface():
 
 #: sha256 over the name and bytes of every artifact and the stderr of each
 #: run of test_cli_artifact_digest_regression; any change to an output, its
-#: configuration included, flips one of these
+#: configuration included, flips one of these. On a mismatch the test names
+#: the sha256 of each artifact of the runs that changed, and their stderr
 CLI_DIGESTS = {
-    "build-square": "626b49acff6f558aa741d34f9dcdb1f77b6bf7da6ba8cbcb983e01d6a59b1d79",
+    "build-square": "c48ced49c3cfcbab1f7c8ad556e563d1ac2153c24723b64c846aad9aed73fc5a",
     "build-square-verify": "dd5c1e97430d3fe8bf2ada81865cf79bae18179a774a8c2320e4a22021afc5dc",
-    "build-blob": "4950597d05208babdd20cea7ceaf1bc75f7917e844cef6e0779071027880a622",
+    "build-blob": "2c5d9ee5c253f246bc48a5b05aca25053a16ffe1525ccd5a8eee28c527e169bd",
     "build-blob-verify": "e42a50978483d9b8db9f61ae567b249a7a37000dfbdeaf24c0a511b42bea8033",
-    "build-circle": "523c17dc7bb76d8b67cb48f0b86c21d512a6f2a7dcb1bc646a106481bcf03367",
+    "build-circle": "a4ea2ee1b12c0ff60201f8bce05f8e09229265af3c3b3d31faf166fd9e5a0062",
     "build-circle-verify": "9100f5221ea16d12f74a2ef1c300bb56a968d46f4e3bf5c9872d6ee1a3d4516f",
-    "rational": "d0652de7b5743512a2848a53de260997da7aaf5ca78bcc9a047606ee1510592a",
+    "rational": "0ad9602530fd8adfc62d497ab0cd1937f2c849ff6219c0ed36882a8a97b64da6",
     "rational-verify": "bf9cfb4453fe718f205650385de25ba3261820ea98484dacac5f57cdd01f6328",
-    "annulus": "b9760b015d2c4b15ed7982bde8865b44eaa30279a3402d399b689e20ab55c83f",
+    "annulus": "eca54da99aa1afc2a163da7c8caddcfc6aa563325e2d53d345754ea6d6909fca",
     "annulus-verify": "1b2962b3f6514d071e9e2768d2d8d57567b947d77aec24710b56eba814a4e478",
     "build-square-render": "4c3599d0ae1922cd99e011db54d82ba127638b0efb60489e6740c9ae4152cc11",
     "build-square-render-bbox": "40f8b22633d4cc8f8ae71fecb590901236ca53528b1ff9c1f93e4dba58b96d5c",
@@ -633,12 +679,17 @@ CLI_DIGESTS = {
 }
 
 
-def _digest(out, err: str) -> str:
+def _digest(out, err: str) -> tuple[str, dict]:
+    """The run's digest, and the sha256 of each of its artifacts and its
+    stderr text."""
     h = hashlib.sha256()
+    parts = {}
     for p in sorted(out.iterdir()):
-        h.update(p.name.encode() + b"\0" + p.read_bytes())
+        data = p.read_bytes()
+        h.update(p.name.encode() + b"\0" + data)
+        parts[p.name] = hashlib.sha256(data).hexdigest()
     h.update(b"stderr\0" + err.encode())
-    return h.hexdigest()
+    return h.hexdigest(), dict(parts, stderr=err)
 
 
 def test_cli_artifact_digest_regression(fixture_dir, tmp_path, capsys):
@@ -649,21 +700,21 @@ def test_cli_artifact_digest_regression(fixture_dir, tmp_path, capsys):
              ("annulus", ["annulus", f("ring_outer"), f("ring_inner")],
               [f("ring_inner"), f("ring_outer")])]
     grid = ["--grid", "64"]
-    got = {}
+    got, parts = {}, {}
     for name, argv, targets in runs:
         out = tmp_path / name
         if argv[0] != "build":
             argv = argv + ["--delta", "0.3"] + grid
         assert main(argv + ["--out", str(out)]) == 0
-        got[name] = _digest(out, capsys.readouterr().err)
+        got[name], parts[name] = _digest(out, capsys.readouterr().err)
         dump = out / ("shape.json" if argv[0] == "build" else "system.json")
         verify = ["verify", str(dump), "--certificate", str(out / "certificate.json"),
                   "--delta", "0.3", *grid, "--out", str(tmp_path / f"{name}-verify")]
         for c in targets:
             verify += ["--curve", c]
         assert main(verify) == 0
-        got[f"{name}-verify"] = _digest(tmp_path / f"{name}-verify",
-                                        capsys.readouterr().err)
+        got[f"{name}-verify"], parts[f"{name}-verify"] = _digest(
+            tmp_path / f"{name}-verify", capsys.readouterr().err)
     # render of each kind of map, and of a given window
     bbox = ["--bbox", "-0.25", "-0.25", "1.25", "1.25"]
     for name, dump, extra in (("build-square", "shape.json", []),
@@ -674,5 +725,6 @@ def test_cli_artifact_digest_regression(fixture_dir, tmp_path, capsys):
         assert main(["render", str(tmp_path / name / dump), "--certificate",
                      str(tmp_path / name / "certificate.json"), *grid, *extra,
                      "--out", str(tmp_path / render)]) == 0
-        got[render] = _digest(tmp_path / render, capsys.readouterr().err)
-    assert got == CLI_DIGESTS
+        got[render], parts[render] = _digest(tmp_path / render, capsys.readouterr().err)
+    changed = {name: parts[name] for name in got if got[name] != CLI_DIGESTS.get(name)}
+    assert got == CLI_DIGESTS, "changed runs:\n" + json.dumps(changed, indent=1)

@@ -1,20 +1,19 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import boundary_table
 from juliafit import conformal
 from juliafit.conformal import (
+    BOUNDARY_TABLE,
     _chain_pullback,
     _series_eval,
     build_exterior_map,
     evaluate_map,
     laurent_coefficients,
 )
-from juliafit.dumps import save_dump
 from juliafit.errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
 from juliafit.shapes import FIXTURES, make_blob, make_circle, make_ellipse, make_square
 
@@ -101,7 +100,7 @@ def test_boundary_fidelity(built_shapes):
     for name, data in built_shapes.items():
         m = data["map"]
         curve_t = data["curve"].translated(-data["t"]).translated(-m.t)
-        d = hausdorff_distance(m.boundary_samples[:, 1],
+        d = hausdorff_distance(boundary_table(m)[:, 1],
                                curve_t.boundary_samples(4096))
         assert d < 5e-3 * data["curve"].diameter, name
 
@@ -155,7 +154,7 @@ def test_laurent_two_radius_consistency(ellipse_map):
 
 def test_laurent_order_capped(circle_map):
     with pytest.raises(Aliasing):
-        laurent_coefficients(circle_map, len(circle_map.boundary_samples))
+        laurent_coefficients(circle_map, BOUNDARY_TABLE)
 
 
 def test_laurent_reproduces_direct_at_two(square_map):
@@ -164,22 +163,6 @@ def test_laurent_reproduces_direct_at_two(square_map):
     direct = evaluate_map(square_map, w)
     approx = _series_eval(laurent_coefficients(square_map), w)
     assert np.abs(direct - approx).max() < 1e-6 * np.abs(direct).max()
-
-
-# ---------------------------------------------------------------------------
-# persistence
-
-
-def test_save_load_round_trip(ellipse_map, tmp_path):
-    # the dump holds the basepoint and the boundary table, bit for bit; no
-    # command reads it back into a map
-    p = tmp_path / "map.json"
-    save_dump(ellipse_map, p)
-    obj = json.loads(p.read_text())
-    assert sorted(obj) == ["boundary_samples", "kind", "t"]
-    assert complex(*obj["t"]) == ellipse_map.t
-    table = np.array([[complex(*w), complex(*z)] for w, z in obj["boundary_samples"]])
-    assert np.array_equal(table, ellipse_map.boundary_samples)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import make_figure_eight
 from juliafit import curves
 from juliafit.curves import (
     JordanCurve,
@@ -16,7 +17,7 @@ from juliafit.curves import (
     winding_numbers,
 )
 from juliafit.errors import NotSimple
-from juliafit.shapes import make_blob, make_circle, make_figure_eight, make_square
+from juliafit.shapes import make_blob, make_circle, make_square
 
 
 def assert_kernels_exact(z, points):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import make_figure_eight
 from juliafit.curves import (
     ON_TOL_REL,
     AnnulusSpec,
@@ -22,7 +23,7 @@ from juliafit.curves import (
 from juliafit.errors import (
     EmptySet, NotSimple, OffsetCollapse, ParseError, SamplingFailure, TooFewPoints,
 )
-from juliafit.shapes import make_blob, make_circle, make_figure_eight, make_square
+from juliafit.shapes import make_blob, make_circle, make_square
 
 
 def densified_square(n=64, clockwise=False):

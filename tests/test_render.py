@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import read_pgm
 from juliafit.curves import hausdorff_distance
 from juliafit.dumps import load_dump
 from juliafit.dynamics import OrbitStatus
-from juliafit.errors import BboxTooSmall, MonochromeField
+from juliafit.errors import BboxTooSmall
 from juliafit.render import (
     EscapeField,
-    boundary_pixels,
-    read_pgm,
     render,
     save_field,
     verify_hausdorff,
@@ -46,6 +45,11 @@ def circle_field():
     k = make_circle_shape(1.0, 0.0625, 64)
     return render(k, BBOX, 256, 256, escape_radius=1.155, capture_radius=0.55,
                   max_iter=200)
+
+
+def boundary_pixels(field):
+    """Centres of the field's boundary pixels."""
+    return field.pixel_centers()[field.boundary_mask()]
 
 
 def synthetic_field(status, iterations=None, bbox=(0j, 1 + 1j)):
@@ -133,12 +137,6 @@ def test_checkerboard_all_boundary():
     status = np.indices((8, 8)).sum(axis=0) % 2
     f = synthetic_field(status)
     assert len(boundary_pixels(f)) == 64
-
-
-def test_monochrome_rejected():
-    f = synthetic_field(np.zeros((8, 8)))
-    with pytest.raises(MonochromeField):
-        boundary_pixels(f)
 
 
 def test_undecided_counts_as_boundary():

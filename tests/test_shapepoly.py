@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import boundary_table
 from juliafit import shapepoly
 from juliafit.curves import AnnulusSpec, offset_annulus, winding_numbers
 from juliafit.dumps import load_dump, save_dump
@@ -462,7 +463,7 @@ def test_fixture_map_digest_regression(built_shapes):
     for name, data in built_shapes.items():
         m = data["map"]
         h = hashlib.sha256()
-        for part in (m.boundary_samples, np.float64(data["epsilon"]),
+        for part in (boundary_table(m), np.float64(data["epsilon"]),
                      data["build"](64).roots):
             h.update(part.tobytes())
         got[name] = h.hexdigest()
