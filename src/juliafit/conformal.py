@@ -29,6 +29,9 @@ from .errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
 REL_TOL_MAP = 1e-6
 #: unit-circle points on which a built map's boundary fit is measured
 BOUNDARY_TABLE = 1024
+#: unit-circle points among which the gauge anchors w = 1 (see
+#: ``build_exterior_map``)
+GAUGE_PROBE = 4096
 #: negative powers kept in a Laurent series by default
 LAURENT_ORDER = 64
 #: radius of the circle the Laurent coefficients are read on
@@ -250,10 +253,13 @@ def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
     """Construct the exterior map for a curve about interior basepoint t
     (default: the region centroid).
 
-    The map is normalized so that w = 1 lands on the curve point of maximal
-    real part (ties toward maximal imaginary part), up to the boundary-table
-    resolution. Raises MAP_DIVERGED when the boundary fit misses MAP_TOL_REL
-    times the curve diameter.
+    The map is normalized so that w = 1 lands on the image of maximal real
+    part (ties toward maximal imaginary part) among the images of GAUGE_PROBE
+    equally spaced unit-circle points, that is on the curve point of maximal
+    real part up to an angle of 2 pi / GAUGE_PROBE in w. Raises MAP_DIVERGED
+    when the boundary fit on the BOUNDARY_TABLE unit-circle points misses
+    MAP_TOL_REL times the curve diameter, or when a point just outside the
+    unit circle maps inside the curve.
     """
     if t is None:
         t = curve.centroid
@@ -270,7 +276,7 @@ def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
 
     # gauge: anchor w = 1 at the rightmost boundary image; evaluation pulls
     # back u = gauge / w, so the anchor gauge is the conjugate probe point
-    th = 2.0 * np.pi * np.arange(4096) / 4096
+    th = 2.0 * np.pi * np.arange(GAUGE_PROBE) / GAUGE_PROBE
     probe = np.exp(1j * th)
     vals = _chain_eval(chain, probe)
     best = np.lexsort((vals.imag, vals.real))[-1]
@@ -278,16 +284,18 @@ def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
                    b_close=chain.b_close, a_disk=chain.a_disk,
                    gauge=complex(np.conjugate(probe[best])))
 
+    # the boundary table and a ring just outside it in one chain call: the
+    # chain maps each point as it would alone
     th_b = 2.0 * np.pi * np.arange(BOUNDARY_TABLE) / BOUNDARY_TABLE
-    wb = np.exp(1j * th_b)
-    zb = _chain_eval(chain, wb)
+    ring = (1.0 + 1e-3) * np.exp(1j * th_b[::4])
+    zb, z_ring = np.split(_chain_eval(chain, np.concatenate((np.exp(1j * th_b), ring))),
+                          [BOUNDARY_TABLE])
     rmse = float(np.sqrt(np.mean(distance_to_polyline(zb, work) ** 2)))
     if not np.all(np.isfinite(zb)) or rmse > map_tol:
         raise MapDiverged(
             f"boundary fit rmse {rmse:.3g} exceeds tolerance {map_tol:.3g}")
 
-    ring = (1.0 + 1e-3) * np.exp(1j * th_b[::4])
-    if np.any(winding_numbers(_chain_eval(chain, ring), work) != 0):
+    if np.any(winding_numbers(z_ring, work) != 0):
         raise MapDiverged("points just outside the disk map inside the curve")
 
     return ExteriorMap(t=complex(t), boundary_rmse=rmse, chain=chain)

@@ -4,7 +4,9 @@ A render classifies every pixel center by orbit fate (captured near the
 origin, escaped beyond the certified radius, or undecided at the iteration
 budget) with ``dynamics.classify_orbits``, the one orbit classifier. Work is
 split into row tiles; each tile is computed independently, so worker count
-changes timing but never bytes.
+changes timing but never bytes. ``fork_map`` runs the tiles in a pool of
+forked processes; ``cli`` runs the per-curve fits of rational and annulus in
+it too.
 
 Each tile of TILE_ROWS rows is cut into blocks of BLOCK x BLOCK pixels (the
 last ones may be smaller). Once per live block, whose disk reaches between
@@ -35,6 +37,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -55,10 +58,10 @@ TILE_ROWS = 64
 #: pixels per side of a block that shares one ``step_floor`` and one
 #: ``step_ceiling`` bound
 BLOCK = 16
-#: pixels times roots below which a render runs in one process by default:
-#: starting the pool costs more than it saves. On 2 CPUs a 512 x 512 render
-#: took 36 ms alone and 58 ms pooled at 64 roots, 90 and 90 ms at 256 roots,
-#: and 224 and 154 ms at 512 roots.
+#: pixels times roots below which a render runs in one process, not in a
+#: ``fork_map`` pool: starting the pool costs more than it saves. On 2 CPUs a
+#: 512 x 512 render took 36 ms alone and 58 ms pooled at 64 roots, 90 and
+#: 90 ms at 256 roots, and 224 and 154 ms at 512 roots.
 SERIAL_WORK = 50_000_000
 #: smallest render grid side
 MIN_GRID = 16
@@ -153,6 +156,22 @@ def _dilate4(mask: np.ndarray) -> np.ndarray:
 # rendering
 
 
+def fork_map(fn, tasks, workers: int):
+    """Yield fn(*task) for each task, in order. With more than one worker
+    and more than one task the calls run in a pool of that many forked
+    processes, which inherit this process's modules as they stand; otherwise
+    they run here, one at a time as the results are taken. Arguments and
+    results are pickled. A call's error is raised where its result would be
+    yielded, after the results before it."""
+    if workers > 1 and len(tasks) > 1:
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            yield from pool.map(fn, *zip(*tasks))
+    else:
+        for task in tasks:
+            yield fn(*task)
+
+
 def pixel_centres(bbox, width: int, height: int, rows: np.ndarray) -> np.ndarray:
     """Centres of the given rows (0 at the top) of a width x height grid over bbox."""
     lo, hi = bbox
@@ -229,13 +248,7 @@ def render(kernel, bbox, width: int, height: int, *, escape_radius: float,
               capture_radius, max_iter) for r0, nr in rows]
     small = width * height * len(kernel.roots) < SERIAL_WORK
     workers = 1 if small else min(4, os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
-        import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            parts = list(pool.map(_render_tile, *zip(*tasks)))
-    else:
-        parts = [_render_tile(*t) for t in tasks]
+    parts = list(fork_map(_render_tile, tasks, workers))
     status = np.vstack([p[0] for p in parts])
     iters = np.vstack([p[1] for p in parts])
     return EscapeField(bbox=bbox, width=width, height=height, status=status,

@@ -66,8 +66,9 @@ from .errors import DuplicateRoots, MapDiverged, NoEpsilon, ParseError
 #: (any cutoff >= 54 yields bit-identical results; 128 leaves headroom)
 _MID = 128
 #: select_epsilon tries the inflations 2**-1 ... 2**-EPS_HALVINGS, each on
-#: EPS_SAMPLES points of the inflated circle, screened first on every
-#: EPS_COARSE-th of them
+#: EPS_SAMPLES points of the inflated circle, in three steps: every
+#: EPS_COARSE**2-th point, then the rest of every EPS_COARSE-th, then the
+#: others
 EPS_HALVINGS = 20
 EPS_SAMPLES = 4096
 EPS_COARSE = 8
@@ -206,19 +207,21 @@ def select_epsilon(m: ExteriorMap, annulus: AnnulusSpec) -> float:
     circle stays strictly inside the annulus band. The annulus must be given
     in the map's output frame (source curve minus t).
 
-    Coarse first: each inflation is tested on every EPS_COARSE-th ring point,
-    and on the whole ring only if that slice passes. The map and the band
-    test both work point by point, so the slice gets the same values and
-    verdicts as inside a full evaluation: a failing slice means a failing
-    ring, and the search returns the same inflation (or raises the same
-    NO_EPSILON) as testing every point of every ring."""
-    th = 2.0 * np.pi * np.arange(EPS_SAMPLES) / EPS_SAMPLES
-    ring = np.exp(1j * th)
-    coarse = ring[::EPS_COARSE].copy()
+    Coarse first: each inflation is tested on every EPS_COARSE**2-th ring
+    point, then on the rest of every EPS_COARSE-th, then on the others, and
+    fails at the first step that does; no point is evaluated twice. The map
+    and the band test both work point by point, so each step gets the same
+    values and verdicts as inside a full evaluation: the search returns the
+    same inflation (or raises the same NO_EPSILON) as testing every point of
+    every ring at once."""
+    i = np.arange(EPS_SAMPLES)
+    ring = np.exp(1j * (2.0 * np.pi * i / EPS_SAMPLES))
+    sparse, coarse = i % EPS_COARSE ** 2 == 0, i % EPS_COARSE == 0
+    steps = [ring[sparse], ring[coarse & ~sparse], ring[~coarse]]
     for k in range(1, EPS_HALVINGS + 1):
         eps = 2.0 ** -k
-        if (np.all(annulus.strictly_in_band(evaluate_map(m, (1.0 + eps) * coarse)))
-                and np.all(annulus.strictly_in_band(evaluate_map(m, (1.0 + eps) * ring)))):
+        if all(np.all(annulus.strictly_in_band(evaluate_map(m, (1.0 + eps) * step)))
+               for step in steps):
             return eps
     raise NoEpsilon(
         f"no inflation down to 2**-{EPS_HALVINGS} stays inside the annulus "

@@ -467,11 +467,14 @@ def test_rational_validates_annuli_once(fixture_dir, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command,curves", [("build", 1), ("rational", 2), ("annulus", 2)])
 def test_one_exterior_map_per_curve(command, curves, fixture_dir, tmp_path, monkeypatch,
                                     capsys):
-    calls = []
+    # the curves may be fitted in forked workers, whose appends to a list of
+    # this process would be lost: each call appends a line to a file instead
+    log = tmp_path / "calls.txt"
     real = conformal.build_exterior_map
 
     def counting(curve, *args, **kwargs):
-        calls.append(curve)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
         return real(curve, *args, **kwargs)
 
     monkeypatch.setattr(conformal, "build_exterior_map", counting)
@@ -480,10 +483,44 @@ def test_one_exterior_map_per_curve(command, curves, fixture_dir, tmp_path, monk
     else:
         argv = [command, *_pair_args(command, fixture_dir), "--delta", "0.3",
                 "--n", "256", "--epsilon", "0.015625", "--grid", "64"]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     lines = capsys.readouterr().err.splitlines()
+    calls = log.read_text().splitlines()
     assert len(calls) == curves
     assert sum(line.startswith("map ready: boundary rmse ") for line in lines) == curves
+
+
+@pytest.mark.parametrize("option,code", [(["--resample", "48"], "MAP_DIVERGED"),
+                                         (["--eps-geom", "0.001"], "NO_EPSILON")])
+@pytest.mark.parametrize("command,first", [("rational", "circle_left"),
+                                           ("annulus", "ring_outer")])
+def test_later_curve_error_crosses_the_workers(command, first, option, code, fixture_dir,
+                                               tmp_path, monkeypatch, capsys):
+    # the first curve fits and the square after it fails: fitted in two
+    # forked workers, the run reports as it does fitting one curve at a time
+    argv = [command, str(fixture_dir / f"{first}.txt"), str(fixture_dir / "square.txt"),
+            *option, "--grid", "64"]
+    err = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(argv + ["--out", str(tmp_path / str(cpus))]) == 3
+        err[cpus] = capsys.readouterr().err
+    assert err[2] == err[1]
+    lines = err[2].splitlines()
+    assert len(lines) == 2 and lines[0].startswith("map ready: boundary rmse ")
+    assert lines[1].startswith(f"error [{code}]: ")
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("command", ["rational", "annulus"])
+def test_fit_matches_pinned_digest_at_any_cpu_count(command, cpus, fixture_dir, tmp_path,
+                                                    monkeypatch, capsys):
+    # one CPU fits the curves in this process, two in forked workers
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    out = tmp_path / command
+    assert main([command, *_pair_args(command, fixture_dir), "--delta", "0.3",
+                 "--grid", "64", "--out", str(out)]) == 0
+    assert _digest(out, capsys.readouterr().err)[0] == CLI_DIGESTS[command]
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from juliafit.conformal import (
     laurent_coefficients,
 )
 from juliafit.errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
+from juliafit.render import fork_map
 from juliafit.shapes import FIXTURES, make_blob, make_circle, make_ellipse, make_square
 
 # logarithmic capacity of a square per unit side: Gamma(1/4)^2 / (4 pi^(3/2))
@@ -198,3 +199,41 @@ def test_chain_pullback_zero_branch(built_shapes, name):
     assert (a - u[0] * np.conjugate(a)) == 0     # the first stage sees zeta = 0
     for size in (1, 2, 3):
         assert_pullback_exact(chain, u[:size])
+
+
+# ---------------------------------------------------------------------------
+# batch independence: select_epsilon's screen, the merged boundary and ring
+# call of build_exterior_map and the fitting workers rely on it
+
+
+def bits(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.complex128).reshape(-1).view(np.uint64)
+
+
+@settings(deadline=None, max_examples=30)
+@given(name=st.sampled_from(sorted(FIXTURES)), size=st.integers(2, 600),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_chain_evaluation_independent_of_batch(built_shapes, name, size, seed, data):
+    m = built_shapes[name]["map"]
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(1.0, 3.0, size) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
+    # on the unit circle the evaluation pulls |u| in to 1 - 1e-12
+    on_circle = rng.integers(0, 2, size) == 1
+    w[on_circle] /= np.abs(w[on_circle])
+    whole = evaluate_map(m, w)
+
+    k = data.draw(st.integers(0, size - 1), label="lone point")
+    assert np.array_equal(bits(evaluate_map(m, w[k])), bits(whole[k]))
+    lo = data.draw(st.integers(0, size - 1), label="offset")
+    hi = data.draw(st.integers(lo + 1, size), label="end")
+    step = data.draw(st.integers(1, 13), label="step")
+    assert np.array_equal(bits(evaluate_map(m, w[lo:hi:step])), bits(whole[lo:hi:step]))
+    assert np.array_equal(bits(evaluate_map(m, w[lo:])), bits(whole[lo:]))
+    # a concatenation of two point sets
+    v = 1.5 * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 7))
+    assert np.array_equal(bits(evaluate_map(m, np.concatenate((w, v)))),
+                          bits(np.concatenate((whole, evaluate_map(m, v)))))
+    # a split of the set over two forked workers
+    split = data.draw(st.integers(1, size - 1), label="split")
+    parts = fork_map(evaluate_map, [(m, w[:split]), (m, w[split:])], 2)
+    assert np.array_equal(bits(np.concatenate(list(parts))), bits(whole))
