@@ -15,6 +15,9 @@ def fixture_dir(tmp_path_factory):
     write_curve_file(make_circle(1.0, +2.5), d / "circle_right.txt")
     write_curve_file(make_circle(2.0), d / "ring_outer.txt")
     write_curve_file(make_circle(1.0), d / "ring_inner.txt")
+    # the outer C of c_shaped_pair at half size: clear of circle_left, inside
+    # ring_outer, and its centroid (-0.149) lies outside it
+    write_curve_file(annular_sector(0.5, 1.0, 30, 330), d / "c_shape.txt")
     return d
 
 

@@ -29,6 +29,7 @@ def make_figure_eight(n: int = 64) -> np.ndarray:
 
 def boundary_table(m) -> np.ndarray:
     """Rows (w, map(w)) at the BOUNDARY_TABLE unit-circle points on which
-    ``build_exterior_map`` measures the boundary fit, in its arithmetic."""
+    ``build_exterior_map`` measures the boundary fit, evaluated apart from
+    the gauge probe whose images the build reads them from."""
     wb = np.exp(1j * (2.0 * np.pi * np.arange(BOUNDARY_TABLE) / BOUNDARY_TABLE))
     return np.column_stack((wb, evaluate_map(m, wb)))

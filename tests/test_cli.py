@@ -490,15 +490,17 @@ def test_one_exterior_map_per_curve(command, curves, fixture_dir, tmp_path, monk
     assert sum(line.startswith("map ready: boundary rmse ") for line in lines) == curves
 
 
-@pytest.mark.parametrize("option,code", [(["--resample", "48"], "MAP_DIVERGED"),
-                                         (["--eps-geom", "0.001"], "NO_EPSILON")])
+@pytest.mark.parametrize("option,code", [(["c_shape"], "BAD_BASEPOINT"),
+                                         (["square", "--eps-geom", "0.001"], "NO_EPSILON")])
 @pytest.mark.parametrize("command,first", [("rational", "circle_left"),
                                            ("annulus", "ring_outer")])
 def test_later_curve_error_crosses_the_workers(command, first, option, code, fixture_dir,
                                                tmp_path, monkeypatch, capsys):
-    # the first curve fits and the square after it fails: fitted in two
-    # forked workers, the run reports as it does fitting one curve at a time
-    argv = [command, str(fixture_dir / f"{first}.txt"), str(fixture_dir / "square.txt"),
+    # the first curve fits and the later one fails (each case gives the later
+    # curve, then its options): fitted in two forked workers, the run reports
+    # as it does fitting one curve at a time
+    later, *option = option
+    argv = [command, str(fixture_dir / f"{first}.txt"), str(fixture_dir / f"{later}.txt"),
             *option, "--grid", "64"]
     err = {}
     for cpus in (2, 1):
@@ -509,6 +511,22 @@ def test_later_curve_error_crosses_the_workers(command, first, option, code, fix
     lines = err[2].splitlines()
     assert len(lines) == 2 and lines[0].startswith("map ready: boundary rmse ")
     assert lines[1].startswith(f"error [{code}]: ")
+
+
+@pytest.mark.parametrize("resample", [48, 128, 256])
+def test_square_certifies_on_a_short_chain(resample, fixture_dir, tmp_path):
+    # a coarse map only proposes roots; the certificate passes them
+    assert main(["build", str(fixture_dir / "square.txt"), "--resample", str(resample),
+                 "--out", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["passed"] is True and cert["n_certified"] == 16
+
+
+def test_annulus_around_square_verifies_on_a_short_chain(fixture_dir, tmp_path):
+    assert main(["annulus", str(fixture_dir / "ring_outer.txt"),
+                 str(fixture_dir / "square.txt"), "--resample", "48", "--grid", "64",
+                 "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["pass"] is True
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

@@ -14,6 +14,7 @@ from juliafit.conformal import (
     evaluate_map,
     laurent_coefficients,
 )
+from juliafit.curves import distance_to_polyline, resample_closed
 from juliafit.errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
 from juliafit.render import fork_map
 from juliafit.shapes import FIXTURES, make_blob, make_circle, make_ellipse, make_square
@@ -91,7 +92,31 @@ def test_capacity_scales_linearly():
 
 
 def test_quality_reported(square_map):
-    assert 0 <= square_map.boundary_rmse <= conformal.MAP_TOL_REL * make_square().diameter
+    assert 0 <= square_map.boundary_rmse <= 1e-3 * make_square().diameter
+
+
+@pytest.mark.parametrize("resample", [48, 512])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_boundary_rmse_matches_boundary_table(name, resample):
+    # the fit read off the gauge probe equals the fit of a separate
+    # evaluation of the boundary table
+    curve = FIXTURES[name]()
+    m = build_exterior_map(curve, resample=resample)
+    work = resample_closed(curve.points, resample) - m.t
+    want = np.sqrt(np.mean(distance_to_polyline(boundary_table(m)[:, 1], work) ** 2))
+    assert m.boundary_rmse == pytest.approx(want, rel=1e-9)
+
+
+def test_build_evaluates_the_chain_once(monkeypatch):
+    calls = []
+
+    def counting(chain, u):
+        calls.append(len(u))
+        return _chain_pullback(chain, u)
+
+    monkeypatch.setattr(conformal, "_chain_pullback", counting)
+    build_exterior_map(make_square())
+    assert calls == [conformal.GAUGE_PROBE]
 
 
 def test_boundary_fidelity(built_shapes):
@@ -106,12 +131,13 @@ def test_boundary_fidelity(built_shapes):
         assert d < 5e-3 * data["curve"].diameter, name
 
 
-def test_just_outside_circle_lands_outside(circle_map, ellipse_map):
-    th = 2 * np.pi * np.arange(64) / 64
-    for m, curve in ((circle_map, make_circle()), (ellipse_map, make_ellipse())):
+def test_just_outside_circle_lands_outside(built_shapes):
+    th = 2 * np.pi * np.arange(256) / 256
+    for name, data in built_shapes.items():
+        m = data["map"]
+        curve_t = data["curve"].translated(-data["t"]).translated(-m.t)
         pts = evaluate_map(m, (1 + 1e-3) * np.exp(1j * th))
-        w = curve.translated(-m.t).contains(pts)
-        assert not w.any()
+        assert not curve_t.contains(pts).any(), name
 
 
 def test_far_field_normalization(ellipse_map):
@@ -137,9 +163,16 @@ def test_bad_basepoint():
         build_exterior_map(make_circle(1.0), t=5.0 + 0j)
 
 
-def test_map_diverged_on_impossible_tolerance(monkeypatch):
-    monkeypatch.setattr(conformal, "MAP_TOL_REL", 1e-12)
-    with pytest.raises(MapDiverged):
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_map_diverged_on_non_finite_image(k, monkeypatch):
+    # one NaN among the probe images, in the boundary table or not
+    def nan_at_k(chain, u):
+        z = _chain_pullback(chain, u)
+        z[k] = np.nan
+        return z
+
+    monkeypatch.setattr(conformal, "_chain_pullback", nan_at_k)
+    with np.errstate(invalid="ignore"), pytest.raises(MapDiverged):
         build_exterior_map(make_square(1.0))
 
 
@@ -202,8 +235,8 @@ def test_chain_pullback_zero_branch(built_shapes, name):
 
 
 # ---------------------------------------------------------------------------
-# batch independence: select_epsilon's screen, the merged boundary and ring
-# call of build_exterior_map and the fitting workers rely on it
+# batch independence: select_epsilon's screen and the fitting workers rely
+# on it
 
 
 def bits(values) -> np.ndarray:
