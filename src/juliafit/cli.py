@@ -33,7 +33,7 @@ takes and the configuration records, selects nothing. The dumped map holds
 its shapes; the bands follow from the inputs and the recorded configuration.
 
 Exit codes: 0 ok, 2 parse, 3 geometry, 4 certification fail,
-5 verification fail, 6 io.
+5 verification fail, 6 io, including a worker process that died.
 """
 
 from __future__ import annotations
@@ -297,7 +297,7 @@ def _default_basepoint(outer: curves.JordanCurve, inner: curves.JordanCurve) -> 
     direction /= abs(direction)
     s = np.linspace(0.0, outer.diameter, 4096)
     probes = start + direction * s
-    outside = curves.winding_numbers(probes, outer.points) == 0
+    outside = ~outer.contains(probes)
     idx = int(np.argmax(outside)) if outside.any() else len(s) - 1
     return complex(start + direction * (s[idx] / 2.0))
 

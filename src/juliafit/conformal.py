@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curves import JordanCurve, distance_to_polyline, resample_closed, signed_area, winding_numbers
+from .curves import JordanCurve, distance_to_polyline, resample_closed, signed_area
 from .errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
 
 #: relative agreement demanded of the Laurent series between its two
@@ -206,16 +206,13 @@ def _series_eval(coeffs: np.ndarray, w: np.ndarray) -> np.ndarray:
 # public operations
 
 
-def evaluate_map(m: ExteriorMap, w):
-    """Evaluate the exterior map at scalar or array w with |w| >= 1 (a hair
-    less is tolerated). Output is in the shifted frame (curve minus t)."""
-    w_arr = np.asarray(w, dtype=np.complex128)
-    scalar = w_arr.ndim == 0
-    w_arr = w_arr.reshape(-1)
-    if np.any(np.abs(w_arr) < 1.0 - DOMAIN_TOL):
+def evaluate_map(m: ExteriorMap, w: np.ndarray) -> np.ndarray:
+    """Evaluate the exterior map at the points of the 1-D complex array w,
+    each with |w| >= 1 (a hair less is tolerated). Returns a 1-D array in
+    the shifted frame (curve minus t)."""
+    if np.any(np.abs(w) < 1.0 - DOMAIN_TOL):
         raise OutOfDomain("evaluation point inside the unit disk")
-    vals = _chain_eval(m.chain, w_arr)
-    return complex(vals[0]) if scalar else vals
+    return _chain_eval(m.chain, w)
 
 
 def laurent_coefficients(m: ExteriorMap, order: int = LAURENT_ORDER,
@@ -252,10 +249,10 @@ def laurent_coefficients(m: ExteriorMap, order: int = LAURENT_ORDER,
     return c_lo
 
 
-def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
-                       resample: int = 512) -> ExteriorMap:
-    """Construct the exterior map for a curve about interior basepoint t
-    (default: the region centroid).
+def build_exterior_map(curve: JordanCurve, t: complex, *, resample: int) -> ExteriorMap:
+    """Construct the exterior map for a curve about interior basepoint t, a
+    chain of ``resample`` slit-map stages, one per vertex of the curve
+    resampled uniformly in arclength.
 
     The map is normalized so that w = 1 lands on the image of maximal real
     part (ties toward maximal imaginary part) among the images of GAUGE_PROBE
@@ -269,9 +266,7 @@ def build_exterior_map(curve: JordanCurve, t: complex | None = None, *,
     point to a non-finite value. A finite map with a poor fit is returned:
     its roots meet the certificate, which passes or fails them.
     """
-    if t is None:
-        t = curve.centroid
-    if (winding_numbers([t], curve.points)[0] != 1
+    if (not curve.contains([t])[0]
             or float(distance_to_polyline([t], curve.points)[0]) < 1e-9 * curve.diameter):
         raise BadBasepoint(f"basepoint {t} is not strictly inside the curve")
 

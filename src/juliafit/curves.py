@@ -308,15 +308,12 @@ class JordanCurve:
         return winding_numbers(z, self.points) != 0
 
 
-def load_curve(source) -> JordanCurve:
-    """Parse a curve file: either one "x y" pair per line, or a JSON object
-    with a "points" field of [x, y] pairs. Validates and normalizes to
-    counterclockwise."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def load_curve(path) -> JordanCurve:
+    """Parse the curve file at path: either one "x y" pair per line, or a
+    JSON object with a "points" field of [x, y] pairs. Validates and
+    normalizes to counterclockwise."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     stripped = text.lstrip()
     try:
         if stripped.startswith("{"):
@@ -352,9 +349,9 @@ def relation(a: JordanCurve, b: JordanCurve) -> str:
     does not meet the other lies wholly on one side of it: one vertex decides."""
     if _segment_pairs_intersect(a.points, b.points, touch=True) is not None:
         return "meet"
-    if winding_numbers(b.points[:1], a.points)[0] != 0:
+    if a.contains(b.points[:1])[0]:
         return "contains"
-    if winding_numbers(a.points[:1], b.points)[0] != 0:
+    if b.contains(a.points[:1])[0]:
         return "inside"
     return "apart"
 
@@ -364,7 +361,7 @@ def enclosed(z, curves) -> np.ndarray:
     the insides for curves that lie apart, the band between a nested pair."""
     odd = np.zeros(np.size(z), dtype=bool)
     for c in curves:
-        odd ^= winding_numbers(z, c.points) != 0
+        odd ^= c.contains(z)
     return odd
 
 

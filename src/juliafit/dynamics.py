@@ -75,9 +75,8 @@ class OrbitStatus(enum.IntEnum):
 
 
 def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
-                    capture_radius: float, max_iter: int = 200,
-                    floor: np.ndarray | None = None,
-                    ceiling: np.ndarray | None = None):
+                    capture_radius: float, max_iter: int,
+                    floor: np.ndarray, ceiling: np.ndarray):
     """The one orbit classifier: iterate ``kernel.step`` from every point of
     the 1-D array z (in the kernel's shifted frame) until the orbit magnitude
     leaves [capture_radius, escape_radius] or the budget runs out.
@@ -87,14 +86,14 @@ def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
     max_iter. A step whose magnitude is NaN (indeterminate) ends the orbit
     UNDECIDED at that step.
 
-    ``floor``, if given, holds a lower bound on log2|step(z)| per point; a
-    point still undecided after step 0 whose floor exceeds log2(escape_radius)
-    + FLOOR_SLACK escapes at step 1 without being stepped. ``ceiling``, if
-    given, holds an upper bound on the computed log2|step(z)| per point; a
-    point still undecided after step 0 whose ceiling is below
-    log2(capture_radius) - FLOOR_SLACK is captured at step 1 without being
-    stepped. Neither settles anything when max_iter is 0 (see the module
-    docstring).
+    ``floor`` holds a lower bound on log2|step(z)| per point; a point still
+    undecided after step 0 whose floor exceeds log2(escape_radius) +
+    FLOOR_SLACK escapes at step 1 without being stepped. ``ceiling`` holds an
+    upper bound on the computed log2|step(z)| per point; a point still
+    undecided after step 0 whose ceiling is below log2(capture_radius) -
+    FLOOR_SLACK is captured at step 1 without being stepped. A point with no
+    known bound has floor -inf and ceiling +inf. Neither settles anything
+    when max_iter is 0 (see the module docstring).
     """
     log_cap = math.log2(capture_radius)
     log_esc = math.log2(escape_radius)
@@ -117,9 +116,8 @@ def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
         iters[active[done]] = 1
         active = active[~done]
 
-    if floor is not None and max_iter >= 1:
+    if max_iter >= 1:
         settle(floor[active] > log_esc + FLOOR_SLACK, OrbitStatus.ESCAPED)
-    if ceiling is not None and max_iter >= 1:
         settle(ceiling[active] < log_cap - FLOOR_SLACK, OrbitStatus.INTERIOR_CAPTURED)
     cur = z[active]
     for m in range(1, max_iter + 1):
@@ -130,16 +128,13 @@ def classify_orbits(kernel, z: np.ndarray, escape_radius: float,
         cap = lm < log_cap
         esc = lm > log_esc
         done = bad | cap | esc
-        if done.any():
-            status[active[cap]] = int(OrbitStatus.INTERIOR_CAPTURED)
-            status[active[esc]] = int(OrbitStatus.ESCAPED)
-            # indeterminate points keep UNDECIDED status (boundary)
-            iters[active[done]] = m
-            keep = ~done
-            active = active[keep]
-            cur = vals[keep]
-        else:
-            cur = vals
+        status[active[cap]] = int(OrbitStatus.INTERIOR_CAPTURED)
+        status[active[esc]] = int(OrbitStatus.ESCAPED)
+        # indeterminate points keep UNDECIDED status (boundary)
+        iters[active[done]] = m
+        keep = ~done
+        active = active[keep]
+        cur = vals[keep]
     return status, iters
 
 
@@ -249,7 +244,7 @@ def certify_shapes(shapes, annuli, samples_per_region: int) -> dict:
 
 
 def certify(shape: ShapePolynomial, annulus: AnnulusSpec,
-            samples_per_region: int = 4096) -> EscapeCertificate:
+            samples_per_region: int) -> EscapeCertificate:
     """Sampled escape certificate for a shape polynomial against its annulus
     (both in the shifted frame: the origin must lie inside the inner curve).
 
@@ -290,15 +285,14 @@ def find_min_degree(build, certify, n_schedule):
 # persistence
 
 
-def save_certificate(cert, path, config: dict | None = None) -> None:
+def save_certificate(cert, path, config: dict) -> None:
     """Dump a certificate of any construction (EscapeCertificate,
     MultiCertificate or SCertificate) under its ``kind``, with its fields,
-    margins and radii."""
+    margins, radii and the run configuration."""
     obj = {"kind": cert.kind, "sampled": True}
     obj.update(asdict(cert))
     obj["margins"] = cert.margins()
     obj["capture_radius"] = cert.capture_radius
     obj["escape_radius"] = cert.escape_radius
-    if config is not None:
-        obj["config"] = config
+    obj["config"] = config
     write_json(obj, path)

@@ -123,10 +123,6 @@ class MultiShapeSystem:
         return self.shapes[0].t
 
     @property
-    def n(self) -> int:
-        return self.shapes[0].n
-
-    @property
     def roots(self) -> np.ndarray:
         return np.concatenate([s.roots for s in self.shapes])
 
@@ -266,7 +262,7 @@ class MultiCertificate(EscapeCertificate):
 
 
 def certify_multi(system: MultiShapeSystem, annuli: list[AnnulusSpec],
-                  samples_per_region: int = 4096) -> MultiCertificate:
+                  samples_per_region: int) -> MultiCertificate:
     """Sampled certificate of (R), (Z), (P), (A) and (B1) of the module
     docstring, each curve taken at ``samples_per_region`` boundary samples
     (see ``dynamics.certify_shapes``).
@@ -295,7 +291,7 @@ class SCertificate(EscapeCertificate):
 
 
 def certify_S(system: AnnulusSystem, E: AnnulusSpec, F: AnnulusSpec,
-              samples_per_region: int = 4096) -> SCertificate:
+              samples_per_region: int) -> SCertificate:
     """Sampled certificate of (R), (Z), (A), (Q) and (B1) of the module
     docstring for the bands E of the outer curve and F of the inner one, each
     curve taken at ``samples_per_region`` boundary samples: "inner" samples

@@ -40,6 +40,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -162,11 +163,15 @@ def fork_map(fn, tasks, workers: int):
     processes, which inherit this process's modules as they stand; otherwise
     they run here, one at a time as the results are taken. Arguments and
     results are pickled. A call's error is raised where its result would be
-    yielded, after the results before it."""
+    yielded, after the results before it. A worker that dies (say, killed for
+    memory) raises ChildProcessError, an OSError, once the pool has stopped."""
     if workers > 1 and len(tasks) > 1:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            yield from pool.map(fn, *zip(*tasks))
+            try:
+                yield from pool.map(fn, *zip(*tasks))
+            except BrokenProcessPool as exc:
+                raise ChildProcessError(f"a worker process died: {exc}") from exc
     else:
         for task in tasks:
             yield fn(*task)
@@ -220,13 +225,12 @@ def _render_tile(kernel, bbox, width, height, row0, nrows,
     z = pixel_centres(bbox, width, height, np.arange(row0, row0 + nrows)) - kernel.t
     floor, ceiling = _block_bounds(kernel, z, escape_radius, capture_radius)
     status, iters = classify_orbits(kernel, z.reshape(-1), escape_radius,
-                                    capture_radius, max_iter,
-                                    floor=floor, ceiling=ceiling)
+                                    capture_radius, max_iter, floor, ceiling)
     return status.reshape(nrows, width), iters.reshape(nrows, width)
 
 
 def render(kernel, bbox, width: int, height: int, *, escape_radius: float,
-           capture_radius: float, max_iter: int = 200) -> EscapeField:
+           capture_radius: float, max_iter: int) -> EscapeField:
     """Classify every pixel center of the bbox grid by iterating the kernel.
 
     The bbox lives in the original frame; the kernel's frame shift ``kernel.t``
@@ -344,10 +348,11 @@ def write_image(field: EscapeField, path) -> None:
         fh.write(header + img.tobytes())
 
 
-def save_field(field: EscapeField, path, config: dict | None = None) -> None:
-    """Write the field as one line of compact JSON with sorted keys. The two
-    base64 arrays go to the file as raw bytes at their sorted places: base64
-    text never needs escaping, so the bytes are those of ``json.dump``."""
+def save_field(field: EscapeField, path, config: dict) -> None:
+    """Write the field and the run configuration as one line of compact JSON
+    with sorted keys. The two base64 arrays go to the file as raw bytes at
+    their sorted places: base64 text never needs escaping, so the bytes are
+    those of ``json.dump``."""
     obj = {
         "kind": field.kind,
         "bbox": [[field.bbox[0].real, field.bbox[0].imag],
@@ -357,9 +362,8 @@ def save_field(field: EscapeField, path, config: dict | None = None) -> None:
         "escape_radius": field.escape_radius,
         "capture_radius": field.capture_radius,
         "max_iter": field.max_iter,
+        "config": config,
     }
-    if config is not None:
-        obj["config"] = config
     blobs = {
         "status_b64": base64.b64encode(np.ascontiguousarray(field.status)),
         "iterations_b64": base64.b64encode(

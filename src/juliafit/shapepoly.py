@@ -53,7 +53,7 @@ bounds' own sums. See ``dynamics`` for why neither can change a byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -113,7 +113,8 @@ class ScaledComplex:
 
 @dataclass(frozen=True)
 class ShapePolynomial:
-    """n roots, inflation epsilon, frame shift t, basepoint.
+    """n roots, inflation epsilon, frame shift t, basepoint, and the leading
+    coefficient cap_pow that follows from them.
 
     Roots and basepoint live in the shifted frame (source curve minus t); the
     map has degree n + 1 there, and a caller in the original frame shifts by t
@@ -129,6 +130,7 @@ class ShapePolynomial:
     t: complex
     basepoint: complex
     roots: np.ndarray
+    cap_pow: ScaledComplex = field(init=False)
 
     def __post_init__(self):
         self.roots.setflags(write=False)
@@ -143,15 +145,7 @@ class ShapePolynomial:
                               f"{complex(w[0])} (a basepoint on a root)")
         cw, ce = np.array([-1.0 / complex(w[0])]), -e
         _renorm(cw, ce)
-        object.__setattr__(self, "_cap_pow", ScaledComplex(complex(cw[0]), int(ce[0])))
-
-    @property
-    def degree(self) -> int:
-        return self.n + 1
-
-    @property
-    def cap_pow(self) -> ScaledComplex:
-        return self._cap_pow
+        object.__setattr__(self, "cap_pow", ScaledComplex(complex(cw[0]), int(ce[0])))
 
     def step(self, z: np.ndarray):
         return p_step_array(self, z)

@@ -1,7 +1,7 @@
 """Deterministic test shapes: circle, ellipse, square, and a wavy blob.
 
-These are the fixtures exercised by the test suite and handy CLI inputs.
-Run ``python -m juliafit.shapes OUTDIR`` to dump them as curve files.
+These are the fixtures exercised by the test suite and handy CLI inputs;
+``write_curve_file`` writes one as a curve file.
 """
 
 from __future__ import annotations
@@ -54,21 +54,3 @@ def write_curve_file(curve_or_points, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for z in pts:
             fh.write(f"{z.real:.17g} {z.imag:.17g}\n")
-
-
-def _main(argv=None) -> int:
-    import argparse
-    import os
-
-    ap = argparse.ArgumentParser(description="dump fixture curve files")
-    ap.add_argument("outdir")
-    args = ap.parse_args(argv)
-    os.makedirs(args.outdir, exist_ok=True)
-    for name, make in FIXTURES.items():
-        write_curve_file(make(), os.path.join(args.outdir, f"{name}.txt"))
-        print(f"wrote {name}.txt")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(_main())

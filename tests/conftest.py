@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import centroid_map
 from juliafit.conformal import build_exterior_map
 from juliafit.curves import AnnulusSpec, JordanCurve, offset_annulus
 from juliafit.shapes import FIXTURES, make_circle, make_square, write_curve_file
@@ -67,19 +68,19 @@ def circle_annulus():
 
 @pytest.fixture(scope="session")
 def circle_map():
-    return build_exterior_map(make_circle(1.0))
+    return centroid_map(make_circle(1.0))
 
 
 @pytest.fixture(scope="session")
 def ellipse_map():
     from juliafit.shapes import make_ellipse
-    return build_exterior_map(make_ellipse(1.5, 0.5))
+    return centroid_map(make_ellipse(1.5, 0.5))
 
 
 @pytest.fixture(scope="session")
 def square_map():
     from juliafit.shapes import make_square
-    return build_exterior_map(make_square(1.0))
+    return centroid_map(make_square(1.0))
 
 
 @pytest.fixture(scope="session")
@@ -96,7 +97,7 @@ def built_shapes():
         curve_t = curve.translated(-t)
         ann_t = ann.translated(-t)
         p = curve_t.centroid
-        m = build_exterior_map(curve_t, p)
+        m = build_exterior_map(curve_t, p, resample=512)
         band = ann_t.translated(-p)
         eps = select_epsilon(m, band)
 

@@ -457,7 +457,8 @@ def render_floorless(kernel, bbox, width: int, height: int, escape_radius: float
     for r0 in range(0, height, tile_rows):
         ys = hi.imag - (np.arange(r0, min(r0 + tile_rows, height)) + 0.5) * dy
         z = (xs[None, :] + 1j * ys[:, None]).reshape(-1) - kernel.t
-        s, i = classify_orbits(kernel, z, escape_radius, capture_radius, max_iter)
+        s, i = classify_orbits(kernel, z, escape_radius, capture_radius, max_iter,
+                               np.full(z.shape, -np.inf), np.full(z.shape, np.inf))
         status.append(s)
         iters.append(i)
     return (np.concatenate(status).reshape(height, width),
@@ -468,7 +469,7 @@ def render_floorless(kernel, bbox, width: int, height: int, escape_radius: float
 # dumps
 
 
-def save_field(field, path, config: dict | None = None) -> None:
+def save_field(field, path, config: dict) -> None:
     obj = {
         "kind": field.kind,
         "bbox": [[field.bbox[0].real, field.bbox[0].imag],
@@ -481,9 +482,8 @@ def save_field(field, path, config: dict | None = None) -> None:
         "status_b64": base64.b64encode(field.status.tobytes()).decode("ascii"),
         "iterations_b64": base64.b64encode(
             field.iterations.astype("<u4").tobytes()).decode("ascii"),
+        "config": config,
     }
-    if config is not None:
-        obj["config"] = config
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")

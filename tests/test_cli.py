@@ -1,7 +1,9 @@
 import argparse
 import hashlib
+import inspect
 import json
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -513,6 +515,54 @@ def test_later_curve_error_crosses_the_workers(command, first, option, code, fix
     assert lines[1].startswith(f"error [{code}]: ")
 
 
+#: the test process, which a task meant for a pool worker must not end
+_TEST_PROCESS = os.getpid()
+_REAL_FIT_CURVE = cli._fit_curve
+#: the module; the package's ``render`` is the function
+_RENDER = sys.modules["juliafit.render"]
+
+
+def _die():
+    """End this pool worker at once, as a kill for memory would."""
+    assert os.getpid() != _TEST_PROCESS, "a task meant for a worker ran in the test process"
+    os._exit(1)
+
+
+def _dead_tile(*task):
+    _die()
+
+
+def _fit_or_die(curve, *rest):
+    # circle_right, the second curve of rational, lies right of the frame origin
+    if curve.centroid.real > 0:
+        _die()
+    return _REAL_FIT_CURVE(curve, *rest)
+
+
+@pytest.mark.parametrize("command", ["render", "rational"])
+def test_a_dead_worker_exits_io(command, built_square, fixture_dir, tmp_path,
+                                monkeypatch, capsys):
+    # a worker that dies breaks its pool: the render's tile pool, or the pool
+    # that fits the curves of rational; the run exits 6 with one line and
+    # leaves no process behind. The pools pickle their tasks' function by
+    # name, so the stand-ins live at module level
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    if command == "render":
+        monkeypatch.setattr(_RENDER, "SERIAL_WORK", 0)
+        monkeypatch.setattr(_RENDER, "_render_tile", _dead_tile)
+        # 128 rows make two tiles
+        argv = ["render", str(built_square / "shape.json"), "--grid", "128"]
+    else:
+        monkeypatch.setattr(cli, "_fit_curve", _fit_or_die)
+        argv = ["rational", *_pair_args("rational", fixture_dir), "--delta", "0.3",
+                "--grid", "64"]
+    assert main(argv + ["--out", str(tmp_path)]) == 6
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if not line.startswith("map ready: ")]
+    assert len(lines) == 1 and lines[0].startswith("io error: a worker process died: ")
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("resample", [48, 128, 256])
 def test_square_certifies_on_a_short_chain(resample, fixture_dir, tmp_path):
     # a coarse map only proposes roots; the certificate passes them
@@ -710,6 +760,53 @@ def test_option_surface():
     got = {name: sorted(s for a in p._actions for s in a.option_strings)
            for name, p in sub.choices.items()}
     assert got == {name: sorted(options) for name, options in want.items()}
+
+
+#: the parameters and defaults of every library function the commands call,
+#: and of the orbit classifier and the map evaluation beneath them. Each
+#: value a command passes has one owner, its option: a default or an optional
+#: argument that only tests use shows here
+ENTRY_POINTS = {
+    "conformal.build_exterior_map": "(curve, t, *, resample)",
+    "conformal.evaluate_map": "(m, w)",
+    "curves.curve_gap": "(a, b)",
+    "curves.load_curve": "(path)",
+    "curves.offset_annulus": "(curve, eps_geom)",
+    "curves.relation": "(a, b)",
+    "dumps.load_dump": "(path, types)",
+    "dumps.save_dump": "(item, path)",
+    "dumps.write_json": "(obj, path)",
+    "dynamics.certify": "(shape, annulus, samples_per_region)",
+    "dynamics.classify_orbits":
+        "(kernel, z, escape_radius, capture_radius, max_iter, floor, ceiling)",
+    "dynamics.find_min_degree": "(build, certify, n_schedule)",
+    "dynamics.save_certificate": "(cert, path, config)",
+    "rational.certify_S": "(system, E, F, samples_per_region)",
+    "rational.certify_multi": "(system, annuli, samples_per_region)",
+    "rational.validate_mutually_exterior": "(annuli)",
+    "render.fork_map": "(fn, tasks, workers)",
+    "render.render":
+        "(kernel, bbox, width, height, *, escape_radius, capture_radius, max_iter)",
+    "render.save_field": "(field, path, config)",
+    "render.verify_hausdorff": "(field, curves, delta)",
+    "render.write_image": "(field, path)",
+    "shapepoly.sample_roots": "(m, epsilon, n, t)",
+    "shapepoly.select_epsilon": "(m, annulus)",
+}
+
+
+def test_entry_point_signatures():
+    def parameters(fn) -> str:
+        sig = inspect.signature(fn)
+        return str(sig.replace(
+            parameters=[p.replace(annotation=p.empty) for p in sig.parameters.values()],
+            return_annotation=sig.empty))
+
+    got = {}
+    for name in ENTRY_POINTS:
+        module, function = name.split(".")
+        got[name] = parameters(getattr(sys.modules[f"juliafit.{module}"], function))
+    assert got == ENTRY_POINTS
 
 
 #: sha256 over the name and bytes of every artifact and the stderr of each

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import boundary_table
+from helpers import LARGE_BATCH, boundary_table, centroid_map, small_chunks
 from juliafit import conformal
 from juliafit.conformal import (
     BOUNDARY_TABLE,
@@ -41,9 +41,9 @@ def test_circle_capacity_and_anchor(circle_map):
     m = circle_map
     assert abs(capacity(m)) == pytest.approx(1.0, rel=1e-5)
     # anchor: w = 1 lands on the rightmost curve point
-    assert evaluate_map(m, 1.0).real == pytest.approx(1.0, abs=1e-4)
-    assert abs(evaluate_map(m, 1.0).imag) < 2e-3
-    v = evaluate_map(m, 2.0)
+    anchor, v = evaluate_map(m, np.array([1.0 + 0j, 2.0 + 0j]))
+    assert anchor.real == pytest.approx(1.0, abs=1e-4)
+    assert abs(anchor.imag) < 2e-3
     assert abs(v) == pytest.approx(2.0, rel=1e-5)
 
 
@@ -82,8 +82,8 @@ def test_square_capacity_closed_form(square_map):
 
 def test_capacity_scales_linearly():
     for s in (0.5, 2.0):
-        m = build_exterior_map(make_blob(scale=s))
-        base = build_exterior_map(make_blob(scale=1.0))
+        m = centroid_map(make_blob(scale=s))
+        base = centroid_map(make_blob(scale=1.0))
         assert abs(capacity(m)) == pytest.approx(s * abs(capacity(base)), rel=1e-4)
 
 
@@ -101,7 +101,7 @@ def test_boundary_rmse_matches_boundary_table(name, resample):
     # the fit read off the gauge probe equals the fit of a separate
     # evaluation of the boundary table
     curve = FIXTURES[name]()
-    m = build_exterior_map(curve, resample=resample)
+    m = centroid_map(curve, resample)
     work = resample_closed(curve.points, resample) - m.t
     want = np.sqrt(np.mean(distance_to_polyline(boundary_table(m)[:, 1], work) ** 2))
     assert m.boundary_rmse == pytest.approx(want, rel=1e-9)
@@ -115,7 +115,7 @@ def test_build_evaluates_the_chain_once(monkeypatch):
         return _chain_pullback(chain, u)
 
     monkeypatch.setattr(conformal, "_chain_pullback", counting)
-    build_exterior_map(make_square())
+    centroid_map(make_square())
     assert calls == [conformal.GAUGE_PROBE]
 
 
@@ -155,12 +155,12 @@ def test_far_field_normalization(ellipse_map):
 
 def test_out_of_domain_rejected(circle_map):
     with pytest.raises(OutOfDomain):
-        evaluate_map(circle_map, 0.5)
+        evaluate_map(circle_map, np.array([0.5 + 0j]))
 
 
 def test_bad_basepoint():
     with pytest.raises(BadBasepoint):
-        build_exterior_map(make_circle(1.0), t=5.0 + 0j)
+        build_exterior_map(make_circle(1.0), 5.0 + 0j, resample=512)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -173,7 +173,7 @@ def test_map_diverged_on_non_finite_image(k, monkeypatch):
 
     monkeypatch.setattr(conformal, "_chain_pullback", nan_at_k)
     with np.errstate(invalid="ignore"), pytest.raises(MapDiverged):
-        build_exterior_map(make_square(1.0))
+        centroid_map(make_square(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +256,7 @@ def test_chain_evaluation_independent_of_batch(built_shapes, name, size, seed, d
     whole = evaluate_map(m, w)
 
     k = data.draw(st.integers(0, size - 1), label="lone point")
-    assert np.array_equal(bits(evaluate_map(m, w[k])), bits(whole[k]))
+    assert np.array_equal(bits(evaluate_map(m, w[k:k + 1])), bits(whole[k:k + 1]))
     lo = data.draw(st.integers(0, size - 1), label="offset")
     hi = data.draw(st.integers(lo + 1, size), label="end")
     step = data.draw(st.integers(1, 13), label="step")
@@ -270,3 +270,17 @@ def test_chain_evaluation_independent_of_batch(built_shapes, name, size, seed, d
     split = data.draw(st.integers(1, size - 1), label="split")
     parts = fork_map(evaluate_map, [(m, w[:split]), (m, w[split:])], 2)
     assert np.array_equal(bits(np.concatenate(list(parts))), bits(whole))
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_a_large_batch_maps_as_its_small_chunks(built_shapes, name):
+    # select_epsilon evaluates 4,096 points at most, but the chain must not
+    # depend on the batch at any size
+    m = built_shapes[name]["map"]
+    rng = np.random.default_rng(3)
+    w = rng.uniform(1.0, 3.0, LARGE_BATCH) * np.exp(
+        2j * np.pi * rng.uniform(0.0, 1.0, LARGE_BATCH))
+    on_circle = rng.integers(0, 2, LARGE_BATCH) == 1
+    w[on_circle] /= np.abs(w[on_circle])
+    parts = [evaluate_map(m, w[part]) for part in small_chunks(LARGE_BATCH, 4)]
+    assert np.array_equal(bits(evaluate_map(m, w)), bits(np.concatenate(parts)))

@@ -1,4 +1,4 @@
-import io
+import json
 
 import numpy as np
 import pytest
@@ -37,16 +37,22 @@ def densified_square(n=64, clockwise=False):
 # loading and validation
 
 
-def test_load_square_text():
+def load_text(tmp_path, text: str):
+    path = tmp_path / "curve.txt"
+    path.write_text(text, encoding="utf-8")
+    return load_curve(path)
+
+
+def test_load_square_text(tmp_path):
     text = "\n".join(f"{z.real} {z.imag}" for z in densified_square())
-    c = load_curve(io.StringIO(text))
+    c = load_text(tmp_path, text)
     assert len(c.points) == 64
     assert c.area == pytest.approx(1.0)
 
 
-def test_load_json_points():
+def test_load_json_points(tmp_path):
     pts = [[z.real, z.imag] for z in densified_square()]
-    c = load_curve(io.StringIO(__import__("json").dumps({"points": pts})))
+    c = load_text(tmp_path, json.dumps({"points": pts}))
     assert c.area == pytest.approx(1.0)
 
 
@@ -74,9 +80,9 @@ def test_vertex_on_edge_not_simple():
     assert exc.value.segments == (0, 3)
 
 
-def test_too_few_points():
+def test_too_few_points(tmp_path):
     with pytest.raises(TooFewPoints):
-        load_curve(io.StringIO("0 0\n1 0\n1 1\n0 1"))
+        load_text(tmp_path, "0 0\n1 0\n1 1\n0 1")
 
 
 def test_repeated_point_rejected():
@@ -93,9 +99,9 @@ def test_zero_area_rejected():
         JordanCurve.from_points(pts)
 
 
-def test_garbage_text_rejected():
+def test_garbage_text_rejected(tmp_path):
     with pytest.raises(ParseError):
-        load_curve(io.StringIO("this is\nnot a curve\n"))
+        load_text(tmp_path, "this is\nnot a curve\n")
 
 
 # ---------------------------------------------------------------------------

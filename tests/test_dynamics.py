@@ -170,9 +170,11 @@ def test_find_min_degree_blob(built_shapes):
 
 
 def classify_one(kernel, z0, escape_radius, capture_radius, max_iter=200):
-    """The classifier on a length-1 array: (status, iterations) of one orbit."""
+    """The classifier on a length-1 array, with no bound: (status,
+    iterations) of one orbit."""
     status, iters = classify_orbits(kernel, np.array([z0], dtype=np.complex128),
-                                    escape_radius, capture_radius, max_iter)
+                                    escape_radius, capture_radius, max_iter,
+                                    np.array([-math.inf]), np.array([math.inf]))
     return OrbitStatus(int(status[0])), int(iters[0])
 
 
@@ -249,9 +251,10 @@ def test_constant_kernel_everything_captured():
 
 def test_certificate_round_trip(tmp_path, cert64):
     p = tmp_path / "cert.json"
-    save_certificate(cert64, p)
+    save_certificate(cert64, p, config={"seed": 0})
     c2 = load_dump(p, (EscapeCertificate,))
     assert c2 == cert64
     obj = __import__("json").loads(p.read_text())
+    assert obj["config"] == {"seed": 0}
     assert obj["sampled"] is True
     assert obj["kind"] == "escape_certificate"

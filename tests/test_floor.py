@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import LARGE_BATCH, small_chunks
 from juliafit.dynamics import FLOOR_SLACK, OrbitStatus, classify_orbits
 from juliafit.render import render
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
@@ -169,6 +170,23 @@ def test_a_point_steps_alone_as_inside_a_batch(maps, kind, log_reach, count, see
 
 
 @pytest.mark.parametrize("kind", KINDS)
+def test_a_large_batch_steps_as_its_small_chunks(maps, kind):
+    # a render steps tiles far larger than the batches above; each point
+    # must step as it does in a chunk of under 1,000
+    kernel, _ = maps[kind]
+    rng = np.random.default_rng(5)
+    mid = kernel.roots.mean()
+    span = float(np.abs(kernel.roots - mid).max())
+    z = mid + span * 10.0 ** rng.uniform(-1.0, 0.7, LARGE_BATCH) * np.exp(
+        2j * np.pi * rng.uniform(0, 1, LARGE_BATCH))
+    with np.errstate(all="ignore"):
+        vals, log2m = kernel.step(z)
+        parts = [kernel.step(z[part]) for part in small_chunks(LARGE_BATCH, 6)]
+    assert bits(vals, log2m) == bits(np.concatenate([v for v, _ in parts]),
+                                     np.concatenate([lm for _, lm in parts]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("processes", [1, 2])
 def test_render_matches_the_floorless_render(maps, kind, processes, monkeypatch):
     # 200 columns leave a last block of 8, 72 rows a last tile of 8; with
@@ -253,7 +271,8 @@ def test_floor_settles_without_stepping():
     k = RecordingKernel()
     z = np.array([3.0, 3.5, 2.5, 1.1, 1.2, 0.1, 9.0], dtype=complex)
     floor = np.array([2.5, 2.5, 2.0 + 2 * FLOOR_SLACK, 1.0, 1.0, -np.inf, 4.0])
-    status, iters = classify_orbits(k, z, 4.0, 0.5, 10, floor=floor)
+    no_ceiling = np.full(z.shape, np.inf)
+    status, iters = classify_orbits(k, z, 4.0, 0.5, 10, floor, no_ceiling)
     # 0.1 and 9.0 are decided at step 0, and the floor settles 3.0, 3.5 and
     # 2.5 (its floor clears log2(4) by twice the slack)
     assert k.stepped[0].tolist() == [1.1, 1.2]
@@ -261,11 +280,11 @@ def test_floor_settles_without_stepping():
     assert iters.tolist() == [1, 1, 1, 2, 2, 0, 0]
     # the floor may leave a single point to step
     k = RecordingKernel()
-    classify_orbits(k, z[[0, 3, 1]], 4.0, 0.5, 10, floor=floor[[0, 3, 1]])
+    classify_orbits(k, z[[0, 3, 1]], 4.0, 0.5, 10, floor[[0, 3, 1]], no_ceiling[:3])
     assert k.stepped[0].tolist() == [1.1]
     # with no step to take, the floor settles nothing
     k = RecordingKernel()
-    status, iters = classify_orbits(k, z, 4.0, 0.5, 0, floor=floor)
+    status, iters = classify_orbits(k, z, 4.0, 0.5, 0, floor, no_ceiling)
     assert k.stepped == []
     assert status.tolist() == [2, 2, 2, 2, 2, 0, 1]
 
@@ -275,7 +294,8 @@ def test_ceiling_captures_without_stepping():
     z = np.array([1.1, 1.2, 1.3, 0.1, 9.0], dtype=complex)
     below = -1.0 - 2 * FLOOR_SLACK
     ceiling = np.array([below, -1.0 - 0.5 * FLOOR_SLACK, 5.0, -np.inf, -np.inf])
-    status, iters = classify_orbits(k, z, 4.0, 0.5, 10, ceiling=ceiling)
+    no_floor = np.full(z.shape, -np.inf)
+    status, iters = classify_orbits(k, z, 4.0, 0.5, 10, no_floor, ceiling)
     # 0.1 and 9.0 are decided at step 0; the ceiling of 1.1 clears log2(0.5)
     # by twice the slack, and that of 1.2 by only half of it
     assert k.stepped[0].tolist() == [1.2, 1.3]
@@ -283,7 +303,7 @@ def test_ceiling_captures_without_stepping():
     assert iters.tolist() == [1, 2, 2, 0, 0]
     # with no step to take, the ceiling settles nothing
     k = RecordingKernel()
-    status, iters = classify_orbits(k, z, 4.0, 0.5, 0, ceiling=ceiling)
+    status, iters = classify_orbits(k, z, 4.0, 0.5, 0, no_floor, ceiling)
     assert k.stepped == []
     assert status.tolist() == [2, 2, 2, 0, 1]
     assert iters.tolist() == [0, 0, 0, 0, 0]

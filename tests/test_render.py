@@ -103,7 +103,8 @@ def test_determinism_across_worker_counts(monkeypatch):
 
 def test_grid_minimum():
     with pytest.raises(ValueError):
-        render(ConstantKernel(), BBOX, 8, 8, escape_radius=2.0, capture_radius=0.5)
+        render(ConstantKernel(), BBOX, 8, 8, escape_radius=2.0, capture_radius=0.5,
+               max_iter=10)
 
 
 def test_partition_of_grid(circle_field):

@@ -477,7 +477,7 @@ def test_sample_roots_circle(circle_map):
     # |cap_pow| = 1/prod|p - r_k| is 1.0625**-64 up to the roots' spread
     log2_cap = math.log2(abs(s.cap_pow.mantissa)) + s.cap_pow.exponent
     assert log2_cap == pytest.approx(-64 * math.log2(1.0625), abs=0.01)
-    assert s.degree == 65
+    assert s.n == 64
 
 
 def test_sample_roots_conjugation_symmetry(ellipse_map):
