@@ -17,7 +17,7 @@ from .shapepoly import (
 )
 from .dynamics import EscapeCertificate, OrbitStatus, certify, classify_orbits, find_min_degree
 from .rational import AnnulusSystem, MultiShapeSystem, certify_S, certify_multi
-from .render import EscapeField, render, verify_hausdorff, write_image
+from .render import EscapeField, verify_hausdorff, write_image
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,6 @@ __all__ = [
     "build_exterior_map", "certify", "certify_S", "certify_multi",
     "classify_orbits", "evaluate_map", "find_min_degree",
     "hausdorff_distance", "laurent_coefficients", "load_curve",
-    "make_circle_shape", "offset_annulus", "render", "sample_roots",
+    "make_circle_shape", "offset_annulus", "sample_roots",
     "select_epsilon", "verify_hausdorff", "write_image",
 ]

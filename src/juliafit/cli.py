@@ -365,8 +365,8 @@ def _add_build(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--eps-geom", type=_POSITIVE, default=None, dest="eps_geom",
                     help="offset distance for the annulus (default: 5%% of diameter "
                          "for build, delta/6 for rational/annulus)")
-    ap.add_argument("--resample", type=_number(int, curves.MIN_POINTS), default=512,
-                    help="boundary resampling count for the map (default 512)")
+    ap.add_argument("--resample", type=_number(int, curves.MIN_POINTS), default=128,
+                    help="slit-map stages of each exterior map (default 128)")
 
 
 def _add_render(ap: argparse.ArgumentParser) -> None:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from helpers import centroid_map
-from juliafit.conformal import build_exterior_map
 from juliafit.curves import AnnulusSpec, JordanCurve, offset_annulus
 from juliafit.shapes import FIXTURES, make_circle, make_square, write_curve_file
 
@@ -96,9 +95,8 @@ def built_shapes():
         ann = offset_annulus(curve, 0.05 * curve.diameter)
         curve_t = curve.translated(-t)
         ann_t = ann.translated(-t)
-        p = curve_t.centroid
-        m = build_exterior_map(curve_t, p, resample=512)
-        band = ann_t.translated(-p)
+        m = centroid_map(curve_t)
+        band = ann_t.translated(-m.t)
         eps = select_epsilon(m, band)
 
         def build(n, m=m, eps=eps, t=t):

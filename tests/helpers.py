@@ -30,8 +30,10 @@ def make_figure_eight(n: int = 64) -> np.ndarray:
 
 
 def centroid_map(curve, resample: int = 512):
-    """The exterior map about the curve's centroid, of ``resample`` stages
-    (512 is the commands' ``--resample`` default)."""
+    """The exterior map about the curve's centroid, of ``resample`` stages.
+    The tests keep 512, four times the commands' ``--resample`` default: the
+    map's accuracy tests (Laurent data, capacity, boundary fit, conjugation
+    symmetry) fail their bounds at 128."""
     return build_exterior_map(curve, curve.centroid, resample=resample)
 
 

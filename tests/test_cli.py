@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-import juliafit
+import juliafit.render
 from helpers import make_figure_eight
 from juliafit import cli, conformal, shapepoly
 from juliafit.cli import build_parser, main
@@ -518,8 +518,6 @@ def test_later_curve_error_crosses_the_workers(command, first, option, code, fix
 #: the test process, which a task meant for a pool worker must not end
 _TEST_PROCESS = os.getpid()
 _REAL_FIT_CURVE = cli._fit_curve
-#: the module; the package's ``render`` is the function
-_RENDER = sys.modules["juliafit.render"]
 
 
 def _die():
@@ -548,8 +546,8 @@ def test_a_dead_worker_exits_io(command, built_square, fixture_dir, tmp_path,
     # name, so the stand-ins live at module level
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     if command == "render":
-        monkeypatch.setattr(_RENDER, "SERIAL_WORK", 0)
-        monkeypatch.setattr(_RENDER, "_render_tile", _dead_tile)
+        monkeypatch.setattr(juliafit.render, "SERIAL_WORK", 0)
+        monkeypatch.setattr(juliafit.render, "_render_tile", _dead_tile)
         # 128 rows make two tiles
         argv = ["render", str(built_square / "shape.json"), "--grid", "128"]
     else:
@@ -577,6 +575,31 @@ def test_annulus_around_square_verifies_on_a_short_chain(fixture_dir, tmp_path):
                  str(fixture_dir / "square.txt"), "--resample", "48", "--grid", "64",
                  "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "report.json").read_text())["pass"] is True
+
+
+@pytest.mark.parametrize("command, names, degree", [
+    ("build", ["circle"], 8), ("build", ["ellipse"], 32), ("build", ["square"], 16),
+    ("build", ["blob"], 32), ("rational", ["circle_left", "circle_right"], 128),
+    ("annulus", ["ring_outer", "ring_inner"], 256)],
+    ids=["circle", "ellipse", "square", "blob", "rational", "annulus"])
+def test_default_chain_keeps_every_degree(command, names, degree, fixture_dir, tmp_path,
+                                          capsys):
+    # the default chain certifies every fixture at the degree and inflations
+    # of a 512-stage chain; a default that raises a degree fails here
+    argv = [command, *(str(fixture_dir / f"{n}.txt") for n in names)]
+    if command != "build":
+        argv += ["--delta", "0.3", "--grid", "16"]
+    runs = []
+    for resample in ([], ["--resample", "512"]):
+        out = tmp_path / f"run{len(runs)}"
+        assert main(argv + resample + ["--out", str(out)]) == 0
+        inflations = [line.rsplit(" ", 1)[1] for line in capsys.readouterr().err.splitlines()
+                      if line.startswith("map ready: ")]
+        runs.append((json.loads((out / "certificate.json").read_text())["n_certified"],
+                     inflations))
+    default, fine = runs
+    assert len(default[1]) == len(names)
+    assert default == fine and default[0] == degree
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -814,20 +837,20 @@ def test_entry_point_signatures():
 #: configuration included, flips one of these. On a mismatch the test names
 #: the sha256 of each artifact of the runs that changed, and their stderr
 CLI_DIGESTS = {
-    "build-square": "c48ced49c3cfcbab1f7c8ad556e563d1ac2153c24723b64c846aad9aed73fc5a",
+    "build-square": "594dbf4e7d1bb76aaeb8a0b5b93bc917a808ec4b0ab4e2fcf59c4451f2625e47",
     "build-square-verify": "dd5c1e97430d3fe8bf2ada81865cf79bae18179a774a8c2320e4a22021afc5dc",
-    "build-blob": "2c5d9ee5c253f246bc48a5b05aca25053a16ffe1525ccd5a8eee28c527e169bd",
+    "build-blob": "d9ee9c27e3578a1d32551cf803ac74e81c756b3ae44bb42e7f3a3909e61e91d4",
     "build-blob-verify": "e42a50978483d9b8db9f61ae567b249a7a37000dfbdeaf24c0a511b42bea8033",
-    "build-circle": "a4ea2ee1b12c0ff60201f8bce05f8e09229265af3c3b3d31faf166fd9e5a0062",
+    "build-circle": "9863b3a273c7dc233ba9c47955811b4b4c8c950e2a2b2a4ce2e023625ca8514b",
     "build-circle-verify": "9100f5221ea16d12f74a2ef1c300bb56a968d46f4e3bf5c9872d6ee1a3d4516f",
-    "rational": "0ad9602530fd8adfc62d497ab0cd1937f2c849ff6219c0ed36882a8a97b64da6",
+    "rational": "9c1757fad6cf1c0c22ac1d9adad47f0db7c7e6eb4642c496963a8a5e278fe3ac",
     "rational-verify": "bf9cfb4453fe718f205650385de25ba3261820ea98484dacac5f57cdd01f6328",
-    "annulus": "eca54da99aa1afc2a163da7c8caddcfc6aa563325e2d53d345754ea6d6909fca",
+    "annulus": "0958d879fab5fce592abb619bfd6a7baf9f832a72779df7a637f3b928516f60c",
     "annulus-verify": "1b2962b3f6514d071e9e2768d2d8d57567b947d77aec24710b56eba814a4e478",
-    "build-square-render": "4c3599d0ae1922cd99e011db54d82ba127638b0efb60489e6740c9ae4152cc11",
-    "build-square-render-bbox": "40f8b22633d4cc8f8ae71fecb590901236ca53528b1ff9c1f93e4dba58b96d5c",
-    "rational-render": "dd066e9b4a3451d0c360985cde2ce9ee10b29dcec2dfcfec248b6b825b8e2847",
-    "annulus-render": "7379739940e621e78f1bd1f7b04705cccc9fbb619ef4f6d5a4e349ed8685feb2",
+    "build-square-render": "3259e2dac0f976b9403e107ab9023363df3fe32d0007c2b5c9ffad6824419bf7",
+    "build-square-render-bbox": "5f19facaeb5ae751bf3523d07efee9e070d146a267bc6e3e811a0f096d69d754",
+    "rational-render": "6549e4de19246e818409699fc897484ced95994ac2d32db1206de2d78f6465a8",
+    "annulus-render": "a5fa968a7399d8f4275f71d1a12718a7cf6f1aeb0b27024fbced9631963e6c90",
 }
 
 

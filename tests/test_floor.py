@@ -2,7 +2,6 @@
 ``step_ceiling``), the render that settles far-field and interior pixels with
 them, and the single-point step that the bounds can leave behind."""
 
-import importlib
 import math
 
 import numpy as np
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import LARGE_BATCH, small_chunks
+import juliafit.render
 from juliafit.dynamics import FLOOR_SLACK, OrbitStatus, classify_orbits
 from juliafit.render import render
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
@@ -192,7 +192,7 @@ def test_render_matches_the_floorless_render(maps, kind, processes, monkeypatch)
     # 200 columns leave a last block of 8, 72 rows a last tile of 8; with
     # SERIAL_WORK at 0 the two tiles go to the pool of up to 4 processes
     if processes > 1:
-        monkeypatch.setattr(importlib.import_module("juliafit.render"), "SERIAL_WORK", 0)
+        monkeypatch.setattr(juliafit.render, "SERIAL_WORK", 0)
     kernel, (escape, capture) = maps[kind]
     orig = kernel.roots + kernel.t
     pad = 0.3 * max(np.ptp(orig.real), np.ptp(orig.imag))
@@ -233,7 +233,7 @@ def test_ceiling_settles_most_step_one_captures_on_blob512(maps, monkeypatch):
     # a ceiling that stops settling pixels fails here, although the bytes of
     # the render would not change; the render stays in this process, where
     # the kernel counts its steps
-    monkeypatch.setattr(importlib.import_module("juliafit.render"), "SERIAL_WORK", math.inf)
+    monkeypatch.setattr(juliafit.render, "SERIAL_WORK", math.inf)
     kernel, (escape, capture) = maps["blob512"]
     orig = kernel.roots + kernel.t
     bbox = (complex(orig.real.min(), orig.imag.min()) - 0.2,

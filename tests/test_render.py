@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import math
 
@@ -8,6 +7,7 @@ import pytest
 
 import oracles
 from helpers import read_pgm
+import juliafit.render
 from juliafit.curves import hausdorff_distance
 from juliafit.dumps import load_dump
 from juliafit.dynamics import OrbitStatus
@@ -95,7 +95,7 @@ def test_determinism_across_worker_counts(monkeypatch):
     k = make_circle_shape(1.0, 0.0625, 64)
     kw = dict(escape_radius=1.155, capture_radius=0.55, max_iter=60)
     f1 = render(k, BBOX, 128, 128, **kw)
-    monkeypatch.setattr(importlib.import_module("juliafit.render"), "SERIAL_WORK", 0)
+    monkeypatch.setattr(juliafit.render, "SERIAL_WORK", 0)
     f2 = render(k, BBOX, 128, 128, **kw)
     assert f1.status.tobytes() == f2.status.tobytes()
     assert f1.iterations.tobytes() == f2.iterations.tobytes()
