@@ -7,10 +7,9 @@ field), verify (field or dump vs. curves -> report), rational (several curves
 build writes ``shape.json`` and ``certificate.json``; rational and annulus
 write ``system.json`` and ``certificate.json``, then render and verify their
 map. The three share ``_fit``: an exterior map per curve, kept in memory, its
-inflation, and the degree search. rational and annulus fit their curves in
-forked workers (``render.fork_map``), up to one per CPU; the "map ready"
-lines and the first error come in the order of the curves, so stderr and the
-artifacts do not depend on the worker count.
+inflation, and the degree search. The curves are fitted one after another in
+this process, so the "map ready" lines and the first error come in the order
+of the curves.
 
 render and verify take a dump of any of the three maps (``shape.json`` from
 build, ``system.json`` from rational and annulus); verify also takes a
@@ -50,7 +49,6 @@ from .dumps import load_dump, save_dump, write_json
 from .render import (
     MIN_GRID,
     EscapeField,
-    fork_map,
     render as render_grid,
     save_field,
     verify_hausdorff,
@@ -124,32 +122,24 @@ def _pipeline_bbox(curve_list, delta: float):
 # fitting and output helpers
 
 
-def _fit_curve(curve, band, resample: int, epsilon):
-    """One curve's exterior map about its centroid and its inflation (or
-    epsilon, when given), the curve and its band in the same frame. Calls the
-    layers through their modules, so a forked worker runs them as patched in
-    the process that forked it."""
-    p = curve.centroid
-    m = conformal.build_exterior_map(curve, p, resample=resample)
-    eps = shapepoly.select_epsilon(m, band.translated(-p)) if epsilon is None else epsilon
-    return m, eps
-
-
 def _fit(args, curve_list, bands, t: complex, assemble, certify):
     """Fit one map to the curves, the shared core of build, rational and
     annulus. Shifts the curves and their bands by t, builds each curve's
     exterior map about its shifted centroid with its inflation (or
     --epsilon), then searches the degree schedule for the least n at which
     ``certify(assemble(*shapes), shifted bands, samples)`` passes, the shapes
-    taken in the order of the curves. Several curves are fitted in up to one
-    forked worker per CPU. Prints one "map ready" line per curve, in their
-    order and up to the first that fails, and the certified line; returns the
-    certified map, its certificate and the inflations."""
+    taken in the order of the curves. Prints one "map ready" line per curve,
+    in their order and up to the first that fails, and the certified line;
+    returns the certified map, its certificate and the inflations."""
     bands_t = [b.translated(-t) for b in bands]
-    tasks = [(curve.translated(-t), band, args.resample, args.epsilon)
-             for curve, band in zip(curve_list, bands_t)]
     maps = []
-    for m, eps in fork_map(_fit_curve, tasks, min(len(tasks), os.cpu_count() or 1)):
+    # one curve at a time: on 2 CPUs, a pool of two saved nothing at 128 stages
+    for curve, band in zip(curve_list, bands_t):
+        curve = curve.translated(-t)
+        p = curve.centroid
+        m = conformal.build_exterior_map(curve, p, resample=args.resample)
+        eps = (shapepoly.select_epsilon(m, band.translated(-p)) if args.epsilon is None
+               else args.epsilon)
         _say(f"map ready: boundary rmse {m.boundary_rmse:.3g}, inflation {eps}")
         maps.append((m, eps))
     system, cert = dynamics.find_min_degree(

@@ -7,9 +7,9 @@ immutable after construction.
 
 ``relation`` is the one test of how two curves lie, and ``enclosed`` the one
 rule for the region several curves bound: the points inside an odd number of
-them (the target region that verify checks). Points are classified only by
-``JordanCurve.contains``, ``enclosed``, ``AnnulusSpec.strictly_in_band`` and
-``distance_to_polyline``.
+them (the target region that verify checks, and the band that the inflation
+search keeps its circle's image in). Points are classified only by
+``JordanCurve.contains``, ``enclosed`` and ``distance_to_polyline``.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .errors import (
 )
 
 MIN_POINTS = 8
-#: relative tolerance (times curve diameter) for "on the curve" classification
-ON_TOL_REL = 1e-9
 
 #: bound on the (query, edge) pairs a kernel holds in memory at once
 _PAIR_CHUNK = 1 << 18
@@ -422,15 +420,6 @@ class AnnulusSpec:
     def __post_init__(self):
         if relation(self.outer, self.inner) != "contains":
             raise OffsetCollapse("inner curve must lie inside the outer one, off it")
-
-    def strictly_in_band(self, z) -> np.ndarray:
-        """True where points are strictly between the two curves (off both)."""
-        z = _as_points(z)
-        tol = ON_TOL_REL * self.outer.diameter
-        ok = enclosed(z, (self.outer, self.inner))
-        ok &= distance_to_polyline(z, self.outer.points) > tol
-        ok &= distance_to_polyline(z, self.inner.points) > tol
-        return ok
 
     def translated(self, dz: complex) -> "AnnulusSpec":
         """The band moved by dz. A translation keeps how the two curves lie,

@@ -5,8 +5,7 @@ origin, escaped beyond the certified radius, or undecided at the iteration
 budget) with ``dynamics.classify_orbits``, the one orbit classifier. Work is
 split into row tiles; each tile is computed independently, so worker count
 changes timing but never bytes. ``fork_map`` runs the tiles in a pool of
-forked processes; ``cli`` runs the per-curve fits of rational and annulus in
-it too.
+forked processes.
 
 Each tile of TILE_ROWS rows is cut into blocks of BLOCK x BLOCK pixels (the
 last ones may be smaller). Once per live block, whose disk reaches between
@@ -158,13 +157,14 @@ def _dilate4(mask: np.ndarray) -> np.ndarray:
 
 
 def fork_map(fn, tasks, workers: int):
-    """Yield fn(*task) for each task, in order. With more than one worker
-    and more than one task the calls run in a pool of that many forked
-    processes, which inherit this process's modules as they stand; otherwise
-    they run here, one at a time as the results are taken. Arguments and
-    results are pickled. A call's error is raised where its result would be
-    yielded, after the results before it. A worker that dies (say, killed for
-    memory) raises ChildProcessError, an OSError, once the pool has stopped."""
+    """Yield fn(*task) for each task, in order: the render's tile pool. With
+    more than one worker and more than one task the calls run in a pool of
+    that many forked processes, which inherit this process's modules as they
+    stand; otherwise they run here, one at a time as the results are taken.
+    Arguments and results are pickled. A call's error is raised where its
+    result would be yielded, after the results before it. A worker that dies
+    (say, killed for memory) raises ChildProcessError, an OSError, once the
+    pool has stopped."""
     if workers > 1 and len(tasks) > 1:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:

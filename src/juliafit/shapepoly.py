@@ -59,7 +59,7 @@ from typing import ClassVar
 import numpy as np
 
 from .conformal import ExteriorMap, evaluate_map
-from .curves import AnnulusSpec
+from .curves import AnnulusSpec, enclosed
 from .errors import DuplicateRoots, MapDiverged, NoEpsilon, ParseError
 
 #: |exponent| below which values are materialized as ordinary complex numbers
@@ -198,8 +198,10 @@ def _check_distinct(roots: np.ndarray) -> None:
 
 def select_epsilon(m: ExteriorMap, annulus: AnnulusSpec) -> float:
     """Largest inflation from the halving schedule 1/2, 1/4, ... whose image
-    circle stays strictly inside the annulus band. The annulus must be given
-    in the map's output frame (source curve minus t).
+    circle lies in the annulus band, by the one region rule ``enclosed``. The
+    annulus must be given in the map's output frame (source curve minus t).
+    A point on a band curve may pass or fail; a root proposed there fails
+    the certificate's (B1) or (A), which judges every root.
 
     Coarse first: each inflation is tested on every EPS_COARSE**2-th ring
     point, then on the rest of every EPS_COARSE-th, then on the others, and
@@ -214,7 +216,8 @@ def select_epsilon(m: ExteriorMap, annulus: AnnulusSpec) -> float:
     steps = [ring[sparse], ring[coarse & ~sparse], ring[~coarse]]
     for k in range(1, EPS_HALVINGS + 1):
         eps = 2.0 ** -k
-        if all(np.all(annulus.strictly_in_band(evaluate_map(m, (1.0 + eps) * step)))
+        if all(np.all(enclosed(evaluate_map(m, (1.0 + eps) * step),
+                               (annulus.outer, annulus.inner)))
                for step in steps):
             return eps
     raise NoEpsilon(

@@ -9,7 +9,10 @@ distance zero from the other curve.
 
 Conformal map: the slit-map pullback as it was before it reused its work
 buffers, and the inflation search that evaluates every ring point of every
-inflation it tries. The fast versions must return the same bits.
+inflation it tries, with the band test it used before it took the one region
+rule `juliafit.curves.enclosed`: inside the band and farther than ON_TOL_REL
+times the outer curve's diameter from both band curves. The fast versions
+must return the same bits and the same inflations.
 
 Dynamics: the scalar scaled-complex arithmetic that `juliafit.shapepoly` and
 `juliafit.rational` evaluated single points with before all evaluation went
@@ -38,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from juliafit.conformal import evaluate_map
-from juliafit.curves import _segment_pairs_intersect, curve_gap
+from juliafit import curves
+from juliafit.curves import _segment_pairs_intersect, curve_gap, enclosed
 from juliafit.dynamics import classify_orbits
 from juliafit.errors import NoEpsilon
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
@@ -51,6 +55,8 @@ from juliafit.shapepoly import (
 
 #: exponent saturation of the scalar reference arithmetic
 EXP_CAP = 2 ** 30
+#: relative tolerance (times the outer curve's diameter) of the strict band test
+ON_TOL_REL = 1e-9
 _CHUNK = 4096
 
 
@@ -186,6 +192,18 @@ def chain_pullback(chain, u: np.ndarray) -> np.ndarray:
     return (chain.z1 - q * chain.z0) / (1.0 - q)
 
 
+def strictly_in_band(annulus, z) -> np.ndarray:
+    """True where points are strictly between the two band curves: inside the
+    band and farther than ON_TOL_REL times the outer diameter from both."""
+    tol = ON_TOL_REL * annulus.outer.diameter
+    # the fast distance kernel equals the all-pairs one above bit for bit,
+    # and keeps full-ring searches quick
+    ok = enclosed(z, (annulus.outer, annulus.inner))
+    ok &= curves.distance_to_polyline(z, annulus.outer.points) > tol
+    ok &= curves.distance_to_polyline(z, annulus.inner.points) > tol
+    return ok
+
+
 def select_epsilon(m, annulus) -> float:
     """Largest inflation from the halving schedule 1/2, 1/4, ... whose image
     circle, all EPS_SAMPLES points of it, stays strictly inside the band."""
@@ -194,7 +212,7 @@ def select_epsilon(m, annulus) -> float:
     for k in range(1, EPS_HALVINGS + 1):
         eps = 2.0 ** -k
         pts = evaluate_map(m, (1.0 + eps) * ring)
-        if np.all(annulus.strictly_in_band(pts)):
+        if np.all(strictly_in_band(annulus, pts)):
             return eps
     raise NoEpsilon(f"no inflation down to 2**-{EPS_HALVINGS} stays inside the annulus")
 
@@ -280,10 +298,11 @@ class ScaledComplex:
         return self.add(ScaledComplex.from_value(-z))
 
     def to_complex(self) -> complex:
-        """Materialize; only valid when the exponent is in double range."""
+        """Materialize; only valid up to the top of the double range. Below
+        it, ldexp gives the subnormal, or zero."""
         if self.is_zero:
             return 0j
-        if not -1020 <= self.exponent <= 1020:
+        if self.exponent > 1020:
             raise OverflowError(f"exponent {self.exponent} outside double range")
         return complex(math.ldexp(self.mantissa.real, self.exponent),
                        math.ldexp(self.mantissa.imag, self.exponent))

@@ -469,8 +469,9 @@ def test_rational_validates_annuli_once(fixture_dir, tmp_path, monkeypatch):
 @pytest.mark.parametrize("command,curves", [("build", 1), ("rational", 2), ("annulus", 2)])
 def test_one_exterior_map_per_curve(command, curves, fixture_dir, tmp_path, monkeypatch,
                                     capsys):
-    # the curves may be fitted in forked workers, whose appends to a list of
-    # this process would be lost: each call appends a line to a file instead
+    # each call logs its pid to a file, which a forked worker's call would
+    # reach too: with two CPUs every curve is still fitted in this process
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     log = tmp_path / "calls.txt"
     real = conformal.build_exterior_map
 
@@ -488,7 +489,7 @@ def test_one_exterior_map_per_curve(command, curves, fixture_dir, tmp_path, monk
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     lines = capsys.readouterr().err.splitlines()
     calls = log.read_text().splitlines()
-    assert len(calls) == curves
+    assert calls == [str(os.getpid())] * curves
     assert sum(line.startswith("map ready: boundary rmse ") for line in lines) == curves
 
 
@@ -496,28 +497,22 @@ def test_one_exterior_map_per_curve(command, curves, fixture_dir, tmp_path, monk
                                          (["square", "--eps-geom", "0.001"], "NO_EPSILON")])
 @pytest.mark.parametrize("command,first", [("rational", "circle_left"),
                                            ("annulus", "ring_outer")])
-def test_later_curve_error_crosses_the_workers(command, first, option, code, fixture_dir,
-                                               tmp_path, monkeypatch, capsys):
+def test_later_curve_error_after_first_map(command, first, option, code, fixture_dir,
+                                           tmp_path, capsys):
     # the first curve fits and the later one fails (each case gives the later
-    # curve, then its options): fitted in two forked workers, the run reports
-    # as it does fitting one curve at a time
+    # curve, then its options): the run prints the first curve's map and
+    # then the later curve's error
     later, *option = option
     argv = [command, str(fixture_dir / f"{first}.txt"), str(fixture_dir / f"{later}.txt"),
             *option, "--grid", "64"]
-    err = {}
-    for cpus in (2, 1):
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert main(argv + ["--out", str(tmp_path / str(cpus))]) == 3
-        err[cpus] = capsys.readouterr().err
-    assert err[2] == err[1]
-    lines = err[2].splitlines()
+    assert main(argv + ["--out", str(tmp_path)]) == 3
+    lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and lines[0].startswith("map ready: boundary rmse ")
     assert lines[1].startswith(f"error [{code}]: ")
 
 
 #: the test process, which a task meant for a pool worker must not end
 _TEST_PROCESS = os.getpid()
-_REAL_FIT_CURVE = cli._fit_curve
 
 
 def _die():
@@ -530,33 +525,18 @@ def _dead_tile(*task):
     _die()
 
 
-def _fit_or_die(curve, *rest):
-    # circle_right, the second curve of rational, lies right of the frame origin
-    if curve.centroid.real > 0:
-        _die()
-    return _REAL_FIT_CURVE(curve, *rest)
-
-
-@pytest.mark.parametrize("command", ["render", "rational"])
-def test_a_dead_worker_exits_io(command, built_square, fixture_dir, tmp_path,
-                                monkeypatch, capsys):
-    # a worker that dies breaks its pool: the render's tile pool, or the pool
-    # that fits the curves of rational; the run exits 6 with one line and
-    # leaves no process behind. The pools pickle their tasks' function by
-    # name, so the stand-ins live at module level
+@pytest.mark.parametrize("command", ["render"])
+def test_a_dead_worker_exits_io(command, built_square, tmp_path, monkeypatch, capsys):
+    # a worker that dies breaks the render's tile pool; the run exits 6 with
+    # one line and leaves no process behind. The pool pickles its tasks'
+    # function by name, so the stand-in lives at module level
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    if command == "render":
-        monkeypatch.setattr(juliafit.render, "SERIAL_WORK", 0)
-        monkeypatch.setattr(juliafit.render, "_render_tile", _dead_tile)
-        # 128 rows make two tiles
-        argv = ["render", str(built_square / "shape.json"), "--grid", "128"]
-    else:
-        monkeypatch.setattr(cli, "_fit_curve", _fit_or_die)
-        argv = ["rational", *_pair_args("rational", fixture_dir), "--delta", "0.3",
-                "--grid", "64"]
-    assert main(argv + ["--out", str(tmp_path)]) == 6
-    lines = [line for line in capsys.readouterr().err.splitlines()
-             if not line.startswith("map ready: ")]
+    monkeypatch.setattr(juliafit.render, "SERIAL_WORK", 0)
+    monkeypatch.setattr(juliafit.render, "_render_tile", _dead_tile)
+    # 128 rows make two tiles
+    assert main([command, str(built_square / "shape.json"), "--grid", "128",
+                 "--out", str(tmp_path)]) == 6
+    lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("io error: a worker process died: ")
     assert multiprocessing.active_children() == []
 
@@ -606,7 +586,8 @@ def test_default_chain_keeps_every_degree(command, names, degree, fixture_dir, t
 @pytest.mark.parametrize("command", ["rational", "annulus"])
 def test_fit_matches_pinned_digest_at_any_cpu_count(command, cpus, fixture_dir, tmp_path,
                                                     monkeypatch, capsys):
-    # one CPU fits the curves in this process, two in forked workers
+    # the curves are fitted in this process at any CPU count, and a 64 x 64
+    # render stays under the render's pool threshold: no byte depends on it
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     out = tmp_path / command
     assert main([command, *_pair_args(command, fixture_dir), "--delta", "0.3",

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from helpers import make_figure_eight
 from juliafit.curves import (
-    ON_TOL_REL,
     AnnulusSpec,
     JordanCurve,
     curve_gap,
@@ -24,6 +23,7 @@ from juliafit.errors import (
     EmptySet, NotSimple, OffsetCollapse, ParseError, SamplingFailure, TooFewPoints,
 )
 from juliafit.shapes import make_blob, make_circle, make_square
+from oracles import ON_TOL_REL
 
 
 def densified_square(n=64, clockwise=False):
