@@ -4,7 +4,7 @@ A render classifies every pixel center by orbit fate (captured near the
 origin, escaped beyond the certified radius, or undecided at the iteration
 budget) with ``dynamics.classify_orbits``, the one orbit classifier. Work is
 split into row tiles; each tile is computed independently, so worker count
-changes timing but never bytes. ``fork_map`` runs the tiles in a pool of
+changes timing but never bytes. A large render runs its tiles in a pool of
 forked processes.
 
 Each tile of TILE_ROWS rows is cut into blocks of BLOCK x BLOCK pixels (the
@@ -26,14 +26,21 @@ Verification compares the rendered sets against sampled targets in Hausdorff
 distance (``curves.hausdorff_distance`` for the boundary), clipping the
 unbounded side to the render bbox; undecided pixels count as boundary, and
 the one-pixel thickness of a rasterized boundary is absorbed by adding one
-pixel diagonal to the tolerance. The target bounded set is
-``curves.enclosed``: the points inside an odd number of the target curves,
-which must not meet.
+pixel diagonal to the tolerance. The target bounded set is the pixels inside
+an odd number of the target curves, which must not meet (the rule of
+``curves.enclosed``), from the row scan ``curves.grid_winding_numbers``: it
+sends only the pixels within rounding of a crossing to ``winding_numbers``,
+so it is exact. The mask distances cost what the disagreement costs, not
+what the grid costs: only the pixels of one mask outside the other are
+queried, against the other's 4-boundary, and ties between offsets of equal
+length are closed (``_mask_hausdorff``), so they equal those of a full-grid
+Euclidean distance transform bit for bit.
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 import multiprocessing
@@ -44,9 +51,9 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt
+from scipy.spatial import cKDTree
 
-from .curves import JordanCurve, enclosed, hausdorff_distance, relation
+from .curves import JordanCurve, grid_winding_numbers, hausdorff_distance, relation
 from .dynamics import OrbitStatus, classify_orbits
 from .errors import BboxTooSmall, EmptySet, GeometryRejected, ParseError
 
@@ -59,7 +66,7 @@ TILE_ROWS = 64
 #: ``step_ceiling`` bound
 BLOCK = 16
 #: pixels times roots below which a render runs in one process, not in a
-#: ``fork_map`` pool: starting the pool costs more than it saves. On 2 CPUs a
+#: pool: starting the pool costs more than it saves. On 2 CPUs a
 #: 512 x 512 render took 36 ms alone and 58 ms pooled at 64 roots, 90 and
 #: 90 ms at 256 roots, and 224 and 154 ms at 512 roots.
 SERIAL_WORK = 50_000_000
@@ -156,32 +163,18 @@ def _dilate4(mask: np.ndarray) -> np.ndarray:
 # rendering
 
 
-def fork_map(fn, tasks, workers: int):
-    """Yield fn(*task) for each task, in order: the render's tile pool. With
-    more than one worker and more than one task the calls run in a pool of
-    that many forked processes, which inherit this process's modules as they
-    stand; otherwise they run here, one at a time as the results are taken.
-    Arguments and results are pickled. A call's error is raised where its
-    result would be yielded, after the results before it. A worker that dies
-    (say, killed for memory) raises ChildProcessError, an OSError, once the
-    pool has stopped."""
-    if workers > 1 and len(tasks) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            try:
-                yield from pool.map(fn, *zip(*tasks))
-            except BrokenProcessPool as exc:
-                raise ChildProcessError(f"a worker process died: {exc}") from exc
-    else:
-        for task in tasks:
-            yield fn(*task)
+def pixel_axes(bbox, width: int, height: int, rows: np.ndarray):
+    """(xs, ys): the x of every column, ascending, and the y of the given rows
+    (0 at the top) of a width x height grid of pixel centres over bbox."""
+    lo, hi = bbox
+    xs = lo.real + (np.arange(width) + 0.5) * ((hi.real - lo.real) / width)
+    ys = hi.imag - (rows + 0.5) * ((hi.imag - lo.imag) / height)
+    return xs, ys
 
 
 def pixel_centres(bbox, width: int, height: int, rows: np.ndarray) -> np.ndarray:
     """Centres of the given rows (0 at the top) of a width x height grid over bbox."""
-    lo, hi = bbox
-    xs = lo.real + (np.arange(width) + 0.5) * ((hi.real - lo.real) / width)
-    ys = hi.imag - (rows + 0.5) * ((hi.imag - lo.imag) / height)
+    xs, ys = pixel_axes(bbox, width, height, rows)
     return xs[None, :] + 1j * ys[:, None]
 
 
@@ -239,7 +232,9 @@ def render(kernel, bbox, width: int, height: int, *, escape_radius: float,
     fixed parameters: tiles are computed independently and reassembled in
     order, so the worker count cannot change the output. A render of fewer
     than SERIAL_WORK pixels times roots runs in this process, and a larger
-    one of more than one tile in a pool of up to 4 processes.
+    one of more than one tile in a pool of up to 4 forked processes. A
+    worker that dies (say, killed for memory) raises ChildProcessError, an
+    OSError, once the pool has stopped.
     """
     if width < MIN_GRID or height < MIN_GRID:
         raise ValueError(f"grid must be at least {MIN_GRID} x {MIN_GRID}")
@@ -252,7 +247,16 @@ def render(kernel, bbox, width: int, height: int, *, escape_radius: float,
               capture_radius, max_iter) for r0, nr in rows]
     small = width * height * len(kernel.roots) < SERIAL_WORK
     workers = 1 if small else min(4, os.cpu_count() or 1)
-    parts = list(fork_map(_render_tile, tasks, workers))
+    if workers == 1 or len(tasks) == 1:
+        parts = [_render_tile(*task) for task in tasks]
+    else:
+        # forked workers inherit this process's modules as they stand
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+            try:
+                parts = list(pool.map(_render_tile, *zip(*tasks)))
+            except BrokenProcessPool as exc:
+                raise ChildProcessError(f"a worker process died: {exc}") from exc
     status = np.vstack([p[0] for p in parts])
     iters = np.vstack([p[1] for p in parts])
     return EscapeField(bbox=bbox, width=width, height=height, status=status,
@@ -279,13 +283,66 @@ class HausdorffReport:
                 "pixel_diag": self.pixel_diag, "pass": self.passed}
 
 
+#: slack of the tie rule in ``_mask_hausdorff``, as a share of the grid's
+#: larger extent. It must exceed the k-d tree's rounding of a distance, a few
+#: units in the last place of the largest coordinate, about 1e-15 of it
+TIE_SLACK = 1e-9
+
+
+def _directed_mask(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> float:
+    """Largest distance from a pixel of a to the nearest pixel of b, both
+    non-empty; ``_mask_hausdorff`` says how."""
+    qi, qj = np.nonzero(a & ~b)
+    if qi.size == 0:
+        return 0.0
+    bi, bj = np.nonzero(b & _dilate4(~b))
+    tree = cKDTree(np.column_stack((bi * dy, bj * dx)))
+    query = np.column_stack((qi * dy, qj * dx))
+
+    def dist(q, p):
+        return np.sqrt(((qi[q] - bi[p]) * dy) ** 2 + ((qj[q] - bj[p]) * dx) ** 2)
+
+    _, pick = tree.query(query)
+    d = dist(np.arange(qi.size), pick)
+    slack = TIE_SLACK * max(a.shape[0] * dy, a.shape[1] * dx)
+    tied = np.flatnonzero(d >= d.max() - slack)
+    balls = tree.query_ball_point(query[tied], d[tied] + slack, return_sorted=False)
+    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    cols = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                       count=int(sizes.sum()))
+    best = np.full(tied.size, np.inf)
+    slot = np.repeat(np.arange(tied.size), sizes)
+    np.minimum.at(best, slot, dist(tied[slot], cols))
+    return float(best.max())
+
+
 def _mask_hausdorff(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> float:
-    """Exact Hausdorff distance between two pixel masks on the same grid."""
+    """Exact Hausdorff distance between two pixel masks on the same grid, in
+    the arithmetic of ``scipy.ndimage.distance_transform_edt``: the distance
+    from pixel (i, j) to pixel (k, l) is sqrt(((i-k)*dy)**2 + ((j-l)*dx)**2).
+
+    Only the pixels of a outside b can set the largest distance from a to b,
+    so only they are queried. The nearest pixel of b to such a pixel q lies
+    on the 4-boundary of b (the pixels of b with a 4-neighbour in the grid
+    outside b): from any other pixel of b, the 4-neighbour one step toward q
+    is in b and no farther, in exact arithmetic and after rounding alike,
+    since every operation of the distance is monotone. A k-d tree over that
+    boundary, scaled by (dy, dx), finds a nearest pixel up to the tree's own
+    rounding, and the distance is recomputed from the integer offsets.
+
+    Offsets of equal length (3-4-5 offsets at square pixels, say) may round
+    apart, so the tree's pick can miss the least recomputed distance by a
+    unit in the last place. The tie rule closes this: with a slack of
+    TIE_SLACK times the grid's larger extent, far above the tree's rounding,
+    every query whose distance comes within the slack of the largest is
+    closed by a ball query of the slack more than its distance, which holds
+    every boundary pixel that can be nearest, and the least recomputed
+    distance among them is kept. A query below that band cannot hold the
+    maximum: the query with the largest distance has a least distance
+    within twice the tree's rounding of it, and so above the band."""
     if not a.any() or not b.any():
         return math.inf
-    d_ab = float(distance_transform_edt(~b, sampling=(dy, dx))[a].max())
-    d_ba = float(distance_transform_edt(~a, sampling=(dy, dx))[b].max())
-    return max(d_ab, d_ba)
+    return max(_directed_mask(a, b, dx, dy), _directed_mask(b, a, dx, dy))
 
 
 def _check_bbox(field: EscapeField, curves, delta: float) -> None:
@@ -300,17 +357,19 @@ def _check_bbox(field: EscapeField, curves, delta: float) -> None:
 
 def verify_hausdorff(field: EscapeField, curves, delta: float) -> HausdorffReport:
     """Compare the rendered sets with the region of a list of curves that
-    do not meet: captured vs. ``enclosed`` (the points inside an odd number
-    of the curves), escaped vs. the rest clipped to the bbox, boundary pixels
-    vs. the curves themselves. Passes when all three distances stay below
+    do not meet: captured vs. the pixels inside an odd number of the curves
+    (the rule of ``enclosed``), escaped vs. the rest clipped to the bbox,
+    boundary pixels vs. the curves themselves. Passes when all three distances stay below
     delta plus one pixel diagonal."""
     if not curves:
         raise EmptySet("need at least one target curve")
     if any(relation(a, b) == "meet" for i, a in enumerate(curves) for b in curves[i + 1:]):
         raise GeometryRejected("target curves cross or touch")
     _check_bbox(field, curves, delta)
-    centers = field.pixel_centers()
-    inside = enclosed(centers, curves).reshape(centers.shape)
+    xs, ys = pixel_axes(field.bbox, field.width, field.height, np.arange(field.height))
+    inside = np.zeros((field.height, field.width), dtype=bool)
+    for c in curves:
+        inside ^= grid_winding_numbers(xs, ys, c.points) != 0
     samples = np.concatenate([c.boundary_samples(CURVE_SAMPLES) for c in curves])
     dx, dy = field.pixel_size
     k_mask = field.captured_mask | field.undecided_mask
@@ -318,7 +377,8 @@ def verify_hausdorff(field: EscapeField, curves, delta: float) -> HausdorffRepor
     d_k = _mask_hausdorff(inside, k_mask, dx, dy)
     d_l = _mask_hausdorff(~inside, l_mask, dx, dy)
     jb_mask = field.boundary_mask()
-    d_j = hausdorff_distance(samples, centers[jb_mask]) if jb_mask.any() else math.inf
+    rows, cols = np.nonzero(jb_mask)
+    d_j = hausdorff_distance(samples, xs[cols] + 1j * ys[rows]) if rows.size else math.inf
     tol = delta + field.pixel_diag
     passed = bool(d_k < tol and d_j < tol and d_l < tol)
     return HausdorffReport(d_K=d_k, d_J=d_j, d_L=d_l, delta=delta,

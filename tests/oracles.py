@@ -9,10 +9,11 @@ distance zero from the other curve.
 
 Conformal map: the slit-map pullback as it was before it reused its work
 buffers, and the inflation search that evaluates every ring point of every
-inflation it tries, with the band test it used before it took the one region
-rule `juliafit.curves.enclosed`: inside the band and farther than ON_TOL_REL
-times the outer curve's diameter from both band curves. The fast versions
-must return the same bits and the same inflations.
+inflation it tries (each ring image once per map), with the band test it
+used before it took the one region rule `juliafit.curves.enclosed`: inside
+the band and farther than ON_TOL_REL times the outer curve's diameter from
+both band curves. The fast versions must return the same bits and the same
+inflations.
 
 Dynamics: the scalar scaled-complex arithmetic that `juliafit.shapepoly` and
 `juliafit.rational` evaluated single points with before all evaluation went
@@ -27,6 +28,13 @@ map's `step_floor` and interior pixels with its `step_ceiling`:
 `classify_orbits` on whole tiles, every pixel stepped. The render with both
 bounds must give the same bytes.
 
+Verification: the Hausdorff distance of two pixel masks from the full-grid
+Euclidean distance transform of `scipy.ndimage`, and from every pair of
+pixels; and the check as it was before it queried only the disagreeing
+pixels and took the target region from a row scan: those distances, with
+`enclosed` over every pixel centre. The fast check must give the same report
+bit for bit.
+
 Dumps: the field writer as it was before it wrote the base64 arrays to the
 file itself, a single `json.dump`. The fast writer must write the same bytes.
 """
@@ -39,13 +47,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.ndimage import distance_transform_edt
 
 from juliafit.conformal import evaluate_map
 from juliafit import curves
-from juliafit.curves import _segment_pairs_intersect, curve_gap, enclosed
+from juliafit.curves import _segment_pairs_intersect, curve_gap, enclosed, hausdorff_distance
 from juliafit.dynamics import classify_orbits
 from juliafit.errors import NoEpsilon
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
+from juliafit.render import CURVE_SAMPLES, HausdorffReport
 from juliafit.shapepoly import (
     EPS_HALVINGS,
     EPS_SAMPLES,
@@ -204,16 +214,28 @@ def strictly_in_band(annulus, z) -> np.ndarray:
     return ok
 
 
+#: the ring images of ``select_epsilon``, per map and halving: {id(m): (m,
+#: {k: image})}. Each map is held here, so its id stays its own
+_RING_IMAGES: dict[int, tuple[object, dict[int, np.ndarray]]] = {}
+
+
+def ring_image(m, k: int) -> np.ndarray:
+    """The map's image of all EPS_SAMPLES points of the circle of radius
+    1 + 2**-k, evaluated once per map and k."""
+    _, images = _RING_IMAGES.setdefault(id(m), (m, {}))
+    if k not in images:
+        th = 2.0 * np.pi * np.arange(EPS_SAMPLES) / EPS_SAMPLES
+        images[k] = evaluate_map(m, (1.0 + 2.0 ** -k) * np.exp(1j * th))
+        images[k].setflags(write=False)
+    return images[k]
+
+
 def select_epsilon(m, annulus) -> float:
     """Largest inflation from the halving schedule 1/2, 1/4, ... whose image
     circle, all EPS_SAMPLES points of it, stays strictly inside the band."""
-    th = 2.0 * np.pi * np.arange(EPS_SAMPLES) / EPS_SAMPLES
-    ring = np.exp(1j * th)
     for k in range(1, EPS_HALVINGS + 1):
-        eps = 2.0 ** -k
-        pts = evaluate_map(m, (1.0 + eps) * ring)
-        if np.all(strictly_in_band(annulus, pts)):
-            return eps
+        if np.all(strictly_in_band(annulus, ring_image(m, k))):
+            return 2.0 ** -k
     raise NoEpsilon(f"no inflation down to 2**-{EPS_HALVINGS} stays inside the annulus")
 
 
@@ -482,6 +504,53 @@ def render_floorless(kernel, bbox, width: int, height: int, escape_radius: float
         iters.append(i)
     return (np.concatenate(status).reshape(height, width),
             np.concatenate(iters).reshape(height, width))
+
+
+# ---------------------------------------------------------------------------
+# verification
+
+
+def mask_hausdorff(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> float:
+    """Hausdorff distance between two pixel masks from the distance transforms
+    of the whole grid."""
+    if not a.any() or not b.any():
+        return math.inf
+    d_ab = float(distance_transform_edt(~b, sampling=(dy, dx))[a].max())
+    d_ba = float(distance_transform_edt(~a, sampling=(dy, dx))[b].max())
+    return max(d_ab, d_ba)
+
+
+def mask_hausdorff_all_pairs(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> float:
+    """Hausdorff distance between two pixel masks over every pixel pair, in
+    the transform's arithmetic."""
+    if not a.any() or not b.any():
+        return math.inf
+
+    def directed(a, b):
+        ai, aj = np.nonzero(a)
+        bi, bj = np.nonzero(b)
+        d = np.sqrt(((ai[:, None] - bi[None, :]) * dy) ** 2
+                    + ((aj[:, None] - bj[None, :]) * dx) ** 2)
+        return float(d.min(axis=1).max())
+
+    return max(directed(a, b), directed(b, a))
+
+
+def verify_hausdorff(field, targets, delta: float) -> HausdorffReport:
+    """The report of ``juliafit.render.verify_hausdorff`` for valid target
+    curves and bbox, from every pixel centre."""
+    centers = field.pixel_centers()
+    inside = enclosed(centers, targets).reshape(centers.shape)
+    samples = np.concatenate([c.boundary_samples(CURVE_SAMPLES) for c in targets])
+    dx, dy = field.pixel_size
+    d_k = mask_hausdorff(inside, field.captured_mask | field.undecided_mask, dx, dy)
+    d_l = mask_hausdorff(~inside, field.escaped_mask, dx, dy)
+    jb_mask = field.boundary_mask()
+    d_j = hausdorff_distance(samples, centers[jb_mask]) if jb_mask.any() else math.inf
+    tol = delta + field.pixel_diag
+    return HausdorffReport(d_K=d_k, d_J=d_j, d_L=d_l, delta=delta,
+                           pixel_diag=field.pixel_diag,
+                           passed=bool(d_k < tol and d_j < tol and d_l < tol))
 
 
 # ---------------------------------------------------------------------------

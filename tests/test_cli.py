@@ -324,6 +324,19 @@ def test_console_entry_point(fixture_dir, tmp_path):
     assert (tmp_path / "shape.json").exists()
 
 
+def test_commands_do_not_import_scipy_ndimage():
+    # the mask Hausdorff distance needs no distance transform; the transform
+    # stays in the tests, as its oracle
+    src = os.path.dirname(os.path.dirname(juliafit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, juliafit.cli; print('scipy.ndimage' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
 def test_every_map_kind_has_the_map_interface(fixture_systems):
     maps = [shapepoly.make_circle_shape()] + [m for m, _ in fixture_systems.values()]
     assert [type(m) for m in maps] == list(cli._MAPS)
@@ -788,7 +801,6 @@ ENTRY_POINTS = {
     "rational.certify_S": "(system, E, F, samples_per_region)",
     "rational.certify_multi": "(system, annuli, samples_per_region)",
     "rational.validate_mutually_exterior": "(annuli)",
-    "render.fork_map": "(fn, tasks, workers)",
     "render.render":
         "(kernel, bbox, width, height, *, escape_radius, capture_radius, max_iter)",
     "render.save_field": "(field, path, config)",

@@ -1,3 +1,6 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,6 @@ from juliafit.conformal import (
 )
 from juliafit.curves import distance_to_polyline, resample_closed
 from juliafit.errors import Aliasing, BadBasepoint, MapDiverged, OutOfDomain
-from juliafit.render import fork_map
 from juliafit.shapes import FIXTURES, make_blob, make_circle, make_ellipse, make_square
 
 # logarithmic capacity of a square per unit side: Gamma(1/4)^2 / (4 pi^(3/2))
@@ -243,10 +245,19 @@ def bits(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.complex128).reshape(-1).view(np.uint64)
 
 
+@pytest.fixture(scope="module")
+def fork_pool():
+    """Two forked workers, like the render's tile pool."""
+    ctx = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
+        yield pool
+
+
 @settings(deadline=None, max_examples=30)
 @given(name=st.sampled_from(sorted(FIXTURES)), size=st.integers(2, 600),
        seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_chain_evaluation_independent_of_batch(built_shapes, name, size, seed, data):
+def test_chain_evaluation_independent_of_batch(built_shapes, fork_pool, name, size, seed,
+                                               data):
     m = built_shapes[name]["map"]
     rng = np.random.default_rng(seed)
     w = rng.uniform(1.0, 3.0, size) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size))
@@ -268,7 +279,7 @@ def test_chain_evaluation_independent_of_batch(built_shapes, name, size, seed, d
                           bits(np.concatenate((whole, evaluate_map(m, v)))))
     # a split of the set over two forked workers
     split = data.draw(st.integers(1, size - 1), label="split")
-    parts = fork_map(evaluate_map, [(m, w[:split]), (m, w[split:])], 2)
+    parts = fork_pool.map(evaluate_map, [m, m], [w[:split], w[split:]])
     assert np.array_equal(bits(np.concatenate(list(parts))), bits(whole))
 
 

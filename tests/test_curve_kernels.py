@@ -13,6 +13,7 @@ from juliafit.curves import (
     _offset_polyline,
     _segment_pairs_intersect,
     distance_to_polyline,
+    grid_winding_numbers,
     relation,
     winding_numbers,
 )
@@ -77,6 +78,39 @@ def test_winding_matches_oracle_on_512_grid():
     w = winding_numbers(grid, points)
     assert np.array_equal(w, oracles.winding_numbers(grid, points))
     assert 0 < np.count_nonzero(w) < grid.size
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([0.1, 1 / 3, 0.25, 1.0, 0.07]), st.sampled_from([0.1, 1 / 3, 1.0]),
+       st.sampled_from(["lattice", "rows", "wavy"]), st.floats(0.2, 3.0))
+def test_grid_winding_matches_winding_numbers(seed, nx, ny, sx, sy, layout, zoom):
+    # lattice polygons have every vertex on a pixel centre, and rectilinear
+    # ones every horizontal edge along a row of them, so their crossings fall
+    # on pixel centres or within rounding of them; a wavy curve sits in a
+    # grid that spans zoom times its box, smaller or larger than the curve
+    rng = np.random.default_rng(seed)
+    x0, y0 = rng.uniform(-3.0, 3.0, 2)
+    xs = x0 + (np.arange(nx) + 0.5) * sx
+    ys = y0 - (np.arange(ny) + 0.5) * sy
+    m = int(rng.integers(3, 24))
+    if layout == "lattice":
+        points = xs[rng.integers(0, nx, m)] + 1j * ys[rng.integers(0, ny, m)]
+    elif layout == "rows":
+        i, j = rng.integers(0, ny, m), rng.integers(0, nx, m)
+        # a rectilinear walk: odd steps keep the row, even ones the column
+        i[1::2], j[2::2] = i[:-1:2], j[1:-1:2]
+        points = xs[j] + 1j * ys[i]
+    else:
+        points = wavy_curve(seed, 8 * m)
+        lo = complex(points.real.min(), points.imag.min())
+        hi = complex(points.real.max(), points.imag.max())
+        mid, half = 0.5 * (lo + hi), 0.5 * zoom * (hi - lo)
+        xs = np.linspace(mid.real - half.real, mid.real + half.real, nx)
+        ys = np.linspace(mid.imag + half.imag, mid.imag - half.imag, ny)
+    want = winding_numbers(xs[None, :] + 1j * ys[:, None], points).reshape(ny, nx)
+    got = grid_winding_numbers(xs, ys, points)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_distance_matches_oracle_on_grid():

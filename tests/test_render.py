@@ -4,16 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import read_pgm
 import juliafit.render
 from juliafit.curves import hausdorff_distance
 from juliafit.dumps import load_dump
-from juliafit.dynamics import OrbitStatus
+from juliafit.dynamics import OrbitStatus, certify, find_min_degree
 from juliafit.errors import BboxTooSmall
 from juliafit.render import (
     EscapeField,
+    _mask_hausdorff,
     render,
     save_field,
     verify_hausdorff,
@@ -21,7 +24,7 @@ from juliafit.render import (
     write_image,
 )
 from juliafit.shapepoly import make_circle_shape
-from juliafit.shapes import make_circle
+from juliafit.shapes import FIXTURES, make_circle
 
 BBOX = (-1.3 - 1.3j, 1.3 + 1.3j)
 
@@ -200,6 +203,77 @@ def test_verify_scores_the_even_odd_region():
                                make_circle(0.8, 3.8)], 0.1)
     assert rep.passed
     assert rep.d_K <= 0.1
+
+
+#: (dx, dy) pixel sizes of the mask tests: square pixels of side 1, 0.1 and
+#: 1/3, at which offsets of equal length (3-4-5, 1-7 and 5-5) tie or round
+#: apart, and oblong ones
+PIXELS = [(1.0, 1.0), (0.1, 0.1), (1 / 3, 1 / 3), (0.7, 0.7), (0.1, 0.3),
+          (1.0, 1 / 3), (2.5, 0.01), (0.3, 0.7)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 24), st.integers(1, 24), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.sampled_from(["apart", "subset", "single", "edge"]), st.sampled_from(PIXELS))
+def test_mask_hausdorff_matches_the_transform_and_all_pairs(h, w, seed, fill_a, fill_b,
+                                                            layout, pixel):
+    # sparse masks leave far pixels, where offsets of equal length tie
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(size=(h, w)) < fill_a ** 3
+    b = rng.uniform(size=(h, w)) < fill_b ** 3
+    if layout == "subset":
+        b |= a
+    elif layout == "single":
+        a = np.zeros((h, w), dtype=bool)
+        a[rng.integers(h), rng.integers(w)] = True
+    elif layout == "edge":
+        a[1:-1, 1:-1] = False
+    dx, dy = pixel
+    got = _mask_hausdorff(a, b, dx, dy)
+    assert got == oracles.mask_hausdorff(a, b, dx, dy)
+    assert got == oracles.mask_hausdorff_all_pairs(a, b, dx, dy)
+    assert _mask_hausdorff(b, a, dx, dy) == got
+
+
+@pytest.mark.parametrize("pixel", [1.0, 0.1, 1 / 3, 0.7])
+@pytest.mark.parametrize("ring", [[(0, 5), (3, 4)], [(1, 7), (5, 5)]], ids=["5", "50"])
+def test_mask_hausdorff_closes_ties(pixel, ring):
+    # b holds every pixel at offsets of one length from a pixel q, and a is
+    # b and q, so the distance is q's to b, at each place q in the grid: at
+    # 0.7 and 1/3 these lengths round apart, and a k-d tree's own pick misses
+    # the least of them at about a third of places
+    offsets = {(si * i, sj * j) for di, dj in ring for i, j in ((di, dj), (dj, di))
+               for si in (-1, 1) for sj in (-1, 1)}
+    for qi, qj in np.ndindex(14, 14):
+        b = np.zeros((14, 14), dtype=bool)
+        for i, j in offsets:
+            if 0 <= qi + i < 14 and 0 <= qj + j < 14:
+                b[qi + i, qj + j] = True
+        a = b.copy()
+        a[qi, qj] = True
+        got = _mask_hausdorff(a, b, pixel, pixel)
+        assert got == oracles.mask_hausdorff(a, b, pixel, pixel)
+        assert got == oracles.mask_hausdorff_all_pairs(a, b, pixel, pixel)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_verify_matches_the_full_grid_check_on_fixtures(built_shapes, name):
+    # a rendered fixture at its certified degree, on oblong pixels, against
+    # the fixture and a target it misses by a tenth of its size
+    data = built_shapes[name]
+    shape, cert = find_min_degree(
+        data["build"], lambda s: certify(s, data["annulus_t"], 1024), [8, 16, 32, 64])
+    curve = data["curve"]
+    lo, hi = curve.bbox
+    pad = 0.3 * curve.diameter
+    bbox = (lo - pad * (1 + 1j), hi + pad * (1 + 1j))
+    field = render(shape, bbox, 160, 96, escape_radius=cert.escape_radius,
+                   capture_radius=cert.capture_radius, max_iter=60)
+    delta = 0.1 * curve.diameter
+    for target in ([curve], [curve.translated(delta)]):
+        want = oracles.verify_hausdorff(field, target, delta)
+        assert repr(verify_hausdorff(field, target, delta)) == repr(want)
 
 
 # ---------------------------------------------------------------------------
