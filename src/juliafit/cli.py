@@ -320,13 +320,14 @@ def cmd_annulus(args) -> int:
 # parser
 
 
-def _number(kind, low, above: bool = False):
-    """argparse type: a `kind` of at least `low` (above it, with above)."""
+def _number(kind, low, above: bool = False, high=math.inf):
+    """argparse type: a `kind` of at least `low` (above it, with above), at most `high`."""
     def parse(text: str):
         value = kind(text)
-        if value > low or (value == low and not above):
+        if (value > low or (value == low and not above)) and value <= high:
             return value
-        raise argparse.ArgumentTypeError(f"must be {'above' if above else 'at least'} {low}")
+        top = f" and at most {high}" if high < math.inf else ""
+        raise argparse.ArgumentTypeError(f"must be {'above' if above else 'at least'} {low}{top}")
 
     parse.__name__ = kind.__name__
     return parse
@@ -362,7 +363,8 @@ def _add_build(ap: argparse.ArgumentParser) -> None:
 def _add_render(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--grid", type=_number(int, MIN_GRID), default=512,
                     help="render grid size (default 512)")
-    ap.add_argument("--max-iter", type=_number(int, 1), default=200, dest="max_iter",
+    ap.add_argument("--max-iter", type=_number(int, 1, high=np.iinfo(np.uint32).max),
+                    default=200, dest="max_iter",
                     help="iteration budget per pixel (default 200)")
 
 

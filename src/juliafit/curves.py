@@ -10,8 +10,8 @@ rule for the region several curves bound: the points inside an odd number of
 them (the target region that verify checks, and the band that the inflation
 search keeps its circle's image in). Points are classified only by
 ``JordanCurve.contains``, ``enclosed``, ``grid_winding_numbers`` (the
-winding numbers of a whole pixel grid, for verify) and
-``distance_to_polyline``.
+winding numbers of a whole pixel grid, for verify, by the one crossing rule
+of ``winding_numbers``: both call ``_edge_runs``) and ``distance_to_polyline``.
 """
 
 from __future__ import annotations
@@ -72,6 +72,28 @@ def _range_pairs(first: np.ndarray, last: np.ndarray):
         yield row, first[row] + (k - (end[row] - count[row]))
 
 
+def _ball_pairs(tree: cKDTree, xy: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    """``query_ball_point`` of xy within r as (rows, points) arrays, rows ascending."""
+    near = tree.query_ball_point(xy, r, return_sorted=False)
+    sizes = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    cols = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
+                       count=int(sizes.sum()))
+    return np.repeat(np.arange(len(near)), sizes), cols
+
+
+def _edge_runs(y: np.ndarray, points: np.ndarray):
+    """The crossing rule's set-up: the order sorting the heights y, the sorted
+    heights py, and per edge its start (ax, ay), its extent (dx, dy) and the
+    run first:last of py that min(ay, by) <= y < max(ay, by) admits."""
+    order = np.argsort(y)
+    py = y[order]
+    ax, ay = points.real, points.imag
+    by = np.roll(ay, -1)
+    first = np.searchsorted(py, np.minimum(ay, by), side="left")
+    last = np.searchsorted(py, np.maximum(ay, by), side="left")
+    return order, py, ax, ay, np.roll(ax, -1) - ax, by - ay, first, last
+
+
 def winding_numbers(z, points: np.ndarray) -> np.ndarray:
     """Integer winding number of the closed polyline around each query point.
 
@@ -83,19 +105,12 @@ def winding_numbers(z, points: np.ndarray) -> np.ndarray:
     height slightly up: left and bottom boundaries count as inside, right and
     top ones as outside. Non-finite queries get 0.
 
-    Only the (query, edge) pairs that pass the y test are evaluated: with the
-    queries sorted by y, each edge's queries form one contiguous run.
+    Only the (query, edge) pairs that pass the y test are evaluated, a run per edge.
     """
     z = _as_points(z)
-    order = np.argsort(z.imag)
-    px, py = z.real[order], z.imag[order]
-    a = points
-    b = np.roll(points, -1)
-    ax, ay = a.real, a.imag
-    dx, dy = b.real - ax, b.imag - ay
+    order, py, ax, ay, dx, dy, first, last = _edge_runs(z.imag, points)
+    px = z.real[order]
     up = dy > 0
-    first = np.searchsorted(py, np.minimum(ay, b.imag), side="left")
-    last = np.searchsorted(py, np.maximum(ay, b.imag), side="left")
     count = np.zeros(z.size, dtype=np.int64)
     for e, k in _range_pairs(first, last):
         cross = dx[e] * (py[k] - ay[e]) - (px[k] - ax[e]) * dy[e]
@@ -110,8 +125,8 @@ def grid_winding_numbers(xs: np.ndarray, ys: np.ndarray, points: np.ndarray) -> 
     """``winding_numbers`` of the grid points xs[j] + 1j*ys[i], as a
     (len(ys), len(xs)) array; xs ascending, all coordinates finite.
 
-    Row scan: each edge meets the rows that ``winding_numbers``' own y test
-    admits, on the same floats, and in each such row it crosses at one x.
+    Row scan: each edge meets the rows that ``winding_numbers``' y test
+    admits, by the same ``_edge_runs``, and in each it crosses at one x.
     The edge counts for a point when it crosses strictly right of it, so a
     point farther than a slack from every crossing of its row takes the
     signed count of the crossings to its right (a difference array and a
@@ -122,15 +137,8 @@ def grid_winding_numbers(xs: np.ndarray, ys: np.ndarray, points: np.ndarray) -> 
     a crossing go to ``winding_numbers`` itself, so the result is exact.
     """
     nx = xs.size
-    order = np.argsort(ys)
-    py = ys[order]
-    a = points
-    b = np.roll(points, -1)
-    ax, ay = a.real, a.imag
-    dx, dy = b.real - ax, b.imag - ay
+    order, py, ax, ay, dx, dy, first, last = _edge_runs(ys, points)
     slack = 2.0 ** -40 * max(float(np.abs(xs).max()), float(np.abs(ax).max()))
-    first = np.searchsorted(py, np.minimum(ay, b.imag), side="left")
-    last = np.searchsorted(py, np.maximum(ay, b.imag), side="left")
     # per row, the crossings' signs at the first column right of them
     right = np.zeros((ys.size, nx + 1), dtype=np.int64)
     near = []
@@ -153,9 +161,10 @@ def grid_winding_numbers(xs: np.ndarray, ys: np.ndarray, points: np.ndarray) -> 
 def distance_to_polyline(z, points: np.ndarray) -> np.ndarray:
     """Euclidean distance from each query point to the closed polyline.
 
-    The nearest vertex bounds each query's distance by u, so only edges whose
-    midpoint lies within u plus the longest half-edge can hold the minimum;
-    the exact projection runs on those. Non-finite queries take every edge.
+    The nearest edge midpoint, a point of the polyline, bounds each query's
+    distance by u, so only edges whose midpoint lies within u plus the
+    longest half-edge can hold the minimum; the exact projection runs on
+    those. Non-finite queries take every edge.
     """
     z = _as_points(z)
     a = points
@@ -164,7 +173,6 @@ def distance_to_polyline(z, points: np.ndarray) -> np.ndarray:
     out = np.full(z.shape, np.inf)
     half = 0.5 * float(np.abs(e).max())
     scale = float(np.abs(a).max())
-    vertices = cKDTree(np.column_stack((a.real, a.imag)))
     mid = a + 0.5 * e
     mids = cKDTree(np.column_stack((mid.real, mid.imag)))
     step = max(1, _PAIR_CHUNK // len(a))
@@ -173,21 +181,17 @@ def distance_to_polyline(z, points: np.ndarray) -> np.ndarray:
         xy = np.column_stack((zz.real, zz.imag))
         u = np.full(len(zz), np.inf)
         fin = np.isfinite(zz)
-        u[fin], _ = vertices.query(xy[fin])
-        # the trees cannot place non-finite queries, nor ones whose squared
+        u[fin], _ = mids.query(xy[fin])
+        # the tree cannot place non-finite queries, nor ones whose squared
         # distances overflow (u = inf): those take every edge
         tree = np.flatnonzero(np.isfinite(u))
         wide = np.flatnonzero(np.isinf(u))
         # the slack covers rounding in the tree distances and in the
         # projection, which scales with the coordinates, not with u
         r = (u[tree] + half) * (1.0 + 1e-9) + 1e-9 * (scale + np.abs(zz[tree]))
-        near = mids.query_ball_point(xy[tree], r, return_sorted=False)
-        sizes = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-        rows = np.concatenate((np.repeat(tree, sizes), np.repeat(wide, len(a))))
-        cols = np.concatenate((
-            np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
-                        count=int(sizes.sum())),
-            np.tile(np.arange(len(a)), len(wide))))
+        slot, near = _ball_pairs(mids, xy[tree], r)
+        rows = np.concatenate((tree[slot], np.repeat(wide, len(a))))
+        cols = np.concatenate((near, np.tile(np.arange(len(a)), len(wide))))
         zq, aq, eq = zz[rows], a[cols], e[cols]
         t = ((zq - aq) * eq.conjugate()).real / ee[cols]
         np.clip(t, 0.0, 1.0, out=t)
@@ -263,18 +267,12 @@ def _segment_pairs_intersect(points: np.ndarray, other: np.ndarray | None = None
     return best
 
 
-def arclengths(points: np.ndarray) -> np.ndarray:
-    """Cumulative arclength over the closed polyline, length N+1."""
-    seg = np.abs(np.roll(points, -1) - points)
-    return np.concatenate(([0.0], np.cumsum(seg)))
-
-
 def resample_closed(points: np.ndarray, n: int) -> np.ndarray:
     """Resample the closed polyline at n points, uniform in arclength,
     anchored at vertex 0."""
-    s = arclengths(points)
-    total = s[-1]
-    targets = np.linspace(0.0, total, n, endpoint=False)
+    seg = np.abs(np.roll(points, -1) - points)
+    s = np.concatenate(([0.0], np.cumsum(seg)))
+    targets = np.linspace(0.0, s[-1], n, endpoint=False)
     ext = np.concatenate((points, points[:1]))
     x = np.interp(targets, s, ext.real)
     y = np.interp(targets, s, ext.imag)
@@ -353,14 +351,13 @@ class JordanCurve:
 
 
 def load_curve(path) -> JordanCurve:
-    """Parse the curve file at path: either one "x y" pair per line, or a
-    JSON object with a "points" field of [x, y] pairs. Validates and
-    normalizes to counterclockwise."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
+    """Parse the UTF-8 curve file at path: either one "x y" pair per line, or
+    a JSON object with a "points" field of [x, y] pairs; a file that is not
+    UTF-8 raises ParseError. Validates and normalizes to counterclockwise."""
     try:
-        if stripped.startswith("{"):
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if text.lstrip().startswith("{"):
             obj = json.loads(text)
             pairs = obj["points"]
             pts = np.array([complex(float(x), float(y)) for x, y in pairs])

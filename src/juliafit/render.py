@@ -40,7 +40,6 @@ Euclidean distance transform bit for bit.
 from __future__ import annotations
 
 import base64
-import itertools
 import json
 import math
 import multiprocessing
@@ -53,7 +52,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .curves import JordanCurve, grid_winding_numbers, hausdorff_distance, relation
+from .curves import JordanCurve, _ball_pairs, grid_winding_numbers, hausdorff_distance, relation
 from .dynamics import OrbitStatus, classify_orbits
 from .errors import BboxTooSmall, EmptySet, GeometryRejected, ParseError
 
@@ -104,9 +103,6 @@ class EscapeField:
     def pixel_diag(self) -> float:
         dx, dy = self.pixel_size
         return math.hypot(dx, dy)
-
-    def pixel_centers(self) -> np.ndarray:
-        return pixel_centres(self.bbox, self.width, self.height, np.arange(self.height))
 
     @property
     def captured_mask(self) -> np.ndarray:
@@ -306,12 +302,8 @@ def _directed_mask(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> float:
     d = dist(np.arange(qi.size), pick)
     slack = TIE_SLACK * max(a.shape[0] * dy, a.shape[1] * dx)
     tied = np.flatnonzero(d >= d.max() - slack)
-    balls = tree.query_ball_point(query[tied], d[tied] + slack, return_sorted=False)
-    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
-    cols = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
-                       count=int(sizes.sum()))
+    slot, cols = _ball_pairs(tree, query[tied], d[tied] + slack)
     best = np.full(tied.size, np.inf)
-    slot = np.repeat(np.arange(tied.size), sizes)
     np.minimum.at(best, slot, dist(tied[slot], cols))
     return float(best.max())
 

@@ -55,7 +55,7 @@ from juliafit.curves import _segment_pairs_intersect, curve_gap, enclosed, hausd
 from juliafit.dynamics import classify_orbits
 from juliafit.errors import NoEpsilon
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
-from juliafit.render import CURVE_SAMPLES, HausdorffReport
+from juliafit.render import CURVE_SAMPLES, HausdorffReport, pixel_centres
 from juliafit.shapepoly import (
     EPS_HALVINGS,
     EPS_SAMPLES,
@@ -232,9 +232,13 @@ def ring_image(m, k: int) -> np.ndarray:
 
 def select_epsilon(m, annulus) -> float:
     """Largest inflation from the halving schedule 1/2, 1/4, ... whose image
-    circle, all EPS_SAMPLES points of it, stays strictly inside the band."""
+    circle, all EPS_SAMPLES points of it, stays strictly inside the band. A
+    ring with a point outside the band fails before its distance margins are
+    taken: the strict test keeps only points inside it."""
+    band = (annulus.outer, annulus.inner)
     for k in range(1, EPS_HALVINGS + 1):
-        if np.all(strictly_in_band(annulus, ring_image(m, k))):
+        z = ring_image(m, k)
+        if np.all(enclosed(z, band)) and np.all(strictly_in_band(annulus, z)):
             return 2.0 ** -k
     raise NoEpsilon(f"no inflation down to 2**-{EPS_HALVINGS} stays inside the annulus")
 
@@ -539,7 +543,7 @@ def mask_hausdorff_all_pairs(a: np.ndarray, b: np.ndarray, dx: float, dy: float)
 def verify_hausdorff(field, targets, delta: float) -> HausdorffReport:
     """The report of ``juliafit.render.verify_hausdorff`` for valid target
     curves and bbox, from every pixel centre."""
-    centers = field.pixel_centers()
+    centers = pixel_centres(field.bbox, field.width, field.height, np.arange(field.height))
     inside = enclosed(centers, targets).reshape(centers.shape)
     samples = np.concatenate([c.boundary_samples(CURVE_SAMPLES) for c in targets])
     dx, dy = field.pixel_size

@@ -80,11 +80,14 @@ def test_build_missing_file_exits_io(tmp_path):
     assert rc == 6
 
 
-def test_build_garbage_file_exits_parse(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("not a curve\n")
-    rc = main(["build", str(p), "--out", str(tmp_path)])
-    assert rc == 2
+def test_build_garbage_file_exits_parse(tmp_path, capsys):
+    text, binary = tmp_path / "bad.txt", tmp_path / "bad.bin"
+    text.write_text("not a curve\n")
+    # a UTF-16 byte-order mark and text: not UTF-8
+    binary.write_bytes(b"\xff\xfe" + "0 0\n1 0\n".encode("utf-16-le"))
+    for p in (text, binary):
+        assert main(["build", str(p), "--out", str(tmp_path)]) == 2
+        assert "error [PARSE_ERROR]" in capsys.readouterr().err
 
 
 def test_build_non_finite_point_exits_parse(tmp_path, capsys):
@@ -746,6 +749,7 @@ def test_basepoint_on_a_root_exits_geometry(built_square, tmp_path, capsys):
     ("render", ["--bbox", "0", "0", "inf", "1"]),
     ("render", ["--bbox", "1", "1", "0", "0"]),
     ("render", ["--bbox", "0", "0.5", "1", "0.5"]),
+    ("render", ["--max-iter", "4294967296"]),  # above the field's uint32 counts
 ])
 def test_unusable_number_is_a_usage_error(command, bad, built_square, fixture_dir,
                                           tmp_path, capsys):

@@ -17,6 +17,7 @@ from juliafit.errors import BboxTooSmall
 from juliafit.render import (
     EscapeField,
     _mask_hausdorff,
+    pixel_centres,
     render,
     save_field,
     verify_hausdorff,
@@ -52,7 +53,8 @@ def circle_field():
 
 def boundary_pixels(field):
     """Centres of the field's boundary pixels."""
-    return field.pixel_centers()[field.boundary_mask()]
+    rows = np.arange(field.height)
+    return pixel_centres(field.bbox, field.width, field.height, rows)[field.boundary_mask()]
 
 
 def synthetic_field(status, iterations=None, bbox=(0j, 1 + 1j)):
@@ -77,7 +79,7 @@ def test_constant_map_all_captured():
 def test_circle_interior_matches_disk(circle_field):
     # interior pixels are exactly those inside radius c, within one pixel
     f = circle_field
-    centers = f.pixel_centers()
+    centers = pixel_centres(f.bbox, f.width, f.height, np.arange(f.height))
     c = 1.0625
     inside = np.abs(centers) < c - f.pixel_diag
     outside = np.abs(centers) > c + f.pixel_diag
