@@ -11,6 +11,15 @@ inflation, and the degree search. The curves are fitted one after another in
 this process, so the "map ready" lines and the first error come in the order
 of the curves.
 
+Each curve's roots sit on the image of the circle |w| = 1 + epsilon_used,
+half of epsilon_max, the largest inflation ``shapepoly.select_epsilon`` finds
+for the curve's band, or --epsilon when given, with no search and
+epsilon_max null. The configuration records both keys: one number each for
+build, and one entry per curve, in the order of the curves, for rational and
+annulus. Each curve's "map ready" line names both, the used one last::
+
+    map ready: boundary rmse 0.000538, largest inflation 0.03125, inflation 0.015625
+
 render and verify take a dump of any of the three maps (``shape.json`` from
 build, ``system.json`` from rational and annulus); verify also takes a
 ``field.json``. A malformed dump exits 2.
@@ -124,29 +133,38 @@ def _pipeline_bbox(curve_list, delta: float):
 
 def _fit(args, curve_list, bands, t: complex, assemble, certify):
     """Fit one map to the curves, the shared core of build, rational and
-    annulus. Shifts the curves and their bands by t, builds each curve's
-    exterior map about its shifted centroid with its inflation (or
-    --epsilon), then searches the degree schedule for the least n at which
+    annulus. Shifts the curves and their bands by t and builds each curve's
+    exterior map about its shifted centroid. Each curve's roots sit on the
+    image of the circle inflated by half its largest inflation (the
+    ``select_epsilon`` of its band), or by --epsilon, which skips the search.
+    Then searches the degree schedule for the least n at which
     ``certify(assemble(*shapes), shifted bands, samples)`` passes, the shapes
     taken in the order of the curves. Prints one "map ready" line per curve,
     in their order and up to the first that fails, and the certified line;
-    returns the certified map, its certificate and the inflations."""
+    returns the certified map, its certificate, and per curve the largest
+    inflation (None under --epsilon) and the one the roots use."""
     bands_t = [b.translated(-t) for b in bands]
-    maps = []
+    fits = []
     # one curve at a time: on 2 CPUs, a pool of two saved nothing at 128 stages
     for curve, band in zip(curve_list, bands_t):
         curve = curve.translated(-t)
         p = curve.centroid
         m = conformal.build_exterior_map(curve, p, resample=args.resample)
-        eps = (shapepoly.select_epsilon(m, band.translated(-p)) if args.epsilon is None
-               else args.epsilon)
-        _say(f"map ready: boundary rmse {m.boundary_rmse:.3g}, inflation {eps}")
-        maps.append((m, eps))
+        if args.epsilon is None:
+            # at the band's edge the roots make (B1) hardest; see select_epsilon
+            eps_max = shapepoly.select_epsilon(m, band.translated(-p))
+            eps = eps_max / 2
+        else:
+            eps_max, eps = None, args.epsilon
+        largest = "not searched" if eps_max is None else eps_max
+        _say(f"map ready: boundary rmse {m.boundary_rmse:.3g}, "
+             f"largest inflation {largest}, inflation {eps}")
+        fits.append((m, eps_max, eps))
     system, cert = dynamics.find_min_degree(
-        lambda n: assemble(*(shapepoly.sample_roots(m, eps, n, t=t) for m, eps in maps)),
+        lambda n: assemble(*(shapepoly.sample_roots(m, eps, n, t=t) for m, _, eps in fits)),
         lambda candidate: certify(candidate, bands_t, args.samples), _schedule(args))
     _say_margins("certified at", cert.n_certified, cert.margins())
-    return system, cert, [eps for _, eps in maps]
+    return system, cert, [(eps_max, eps) for _, eps_max, eps in fits]
 
 
 def _render(args, system, bbox, radii):
@@ -172,10 +190,12 @@ def _report(args, cfg, field, curve_list, delta: float) -> int:
     return EXIT_OK if rep.passed else EXIT_VERIFICATION
 
 
-def _finish(args, cfg, system, cert, curve_list, delta: float) -> int:
-    """Tail of rational and annulus: save the certified system and its
-    certificate, render the field over the curves padded by delta, verify it
-    and report."""
+def _finish(args, cfg, system, cert, inflations, curve_list, delta: float) -> int:
+    """Tail of rational and annulus: record each curve's inflations, save the
+    certified system and its certificate, render the field over the curves
+    padded by delta, verify it and report."""
+    cfg.update(epsilon_max=[m for m, _ in inflations],
+               epsilon_used=[e for _, e in inflations])
     save_dump(system, _outpath(args, "system.json"))
     dynamics.save_certificate(cert, _outpath(args, "certificate.json"), config=cfg)
     field = _render(args, system, _pipeline_bbox(curve_list, delta),
@@ -194,11 +214,11 @@ def cmd_build(args) -> int:
     eps_geom = args.eps_geom if args.eps_geom is not None else 0.05 * curve.diameter
     cfg = _config(args, "build")
     cfg["eps_geom_used"] = eps_geom
-    shape, cert, (eps,) = _fit(
+    shape, cert, ((eps_max, eps),) = _fit(
         args, [curve], [curves.offset_annulus(curve, eps_geom)], curve.centroid,
         lambda shape: shape,
         lambda shape, bands, samples: dynamics.certify(shape, *bands, samples))
-    cfg["epsilon_used"] = eps
+    cfg.update(epsilon_max=eps_max, epsilon_used=eps)
     save_dump(shape, _outpath(args, "shape.json"))
     dynamics.save_certificate(cert, _outpath(args, "certificate.json"), config=cfg)
     return EXIT_OK
@@ -272,10 +292,10 @@ def cmd_rational(args) -> int:
     cfg.update(eps_geom_used=eps_geom, delta_used=delta,
                t_used=[t.real, t.imag])
 
-    system, cert, _ = _fit(args, curve_list, anns, t,
-                           lambda *shapes: rational.MultiShapeSystem(shapes=shapes),
-                           rational.certify_multi)
-    return _finish(args, cfg, system, cert, curve_list, delta)
+    system, cert, inflations = _fit(
+        args, curve_list, anns, t, lambda *shapes: rational.MultiShapeSystem(shapes=shapes),
+        rational.certify_multi)
+    return _finish(args, cfg, system, cert, inflations, curve_list, delta)
 
 
 def _default_basepoint(outer: curves.JordanCurve, inner: curves.JordanCurve) -> complex:
@@ -310,10 +330,10 @@ def cmd_annulus(args) -> int:
     cfg.update(eps_geom_used=eps_geom, delta_used=delta, xi=xi,
                t_used=[t.real, t.imag])
 
-    system, cert, _ = _fit(
+    system, cert, inflations = _fit(
         args, [outer, inner], bands, t, rational.AnnulusSystem,
         lambda system, bands, samples: rational.certify_S(system, *bands, samples))
-    return _finish(args, cfg, system, cert, [outer, inner], delta)
+    return _finish(args, cfg, system, cert, inflations, [outer, inner], delta)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,11 @@ class ShapePolynomial:
 
 
 def _check_distinct(roots: np.ndarray) -> None:
+    # a non-finite root would make the coincidence limit below inf or NaN
+    finite = np.isfinite(roots)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise MapDiverged(f"root {i} is {complex(roots[i])}, not a finite number")
     d = np.abs(roots[:, None] - roots[None, :])
     np.fill_diagonal(d, np.inf)
     scale = float(np.abs(roots).max())
@@ -202,6 +207,11 @@ def select_epsilon(m: ExteriorMap, annulus: AnnulusSpec) -> float:
     annulus must be given in the map's output frame (source curve minus t).
     A point on a band curve may pass or fail; a root proposed there fails
     the certificate's (B1) or (A), which judges every root.
+
+    This is epsilon_max. The commands' fit samples the roots at half of it:
+    at the band's edge the roots make (B1), |P| > beta on the outer band
+    curve, hardest to meet. Half the inflation needed no more roots on any
+    fixture or benchmark seed measured, and half as many on most.
 
     Coarse first: each inflation is tested on every EPS_COARSE**2-th ring
     point, then on the rest of every EPS_COARSE-th, then on the others, and

@@ -85,7 +85,8 @@ def square_map():
 @pytest.fixture(scope="session")
 def built_shapes():
     """Numerically built shape pipeline per fixture curve: translated curve,
-    annulus, map, builder. Shared across tests to amortize map construction."""
+    annulus, map, largest and used inflation, builder. Shared across tests
+    to amortize map construction."""
     from juliafit.shapepoly import sample_roots, select_epsilon
 
     out = {}
@@ -97,13 +98,16 @@ def built_shapes():
         ann_t = ann.translated(-t)
         m = centroid_map(curve_t)
         band = ann_t.translated(-m.t)
-        eps = select_epsilon(m, band)
+        # the roots use half the largest inflation, as the commands' fit does
+        eps_max = select_epsilon(m, band)
+        eps = eps_max / 2
 
         def build(n, m=m, eps=eps, t=t):
             return sample_roots(m, eps, n, t=t)
 
         out[name] = {"curve": curve, "t": t, "annulus": ann, "annulus_t": ann_t,
-                     "map": m, "band": band, "epsilon": eps, "build": build}
+                     "map": m, "band": band, "epsilon_max": eps_max, "epsilon": eps,
+                     "build": build}
     return out
 
 

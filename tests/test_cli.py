@@ -14,7 +14,7 @@ import pytest
 
 import juliafit.render
 from helpers import make_figure_eight
-from juliafit import cli, conformal, shapepoly
+from juliafit import cli, conformal, curves, shapepoly
 from juliafit.cli import build_parser, main
 from juliafit.shapes import make_square, write_curve_file
 
@@ -429,7 +429,6 @@ def test_annulus_dump_with_bands_renders_and_verifies_alike(built_annulus, fixtu
     # all three follow from the certificate's config and the input curves,
     # and a dump that carries them renders and verifies byte for byte like
     # one that does not
-    from juliafit import curves
     from juliafit.dumps import load_dump
     from juliafit.rational import AnnulusSystem, SCertificate, certify_S
 
@@ -563,7 +562,7 @@ def test_square_certifies_on_a_short_chain(resample, fixture_dir, tmp_path):
     assert main(["build", str(fixture_dir / "square.txt"), "--resample", str(resample),
                  "--out", str(tmp_path)]) == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())
-    assert cert["passed"] is True and cert["n_certified"] == 16
+    assert cert["passed"] is True and cert["n_certified"] == 8
 
 
 def test_annulus_around_square_verifies_on_a_short_chain(fixture_dir, tmp_path):
@@ -574,9 +573,9 @@ def test_annulus_around_square_verifies_on_a_short_chain(fixture_dir, tmp_path):
 
 
 @pytest.mark.parametrize("command, names, degree", [
-    ("build", ["circle"], 8), ("build", ["ellipse"], 32), ("build", ["square"], 16),
-    ("build", ["blob"], 32), ("rational", ["circle_left", "circle_right"], 128),
-    ("annulus", ["ring_outer", "ring_inner"], 256)],
+    ("build", ["circle"], 8), ("build", ["ellipse"], 16), ("build", ["square"], 8),
+    ("build", ["blob"], 32), ("rational", ["circle_left", "circle_right"], 64),
+    ("annulus", ["ring_outer", "ring_inner"], 128)],
     ids=["circle", "ellipse", "square", "blob", "rational", "annulus"])
 def test_default_chain_keeps_every_degree(command, names, degree, fixture_dir, tmp_path,
                                           capsys):
@@ -596,6 +595,86 @@ def test_default_chain_keeps_every_degree(command, names, degree, fixture_dir, t
     default, fine = runs
     assert len(default[1]) == len(names)
     assert default == fine and default[0] == degree
+
+
+def _fit_args(command, names, fixture_dir) -> tuple[list[str], list[str]]:
+    """The curve files of a fixture run and its argv, without --out."""
+    paths = [str(fixture_dir / f"{n}.txt") for n in names]
+    return paths, [command, *paths] + ([] if command == "build"
+                                       else ["--delta", "0.3", "--grid", "16"])
+
+
+def _refitted(cfg, paths):
+    """Each curve's exterior map and band in the map's frame, rebuilt from a
+    run's configuration as the fit builds them."""
+    curve_list = [curves.load_curve(p) for p in paths]
+    t = curve_list[0].centroid if cfg["command"] == "build" else complex(*cfg["t_used"])
+    out = []
+    for curve in curve_list:
+        band = curves.offset_annulus(curve, cfg["eps_geom_used"]).translated(-t)
+        shifted = curve.translated(-t)
+        m = conformal.build_exterior_map(shifted, shifted.centroid, resample=cfg["resample"])
+        out.append((m, band.translated(-m.t)))
+    return out, t
+
+
+@pytest.mark.parametrize("command, names", [
+    ("build", ["square"]), ("rational", ["circle_left", "circle_right"]),
+    ("annulus", ["ring_outer", "ring_inner"])], ids=["build", "rational", "annulus"])
+def test_roots_use_half_the_largest_inflation(command, names, fixture_dir, tmp_path, capsys):
+    # each curve's epsilon_max is its band's select_epsilon, its roots use
+    # half of it, and its "map ready" line ends with the one they use
+    paths, argv = _fit_args(command, names, fixture_dir)
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    cfg = json.loads((tmp_path / "certificate.json").read_text())["config"]
+    largest, used = cfg["epsilon_max"], cfg["epsilon_used"]
+    if command == "build":
+        largest, used = [largest], [used]
+    maps, _ = _refitted(cfg, paths)
+    assert largest == [shapepoly.select_epsilon(m, band) for m, band in maps]
+    assert used == [eps / 2 for eps in largest]
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("map ready: ")]
+    assert [line.rsplit(" ", 1)[1] for line in lines] == [repr(eps) for eps in used]
+
+
+def test_given_inflation_places_the_roots(fixture_dir, tmp_path, monkeypatch, capsys):
+    # --epsilon is the inflation the roots use, and no search runs
+    def no_search(*args):
+        raise AssertionError("select_epsilon ran under --epsilon")
+
+    monkeypatch.setattr(shapepoly, "select_epsilon", no_search)
+    paths, argv = _fit_args("build", ["circle"], fixture_dir)
+    # twice what a default build of the circle uses
+    assert main(argv + ["--epsilon", "0.125", "--out", str(tmp_path)]) == 0
+    cfg = json.loads((tmp_path / "certificate.json").read_text())["config"]
+    assert cfg["epsilon_max"] is None and cfg["epsilon_used"] == 0.125
+    shape = json.loads((tmp_path / "shape.json").read_text())
+    [(m, _)], t = _refitted(cfg, paths)
+    want = shapepoly.sample_roots(m, 0.125, shape["n"], t=t).roots
+    got = np.array([complex(a, b) for a, b in shape["roots"]])
+    assert got.tobytes() == want.tobytes()
+    [line] = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("map ready: ")]
+    assert line.endswith(", largest inflation not searched, inflation 0.125")
+
+
+@pytest.mark.parametrize("command, names", [
+    ("build", ["circle"]), ("build", ["ellipse"]), ("build", ["square"]),
+    ("build", ["blob"]), ("rational", ["circle_left", "circle_right"])],
+    ids=["circle", "ellipse", "square", "blob", "rational"])
+def test_half_inflation_raises_no_degree(command, names, fixture_dir, tmp_path):
+    # the roots at the largest inflation, the rule before half of it, need
+    # no fewer roots; both bands of the rational pair share their largest
+    # inflation, so --epsilon can give it
+    _, argv = _fit_args(command, names, fixture_dir)
+    assert main(argv + ["--out", str(tmp_path / "half")]) == 0
+    half = json.loads((tmp_path / "half" / "certificate.json").read_text())
+    largest = half["config"]["epsilon_max"]
+    [largest] = set(largest) if command != "build" else {largest}
+    assert main(argv + ["--epsilon", repr(largest), "--out", str(tmp_path / "full")]) == 0
+    full = json.loads((tmp_path / "full" / "certificate.json").read_text())
+    assert half["n_certified"] <= full["n_certified"]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -834,20 +913,20 @@ def test_entry_point_signatures():
 #: configuration included, flips one of these. On a mismatch the test names
 #: the sha256 of each artifact of the runs that changed, and their stderr
 CLI_DIGESTS = {
-    "build-square": "594dbf4e7d1bb76aaeb8a0b5b93bc917a808ec4b0ab4e2fcf59c4451f2625e47",
-    "build-square-verify": "dd5c1e97430d3fe8bf2ada81865cf79bae18179a774a8c2320e4a22021afc5dc",
-    "build-blob": "d9ee9c27e3578a1d32551cf803ac74e81c756b3ae44bb42e7f3a3909e61e91d4",
-    "build-blob-verify": "e42a50978483d9b8db9f61ae567b249a7a37000dfbdeaf24c0a511b42bea8033",
-    "build-circle": "9863b3a273c7dc233ba9c47955811b4b4c8c950e2a2b2a4ce2e023625ca8514b",
-    "build-circle-verify": "9100f5221ea16d12f74a2ef1c300bb56a968d46f4e3bf5c9872d6ee1a3d4516f",
-    "rational": "9c1757fad6cf1c0c22ac1d9adad47f0db7c7e6eb4642c496963a8a5e278fe3ac",
-    "rational-verify": "bf9cfb4453fe718f205650385de25ba3261820ea98484dacac5f57cdd01f6328",
-    "annulus": "0958d879fab5fce592abb619bfd6a7baf9f832a72779df7a637f3b928516f60c",
-    "annulus-verify": "1b2962b3f6514d071e9e2768d2d8d57567b947d77aec24710b56eba814a4e478",
-    "build-square-render": "3259e2dac0f976b9403e107ab9023363df3fe32d0007c2b5c9ffad6824419bf7",
-    "build-square-render-bbox": "5f19facaeb5ae751bf3523d07efee9e070d146a267bc6e3e811a0f096d69d754",
-    "rational-render": "6549e4de19246e818409699fc897484ced95994ac2d32db1206de2d78f6465a8",
-    "annulus-render": "a5fa968a7399d8f4275f71d1a12718a7cf6f1aeb0b27024fbced9631963e6c90",
+    "build-square": "73923cd2c910b95ab60b6d3d28eb4306713148fffbd0c0396c39c285be5f72ae",
+    "build-square-verify": "e5860b83879cd542ceea2880113b48f7d7c1a3b6da473cf0ec05f8ec22603370",
+    "build-blob": "461bc38bd9c567db3b7f7404dd193ea29c13c7a1a5d12cf5c3eef5b11de57f23",
+    "build-blob-verify": "17dcb31395e96d056f04b3b3b9d9c65e6d7dedc0925e2a7d59c7278d6b7f8fbd",
+    "build-circle": "94a99fcfe193953e3d39097c288c4a03e21e2db12addebd909d9c421f0c03cd3",
+    "build-circle-verify": "121601bed33d151fff5127cde9bb7dbc77fd5b30e2e033c747cf382c1520be52",
+    "rational": "c5d52b101ddc56f39969376796483754286df528dc48d4181824d3d63213c044",
+    "rational-verify": "dd09f2580151963899b4cb2583d594e222d90b516340aa7be3cdf0cfe01ddf7d",
+    "annulus": "48e17bb673fa258459ecce3fe36fabdbbbd8baba0410d7ad036751d8b639dc0c",
+    "annulus-verify": "226a0a8b496c3050a88b5c53efa45aef9099326a5887702992ef0e29aa844cf1",
+    "build-square-render": "bdbcd9ca33bdcb6aacfe62067d0c1b574426d17246ebe47a76f5e216d8bf7e05",
+    "build-square-render-bbox": "40c9ed45fba536dc8df2c93412165752f33d8b0a93ea94471fb57cc4eb29cf63",
+    "rational-render": "17b7d9c5e46cde10e96adb087da62fb9608474414555b94c031967b486abe915",
+    "annulus-render": "e9018dfb2b4e05b86dd0332678268adf2122d16130e6e13c6dc2c6b37f0ab8dc",
 }
 
 

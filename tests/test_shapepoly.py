@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from helpers import boundary_table
 from juliafit import shapepoly
 from juliafit.curves import AnnulusSpec, offset_annulus, winding_numbers
 from juliafit.dumps import load_dump, save_dump
-from juliafit.errors import DuplicateRoots, NoEpsilon, OffsetCollapse
+from juliafit.errors import DuplicateRoots, MapDiverged, NoEpsilon, OffsetCollapse
 from juliafit.shapepoly import (
     EPS_COARSE,
     EPS_SAMPLES,
@@ -443,7 +444,7 @@ def test_select_epsilon_screens_coarse_first(built_shapes, monkeypatch):
 
     monkeypatch.setattr(shapepoly, "evaluate_map", counting)
     eps = select_epsilon(data["map"], data["band"])
-    assert eps == data["epsilon"]
+    assert eps == data["epsilon_max"]
     tried = round(-math.log2(eps))
     assert sum(points) <= EPS_SAMPLES + tried * EPS_SAMPLES // EPS_COARSE
 
@@ -452,10 +453,10 @@ def test_select_epsilon_screens_coarse_first(built_shapes, monkeypatch):
 #: roots at n = 64; a chain-kernel change that moves a bit of the map or of
 #: the search changes it
 FIXTURE_DIGESTS = {
-    "circle": "95e9a29212567d5c4e7a65c367f10326df5bd9a0986424f231976d0839d12482",
-    "ellipse": "a9845ab508b5fb7da7dbc41fc6dc9962aaf022ff5a417aee54ea78c4f34736a8",
-    "square": "1fef6fb4f39e1a2875626f19f631c4a15ec83acade3eb57ccbed7d348d8d34af",
-    "blob": "2f0d93e994245c5ac51643cf3018104da597658cb99eb992082c84ebbf7ee290",
+    "circle": "afe162a0c33a64746a39dfa86c763f43de03507f2a85aef21c49676eb89c31e1",
+    "ellipse": "8c2790a143e70e2cc00558778e02499c2288babe68c382653e594005df760bd5",
+    "square": "5629c608db805f218ba8583dff00df7ad45da1e469deecd318f408a14796cdf5",
+    "blob": "91f65ed765c25390ada907a9fce44db475bb3300da2556ef391a0a6d4a009fb7",
 }
 
 
@@ -506,6 +507,19 @@ def test_duplicate_roots_rejected():
     roots = np.array([1.0 + 0j, 1.0 + 0j, 2.0 + 0j, 3j, 4j, 5j, 6j, 7j])
     with pytest.raises(DuplicateRoots):
         ShapePolynomial(n=8, epsilon=0.1, t=0j, basepoint=0j, roots=roots)
+
+
+@pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(np.nan, 0.0)],
+                         ids=["inf", "nan"])
+def test_non_finite_root_rejected(bad):
+    # an infinite root once made the coincidence limit infinite, so the check
+    # warned and named two distinct roots; a NaN root passed it
+    roots = (1.0625 * np.exp(2j * np.pi * np.arange(1, 65) / 64)).astype(complex)
+    roots[5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MapDiverged, match=r"^root 5 is \((inf|nan)\+0j\), not a finite"):
+            ShapePolynomial(n=64, epsilon=0.0625, t=0j, basepoint=0j, roots=roots)
 
 
 # ---------------------------------------------------------------------------
