@@ -12,6 +12,11 @@ search keeps its circle's image in). Points are classified only by
 ``JordanCurve.contains``, ``enclosed``, ``grid_winding_numbers`` (the
 winding numbers of a whole pixel grid, for verify, by the one crossing rule
 of ``winding_numbers``: both call ``_edge_runs``) and ``distance_to_polyline``.
+
+Every nearest-point query goes through the engine of ``nearest``:
+``distance_to_polyline`` bounds its search by an edge midpoint near each
+query, and ``hausdorff_distance`` takes the largest least distance of each
+set to the other, as ``render`` does for pixel masks.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     EmptySet,
@@ -31,11 +35,12 @@ from .errors import (
     SamplingFailure,
     TooFewPoints,
 )
+from .nearest import _Cells, _range_pairs
 
 MIN_POINTS = 8
 
-#: bound on the (query, edge) pairs a kernel holds in memory at once
-_PAIR_CHUNK = 1 << 18
+#: (query, edge) pairs up to which distance_to_polyline takes every edge
+_BRUTE_PAIRS = 1 << 12
 #: rejection-sampling rounds before sample_interior gives up
 MAX_SAMPLE_BATCHES = 64
 #: an offset vertex moves at most MITER_LIMIT times the offset distance
@@ -58,27 +63,6 @@ def signed_area(points: np.ndarray) -> float:
     x, y = points.real, points.imag
     x2, y2 = np.roll(x, -1), np.roll(y, -1)
     return float(0.5 * np.sum(x * y2 - x2 * y))
-
-
-def _range_pairs(first: np.ndarray, last: np.ndarray):
-    """Every (row, k) with first[row] <= k < last[row], rows ascending, in
-    chunks of at most _PAIR_CHUNK pairs."""
-    count = last - first
-    end = np.cumsum(count)
-    total = int(end[-1]) if end.size else 0
-    for lo in range(0, total, _PAIR_CHUNK):
-        k = np.arange(lo, min(lo + _PAIR_CHUNK, total))
-        row = np.searchsorted(end, k, side="right")
-        yield row, first[row] + (k - (end[row] - count[row]))
-
-
-def _ball_pairs(tree: cKDTree, xy: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
-    """``query_ball_point`` of xy within r as (rows, points) arrays, rows ascending."""
-    near = tree.query_ball_point(xy, r, return_sorted=False)
-    sizes = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
-    cols = np.fromiter(itertools.chain.from_iterable(near), dtype=np.intp,
-                       count=int(sizes.sum()))
-    return np.repeat(np.arange(len(near)), sizes), cols
 
 
 def _edge_runs(y: np.ndarray, points: np.ndarray):
@@ -161,42 +145,46 @@ def grid_winding_numbers(xs: np.ndarray, ys: np.ndarray, points: np.ndarray) -> 
 def distance_to_polyline(z, points: np.ndarray) -> np.ndarray:
     """Euclidean distance from each query point to the closed polyline.
 
-    The nearest edge midpoint, a point of the polyline, bounds each query's
-    distance by u, so only edges whose midpoint lies within u plus the
-    longest half-edge can hold the minimum; the exact projection runs on
-    those. Non-finite queries take every edge.
+    An edge midpoint near each query (``_Cells.reach``), a point of the
+    polyline, bounds the query's distance by u, so only edges whose
+    midpoint lies within u plus the longest half-edge can hold the minimum;
+    the exact projection runs on those. Non-finite queries, queries whose
+    squared distances overflow (u = inf) and small query sets take every
+    edge.
     """
     z = _as_points(z)
     a = points
     e = np.roll(points, -1) - points
     ee = np.maximum((e * e.conjugate()).real, 1e-300)
     out = np.full(z.shape, np.inf)
-    half = 0.5 * float(np.abs(e).max())
-    scale = float(np.abs(a).max())
-    mid = a + 0.5 * e
-    mids = cKDTree(np.column_stack((mid.real, mid.imag)))
-    step = max(1, _PAIR_CHUNK // len(a))
-    for lo in range(0, z.size, step):
-        zz = z[lo:lo + step]
-        xy = np.column_stack((zz.real, zz.imag))
-        u = np.full(len(zz), np.inf)
-        fin = np.isfinite(zz)
-        u[fin], _ = mids.query(xy[fin])
-        # the tree cannot place non-finite queries, nor ones whose squared
-        # distances overflow (u = inf): those take every edge
-        tree = np.flatnonzero(np.isfinite(u))
-        wide = np.flatnonzero(np.isinf(u))
-        # the slack covers rounding in the tree distances and in the
+    if z.size * len(a) <= _BRUTE_PAIRS:
+        wide = np.arange(z.size)
+        pairs = iter(())
+    else:
+        mid = a + 0.5 * e
+        mids = _Cells(mid.real, mid.imag)
+        fin = np.flatnonzero(np.isfinite(z))
+        u = np.sqrt(mids.reach(z.real[fin], z.imag[fin]))
+        ok = np.isfinite(u)
+        wide = np.concatenate((np.flatnonzero(~np.isfinite(z)), fin[~ok]))
+        near, zr = fin[ok], z[fin[ok]]
+        # the slack covers rounding in the midpoint distances and in the
         # projection, which scales with the coordinates, not with u
-        r = (u[tree] + half) * (1.0 + 1e-9) + 1e-9 * (scale + np.abs(zz[tree]))
-        slot, near = _ball_pairs(mids, xy[tree], r)
-        rows = np.concatenate((tree[slot], np.repeat(wide, len(a))))
-        cols = np.concatenate((near, np.tile(np.arange(len(a)), len(wide))))
-        zq, aq, eq = zz[rows], a[cols], e[cols]
-        t = ((zq - aq) * eq.conjugate()).real / ee[cols]
-        np.clip(t, 0.0, 1.0, out=t)
-        proj = aq + t * eq
-        np.minimum.at(out[lo:lo + step], rows, np.abs(zq - proj))
+        half = 0.5 * float(np.abs(e).max())
+        scale = float(np.abs(a).max())
+        r = (u[ok] + half) * (1.0 + 1e-9) + 1e-9 * (scale + np.abs(zr))
+        pairs = ((near[q], c) for q, c in mids.within(zr.real, zr.imag, r))
+    every = _range_pairs(np.zeros(wide.size, np.intp), np.full(wide.size, len(a)))
+    pairs = itertools.chain(pairs, ((wide[q], c) for q, c in every))
+    # non-finite queries and overflowing ones give nan and inf, as the
+    # arithmetic of every edge does
+    with np.errstate(invalid="ignore", over="ignore"):
+        for rows, cols in pairs:
+            zq, aq, eq = z[rows], a[cols], e[cols]
+            t = ((zq - aq) * eq.conjugate()).real / ee[cols]
+            np.clip(t, 0.0, 1.0, out=t)
+            proj = aq + t * eq
+            np.minimum.at(out, rows, np.abs(zq - proj))
     return out
 
 
@@ -510,20 +498,24 @@ def offset_annulus(curve: JordanCurve, eps_geom: float) -> AnnulusSpec:
 # Hausdorff distance
 
 
-def _directed(x: np.ndarray, y: np.ndarray) -> float:
-    tree = cKDTree(np.column_stack((y.real, y.imag)))
-    dmin, _ = tree.query(np.column_stack((x.real, x.imag)), k=1)
-    return float(dmin.max())
-
-
 def hausdorff_distance(x, y) -> float:
     """Hausdorff distance between two finite sampled point sets: the larger of
-    the two directed sup-min distances. Exact for the given samples."""
+    the two directed sup-min distances. Exact for the given samples, with
+    the bits of a k-d tree's nearest-point query: sqrt(dx*dx + dy*dy) of the
+    nearest points. A non-finite point raises ParseError; a distance whose
+    square overflows is inf."""
     x = _as_points(x)
     y = _as_points(y)
     if len(x) == 0 or len(y) == 0:
         raise EmptySet("hausdorff_distance needs non-empty sets")
-    return max(_directed(x, y), _directed(y, x))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ParseError("points must be finite")
+    # the smaller set's queries run first; the larger set's then skip every
+    # query whose bound stays below that distance
+    if x.size > y.size:
+        x, y = y, x
+    low = _Cells(y.real, y.imag).farthest(x.real, x.imag, 0.0)
+    return float(np.sqrt(_Cells(x.real, x.imag).farthest(y.real, y.imag, low)))
 
 
 def sample_interior(curve: JordanCurve, count: int, rng: np.random.Generator,

@@ -32,9 +32,9 @@ an odd number of the target curves, which must not meet (the rule of
 sends only the pixels within rounding of a crossing to ``winding_numbers``,
 so it is exact. The mask distances cost what the disagreement costs, not
 what the grid costs: only the pixels of one mask outside the other are
-queried, against the other's 4-boundary, and ties between offsets of equal
-length are closed (``_mask_hausdorff``), so they equal those of a full-grid
-Euclidean distance transform bit for bit.
+queried, against the other's 4-boundary, by the nearest-point engine
+``nearest`` in integer pixel offsets (``_mask_hausdorff``), so they equal
+those of a full-grid Euclidean distance transform bit for bit.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .curves import JordanCurve, _ball_pairs, grid_winding_numbers, hausdorff_distance, relation
+from .curves import JordanCurve, grid_winding_numbers, hausdorff_distance, relation
 from .dynamics import OrbitStatus, classify_orbits
 from .errors import BboxTooSmall, EmptySet, GeometryRejected, ParseError
+from .nearest import _Cells
 
 #: rows per tile. At 2048 x 2048 with 512 roots, on 2 CPUs, tiles of 16, 32,
 #: 64 and 128 rows rendered in 0.75, 0.53, 0.41 and 0.38 s pooled; against
@@ -279,38 +279,20 @@ class HausdorffReport:
                 "pixel_diag": self.pixel_diag, "pass": self.passed}
 
 
-#: slack of the tie rule in ``_mask_hausdorff``, as a share of the grid's
-#: larger extent. It must exceed the k-d tree's rounding of a distance, a few
-#: units in the last place of the largest coordinate, about 1e-15 of it
-TIE_SLACK = 1e-9
-
-
-def _directed_mask(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> float:
-    """Largest distance from a pixel of a to the nearest pixel of b, both
-    non-empty; ``_mask_hausdorff`` says how."""
+def _directed_mask(a: np.ndarray, b: np.ndarray, dx: float, dy: float, low: float) -> float:
+    """The larger of low and the largest squared distance from a pixel of a
+    to the nearest pixel of b, both non-empty; ``_mask_hausdorff`` says how."""
     qi, qj = np.nonzero(a & ~b)
     if qi.size == 0:
-        return 0.0
+        return low
     bi, bj = np.nonzero(b & _dilate4(~b))
-    tree = cKDTree(np.column_stack((bi * dy, bj * dx)))
-    query = np.column_stack((qi * dy, qj * dx))
-
-    def dist(q, p):
-        return np.sqrt(((qi[q] - bi[p]) * dy) ** 2 + ((qj[q] - bj[p]) * dx) ** 2)
-
-    _, pick = tree.query(query)
-    d = dist(np.arange(qi.size), pick)
-    slack = TIE_SLACK * max(a.shape[0] * dy, a.shape[1] * dx)
-    tied = np.flatnonzero(d >= d.max() - slack)
-    slot, cols = _ball_pairs(tree, query[tied], d[tied] + slack)
-    best = np.full(tied.size, np.inf)
-    np.minimum.at(best, slot, dist(tied[slot], cols))
-    return float(best.max())
+    cells = _Cells(bj.astype(float), bi.astype(float), dx, dy)
+    return cells.farthest(qj.astype(float), qi.astype(float), low)
 
 
 def _mask_hausdorff(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> float:
     """Exact Hausdorff distance between two pixel masks on the same grid, in
-    the arithmetic of ``scipy.ndimage.distance_transform_edt``: the distance
+    the arithmetic of a Euclidean distance transform: the distance
     from pixel (i, j) to pixel (k, l) is sqrt(((i-k)*dy)**2 + ((j-l)*dx)**2).
 
     Only the pixels of a outside b can set the largest distance from a to b,
@@ -318,23 +300,15 @@ def _mask_hausdorff(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> float
     on the 4-boundary of b (the pixels of b with a 4-neighbour in the grid
     outside b): from any other pixel of b, the 4-neighbour one step toward q
     is in b and no farther, in exact arithmetic and after rounding alike,
-    since every operation of the distance is monotone. A k-d tree over that
-    boundary, scaled by (dy, dx), finds a nearest pixel up to the tree's own
-    rounding, and the distance is recomputed from the integer offsets.
-
-    Offsets of equal length (3-4-5 offsets at square pixels, say) may round
-    apart, so the tree's pick can miss the least recomputed distance by a
-    unit in the last place. The tie rule closes this: with a slack of
-    TIE_SLACK times the grid's larger extent, far above the tree's rounding,
-    every query whose distance comes within the slack of the largest is
-    closed by a ball query of the slack more than its distance, which holds
-    every boundary pixel that can be nearest, and the least recomputed
-    distance among them is kept. A query below that band cannot hold the
-    maximum: the query with the largest distance has a least distance
-    within twice the tree's rounding of it, and so above the band."""
+    since every operation of the distance is monotone. The nearest-point
+    engine ``nearest._Cells`` takes that boundary in integer pixel offsets,
+    scaled by (dx, dy), so its least squared distances are exact in this
+    arithmetic and need no tie rule between offsets of equal length. The
+    distance from a to b is found first, and the search from b to a skips
+    every pixel whose bound stays below it."""
     if not a.any() or not b.any():
         return math.inf
-    return max(_directed_mask(a, b, dx, dy), _directed_mask(b, a, dx, dy))
+    return math.sqrt(_directed_mask(b, a, dx, dy, _directed_mask(a, b, dx, dy, 0.0)))
 
 
 def _check_bbox(field: EscapeField, curves, delta: float) -> None:

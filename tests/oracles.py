@@ -33,7 +33,10 @@ Euclidean distance transform of `scipy.ndimage`, and from every pair of
 pixels; and the check as it was before it queried only the disagreeing
 pixels and took the target region from a row scan: those distances, with
 `enclosed` over every pixel centre. The fast check must give the same report
-bit for bit.
+bit for bit. The Hausdorff distances of point sets and of masks as they were
+before `juliafit` had a nearest-point engine of its own: from the nearest
+points of a `scipy.spatial` k-d tree, with ties between pixel offsets closed
+by a ball query. The engine must return the same bits.
 
 Dumps: the field writer as it was before it wrote the base64 arrays to the
 file itself, a single `json.dump`. The fast writer must write the same bytes.
@@ -48,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
+from scipy.spatial import cKDTree
 
 from juliafit.conformal import evaluate_map
 from juliafit import curves
@@ -55,7 +59,7 @@ from juliafit.curves import _segment_pairs_intersect, curve_gap, enclosed, hausd
 from juliafit.dynamics import classify_orbits
 from juliafit.errors import NoEpsilon
 from juliafit.rational import AnnulusSystem, MultiShapeSystem
-from juliafit.render import CURVE_SAMPLES, HausdorffReport, pixel_centres
+from juliafit.render import CURVE_SAMPLES, HausdorffReport, _dilate4, pixel_centres
 from juliafit.shapepoly import (
     EPS_HALVINGS,
     EPS_SAMPLES,
@@ -67,6 +71,9 @@ from juliafit.shapepoly import (
 EXP_CAP = 2 ** 30
 #: relative tolerance (times the outer curve's diameter) of the strict band test
 ON_TOL_REL = 1e-9
+#: slack of the tie rule of ``mask_hausdorff_kdtree``, as a share of the
+#: grid's larger extent: above the k-d tree's rounding of a distance
+TIE_SLACK = 1e-9
 _CHUNK = 4096
 
 
@@ -536,6 +543,58 @@ def mask_hausdorff_all_pairs(a: np.ndarray, b: np.ndarray, dx: float, dy: float)
         d = np.sqrt(((ai[:, None] - bi[None, :]) * dy) ** 2
                     + ((aj[:, None] - bj[None, :]) * dx) ** 2)
         return float(d.min(axis=1).max())
+
+    return max(directed(a, b), directed(b, a))
+
+
+def kdtree_hausdorff(x, y) -> float:
+    """Hausdorff distance of two finite point sets from the nearest points of
+    k-d trees."""
+    x, y = _as_points(x), _as_points(y)
+
+    def directed(a, b):
+        tree = cKDTree(np.column_stack((b.real, b.imag)))
+        return float(tree.query(np.column_stack((a.real, a.imag)), k=1)[0].max())
+
+    return max(directed(x, y), directed(y, x))
+
+
+def _ball_pairs(tree, xy, r):
+    near = tree.query_ball_point(xy, r, return_sorted=False)
+    sizes = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    cols = np.fromiter((k for ks in near for k in ks), dtype=np.intp, count=int(sizes.sum()))
+    return np.repeat(np.arange(len(near)), sizes), cols
+
+
+def mask_hausdorff_kdtree(a: np.ndarray, b: np.ndarray, dx: float, dy: float) -> float:
+    """Hausdorff distance between two pixel masks in the transform's
+    arithmetic, from a k-d tree over the 4-boundary of the other mask,
+    scaled by (dy, dx). Offsets of equal length may round apart, so the
+    tree's pick can miss the least recomputed distance by a unit in the last
+    place: every query within TIE_SLACK of the largest distance is closed by
+    a ball query of that much more than its distance."""
+    if not a.any() or not b.any():
+        return math.inf
+
+    def directed(a, b):
+        qi, qj = np.nonzero(a & ~b)
+        if qi.size == 0:
+            return 0.0
+        bi, bj = np.nonzero(b & _dilate4(~b))
+        tree = cKDTree(np.column_stack((bi * dy, bj * dx)))
+        query = np.column_stack((qi * dy, qj * dx))
+
+        def dist(q, p):
+            return np.sqrt(((qi[q] - bi[p]) * dy) ** 2 + ((qj[q] - bj[p]) * dx) ** 2)
+
+        _, pick = tree.query(query)
+        d = dist(np.arange(qi.size), pick)
+        slack = TIE_SLACK * max(a.shape[0] * dy, a.shape[1] * dx)
+        tied = np.flatnonzero(d >= d.max() - slack)
+        slot, cols = _ball_pairs(tree, query[tied], d[tied] + slack)
+        best = np.full(tied.size, np.inf)
+        np.minimum.at(best, slot, dist(tied[slot], cols))
+        return float(best.max())
 
     return max(directed(a, b), directed(b, a))
 

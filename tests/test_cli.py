@@ -327,17 +327,27 @@ def test_console_entry_point(fixture_dir, tmp_path):
     assert (tmp_path / "shape.json").exists()
 
 
-def test_commands_do_not_import_scipy_ndimage():
-    # the mask Hausdorff distance needs no distance transform; the transform
-    # stays in the tests, as its oracle
+def test_build_and_verify_load_no_scipy(fixture_dir, tmp_path):
+    # every nearest-point query runs in juliafit's own engine, so no command
+    # imports scipy, not even lazily; scipy serves the tests' oracles
     src = os.path.dirname(os.path.dirname(juliafit.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, juliafit.cli; print('scipy.ndimage' in sys.modules)"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+    curve, out = str(fixture_dir / "circle.txt"), str(tmp_path)
+    code = f"""
+import sys
+from juliafit.cli import main
+assert main(["build", {curve!r}, "--n", "64", "--out", {out!r}]) == 0
+assert main(["verify", {out + "/shape.json"!r}, "--certificate",
+             {out + "/certificate.json"!r}, "--curve", {curve!r},
+             "--delta", "0.2", "--grid", "128", "--out", {out + "/verify"!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+    assert json.loads((tmp_path / "verify" / "report.json").read_text())["pass"] is True
 
 
 def test_every_map_kind_has_the_map_interface(fixture_systems):

@@ -1,4 +1,7 @@
-"""The pruned geometry kernels against their brute-force oracles, bit for bit."""
+"""The pruned geometry kernels against their brute-force oracles, and the
+nearest-point engine against a k-d tree, bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,17 +10,18 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import make_figure_eight
-from juliafit import curves
+from juliafit import curves, nearest
 from juliafit.curves import (
     JordanCurve,
     _offset_polyline,
     _segment_pairs_intersect,
     distance_to_polyline,
     grid_winding_numbers,
+    hausdorff_distance,
     relation,
     winding_numbers,
 )
-from juliafit.errors import NotSimple
+from juliafit.errors import NotSimple, ParseError
 from juliafit.shapes import make_blob, make_circle, make_square
 
 
@@ -145,9 +149,15 @@ def test_kernels_match_oracles_on_axis_aligned_and_clockwise(points):
     np.array([np.nan, complex(0.3, np.inf)]),
 ], ids=["empty", "single", "non-finite", "non-finite-only"])
 def test_kernels_match_oracles_on_edge_case_queries(z):
+    # the kernels take non-finite and overflowing queries without a warning,
+    # which the test settings turn into an error; the oracles may warn
     for points in (make_blob().points, make_square().points):
+        w, d = winding_numbers(z, points), distance_to_polyline(z, points)
         with np.errstate(invalid="ignore", over="ignore"):
-            assert_kernels_exact(z, points)
+            w_ref = oracles.winding_numbers(z, points)
+            d_ref = oracles.distance_to_polyline(z, points)
+        assert w.dtype == w_ref.dtype and np.array_equal(w, w_ref)
+        assert d.dtype == d_ref.dtype and np.array_equal(d, d_ref, equal_nan=True)
     w = winding_numbers(z, make_blob().points)
     assert np.all(w[~np.isfinite(z)] == 0)
 
@@ -177,8 +187,82 @@ def test_kernels_match_oracles_past_the_pair_chunk():
     hi = np.maximum(points.imag, np.roll(points, -1).imag)
     pairs = sum(int(np.count_nonzero((a <= grid.imag) & (grid.imag < b)))
                 for a, b in zip(lo, hi))
-    assert pairs > 2 * curves._PAIR_CHUNK
+    assert pairs > 2 * nearest._PAIR_CHUNK
     assert_kernels_exact(grid, points)
+
+
+# ---------------------------------------------------------------------------
+# nearest points
+
+
+def point_set(rng, layout, n):
+    """n seeded points: normal, in three tight clusters, repeating a few,
+    on a line, or scaled to 1e-150 or 1e150."""
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if layout == "clustered":
+        centres = 10.0 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        z = centres[rng.integers(0, 3, n)] + 1e-3 * z
+    elif layout == "duplicates":
+        z = z[rng.integers(0, max(1, n // 8), n)]
+    elif layout == "collinear":
+        z = z[0] + z.real * np.exp(1j * rng.uniform(0.0, np.pi))
+    elif layout == "tiny":
+        z *= 1e-150
+    elif layout == "huge":
+        z *= 1e150
+    return z
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "clustered", "duplicates", "collinear", "tiny", "huge"]),
+       st.sampled_from(["none", "apart", "single"]), st.integers(1, 700), st.integers(1, 700))
+def test_hausdorff_matches_the_kdtree(seed, layout, place, n, m):
+    # "apart" moves the second set a thousand times the sets' size away,
+    # "single" makes both one point
+    rng = np.random.default_rng(seed)
+    if place == "single":
+        n = m = 1
+    x, y = point_set(rng, layout, n), point_set(rng, layout, m)
+    if place == "apart":
+        y = y + 1e3 * max(np.abs(x).max(), np.abs(y).max()) * (1 + 1j)
+    got = hausdorff_distance(x, y)
+    assert got == oracles.kdtree_hausdorff(x, y)
+    assert hausdorff_distance(y, x) == got
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.5, -np.inf), complex(np.nan, 1.0)])
+def test_hausdorff_rejects_non_finite_points(bad):
+    for x, y in (([0j, bad], [1j]), ([1j], [2j, bad]), (np.full(900, bad), np.arange(900.0))):
+        with pytest.raises(ParseError, match="points must be finite"):
+            hausdorff_distance(x, y)
+
+
+def test_hausdorff_overflow_stays_inf():
+    assert hausdorff_distance([1e200], [-1e200]) == math.inf
+    rng = np.random.default_rng(5)
+    x = 1e200 + 1e198 * rng.normal(size=600)
+    assert hausdorff_distance(x, -x) == math.inf == oracles.kdtree_hausdorff(x, -x)
+    # spans past the largest float, whose near pairs stay finite
+    x = 1e308 * np.linspace(-1.0, 1.0, 600)
+    for a, b in ((x, x + 1j), (1j * x, 1j * x + 1.0), (x, x[:5])):
+        with np.errstate(over="ignore"):
+            want = oracles.kdtree_hausdorff(a, b)
+        assert hausdorff_distance(a, b) == want == hausdorff_distance(b, a)
+    assert hausdorff_distance(x, x + 1j) == 1.0
+
+
+def test_nearest_points_match_past_the_pair_chunk(monkeypatch):
+    # chunks of 97 pairs split the runs of the nearest-point engine, and the
+    # pairs of one query, between chunks
+    monkeypatch.setattr(nearest, "_PAIR_CHUNK", 97)
+    rng = np.random.default_rng(11)
+    points = wavy_curve(11, 300)
+    z = queries_around(points, rng, 400)
+    assert_kernels_exact(z, points)
+    x = point_set(rng, "clustered", 500)
+    y = point_set(rng, "random", 300)
+    assert hausdorff_distance(x, y) == oracles.kdtree_hausdorff(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,28 @@ def test_mask_hausdorff_matches_the_transform_and_all_pairs(h, w, seed, fill_a, 
     assert _mask_hausdorff(b, a, dx, dy) == got
 
 
+@settings(deadline=None, max_examples=120)
+@given(st.integers(8, 90), st.integers(8, 90), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 0.5), st.floats(0.0, 1.0), st.sampled_from(["scatter", "band"]),
+       st.floats(0.001, 10.0), st.floats(0.1, 10.0).filter(lambda v: v != 1.0))
+def test_mask_hausdorff_matches_the_kdtree_on_oblong_pixels(h, w, seed, fill_a, fill_b,
+                                                           layout, dx, ratio):
+    # pixels whose sides differ (dy = ratio * dx), on grids large enough that
+    # most queries go through the nearest-point engine rather than every pair
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(size=(h, w)) < fill_a ** 2
+    b = rng.uniform(size=(h, w)) < fill_b ** 2
+    if layout == "band":
+        # a disk in a wider one, as a render and its target differ
+        i, j = np.ogrid[:h, :w]
+        r = np.hypot(i - h / 2, j - w / 2)
+        a, b = r < 0.3 * min(h, w), r < 0.3 * min(h, w) + 1 + 10 * fill_b
+    dy = ratio * dx
+    got = _mask_hausdorff(a, b, dx, dy)
+    assert got == oracles.mask_hausdorff_kdtree(a, b, dx, dy)
+    assert got == oracles.mask_hausdorff(a, b, dx, dy)
+
+
 @pytest.mark.parametrize("pixel", [1.0, 0.1, 1 / 3, 0.7])
 @pytest.mark.parametrize("ring", [[(0, 5), (3, 4)], [(1, 7), (5, 5)]], ids=["5", "50"])
 def test_mask_hausdorff_closes_ties(pixel, ring):
